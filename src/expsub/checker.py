@@ -28,7 +28,7 @@ from .engine import (
     sample_exp_poly,
     valid_interior,
 )
-from .lattice import DilationMatrix, as_complex_vector, as_tau, q_eval
+from .lattice import DilationMatrix, as_complex_vector, as_tau, param_points, q_eval
 from .symbols import ExpPolySpace, SchemeSpec
 
 __all__ = [
@@ -106,7 +106,8 @@ class ConditionReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.records), default=0.0)
+        """Largest residual; NaN when any residual is NaN."""
+        return _nan_max([r.residual for r in self.records])
 
     @property
     def verdict(self) -> bool:
@@ -136,7 +137,8 @@ class ConditionReport:
         shown = self.records
         clipped = 0
         if len(shown) > max_rows:
-            worst = sorted(shown, key=lambda r: -r.residual)[:max_rows]
+            # NaN residuals sort first, so a NaN record is never clipped
+            worst = sorted(shown, key=lambda r: (not cmath.isnan(r.residual), -r.residual))[:max_rows]
             clipped = len(shown) - max_rows
             shown = sorted(worst, key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
         for r in shown:
@@ -172,6 +174,10 @@ def _levels(k_range) -> list[int]:
     if not ks or any(k < 0 for k in ks):
         raise CheckError("level range must be nonempty with nonnegative levels")
     return sorted(set(ks))
+
+
+def _nan_max(values: list[float]) -> float:
+    return float(np.max(values)) if values else 0.0
 
 
 def _residual(lhs: complex, rhs: complex) -> float:
@@ -417,7 +423,8 @@ class StepwiseReport:
 
     @property
     def max_err(self) -> float:
-        return max((r.max_err for r in self.records), default=0.0)
+        """Largest error; NaN when any error is NaN."""
+        return _nan_max([r.max_err for r in self.records])
 
     @property
     def verdict(self) -> bool:
@@ -455,7 +462,8 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
 
     Each basis function of the space is sampled on the window at level k,
     refined once with a^[k], and compared on the valid interior against its
-    own samples at level k + 1.
+    own samples at level k + 1.  Errors follow the condition residual rule:
+    relative where the exact sample exceeds 1 in modulus, else absolute.
     """
     M = scheme.M
     if space.s != M.s:
@@ -465,21 +473,13 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
     valid = valid_interior(a, M, window)
     if not valid:
         raise EngineError("empty valid interior; enlarge the window")
-    Mk1 = M.inv_power(k + 1)
+    pts = param_points(M, t, k + 1, valid)
     report = StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t)
     for gamma, lam in space.pairs:
         f = sample_exp_poly(gamma, lam, M, t, k, window)
-        g = apply_operator(a, M, f)
-        worst = 0.0
-        for alpha in valid:
-            shifted = [float(x) + tv for x, tv in zip(alpha, t)]
-            pt = tuple(
-                float(sum(Mk1[i][j] * shifted[j] for j in range(M.s)))
-                for i in range(M.s)
-            )
-            want = exp_poly_value(gamma, lam, pt)
-            worst = max(worst, abs(g.values[alpha] - want))
+        got = apply_operator(a, M, f).values_at(valid).tolist()
+        errs = [_residual(v, exp_poly_value(gamma, lam, p)) for v, p in zip(got, pts)]
         report.records.append(
-            StepwiseRecord(gamma=gamma, lam=lam, max_err=worst, points=len(valid))
+            StepwiseRecord(gamma=gamma, lam=lam, max_err=_nan_max(errs), points=len(valid))
         )
     return report

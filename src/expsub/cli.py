@@ -154,11 +154,11 @@ def cmd_refine(args) -> int:
 def cmd_limit(args) -> int:
     scheme = load_scheme(args.scheme)
     samples = basic_limit_samples(scheme, args.rounds, start_level=args.start_level)
+    s = scheme.M.s
+    row = ",".join(["%.17g"] * (s + 2)) + "\n"  # each field as _fmt writes it
     with open(Path(args.out), "w", encoding="utf-8", newline="") as fh:
-        s = scheme.M.s
         fh.write(",".join([f"t{i}" for i in range(s)] + ["re", "im"]) + "\n")
-        for t, v in samples:
-            fh.write(",".join([_fmt(x) for x in t] + [_fmt(v.real), _fmt(v.imag)]) + "\n")
+        fh.writelines(row % (*t, v.real, v.imag) for t, v in samples)
     print(f"wrote {len(samples)} limit samples to {args.out}")
     return 0
 

@@ -2,16 +2,28 @@
 
 Applies masks to finitely supported grid data, runs multi-level refinement,
 samples exponential polynomials on shifted grids, and collects basic limit
-function samples.  Output values are accumulated in a fixed order (sorted
-input index), so results are reproducible bit for bit.
+function samples.
+
+Grid data is dense (origin, complex array over the support's bounding box,
+support mask).  A step computes each output coset e of Z^s / M Z^s as the
+coarse convolution out[e + M g] = sum_n a_(e + M n) f[g - n], with the taps
+in descending-lexicographic n, i.e. ascending beta = g - n: every output is
+summed in the order of the pointwise gather over sorted beta, so results are
+reproducible bit for bit.  Complex products are formed from real and
+imaginary parts as Python forms them (numpy's complex multiply may fuse
+them).  Non-finite values are rejected: a dense tap also multiplies the zero
+padding, so a NaN or inf would reach points the support never touches.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+from collections.abc import Mapping
 
-from .lattice import DilationMatrix, as_complex_vector, as_multi_index, as_tau
+import numpy as np
+
+from .lattice import DilationMatrix, as_complex_vector, as_multi_index, as_tau, param_points
 from .symbols import LaurentSymbol, SchemeSpec, SymbolError
 
 __all__ = [
@@ -31,45 +43,162 @@ __all__ = [
     "grid_from_csv",
 ]
 
+# Largest bounding box, in lattice points, that a grid or one operator step
+# may allocate (about 0.3 GB of complex values).
+MAX_BOX_POINTS = 1 << 24
+# Largest |index| of a grid point; M g then stays far inside int64.
+MAX_INDEX = 1 << 31
+
 
 class EngineError(ValueError):
     """Bad grid data or incompatible operator application."""
 
 
+def _check_box(points: int) -> None:
+    if points > MAX_BOX_POINTS:
+        raise EngineError(
+            f"data spans a bounding box of {points} lattice points;"
+            f" the dense layout holds at most {MAX_BOX_POINTS}"
+        )
+
+
+def _pack(points: np.ndarray, values: np.ndarray | None = None):
+    """Dense (origin, support mask, values) over the bounding box of `points`."""
+    s = points.shape[1]
+    if not len(points):
+        shape = (0,) * s
+        return np.zeros(s, dtype=np.int64), np.zeros(shape, bool), np.zeros(shape, complex)
+    if np.abs(points).max() > MAX_INDEX:
+        raise EngineError(f"lattice indices must lie within +-{MAX_INDEX}")
+    lo = points.min(axis=0)
+    shape = tuple((points.max(axis=0) - lo + 1).tolist())
+    _check_box(int(np.prod(shape)))
+    loc = tuple((points - lo).T)
+    mask = np.zeros(shape, bool)
+    mask[loc] = True
+    data = np.zeros(shape, complex)
+    if values is not None:
+        data[loc] = values
+    return lo, mask, data
+
+
+class GridValues(Mapping):
+    """Read-only index -> value view of a GridData.
+
+    `len()` is the support size; the dict behind the view is built on the
+    first lookup or iteration.
+    """
+
+    __slots__ = ("_grid", "_dict")
+
+    def __init__(self, grid: "GridData"):
+        self._grid = grid
+        self._dict = None
+
+    def _lookup(self) -> dict:
+        if self._dict is None:
+            pts, vals = self._grid.points()
+            self._dict = dict(zip(map(tuple, pts.tolist()), vals.tolist()))
+        return self._dict
+
+    def __len__(self):
+        return len(self._grid)
+
+    def __getitem__(self, key):
+        return self._lookup()[key]
+
+    def __iter__(self):
+        return iter(self._lookup())
+
+
 class GridData:
     """Finitely supported complex data on Z^s, tagged with level and shift.
+
+    Stored densely over the bounding box of the support: `origin` is its
+    lowest corner, `data` a C-ordered complex128 array and `in_support` a
+    boolean mask; exact zeros inside the support stay in it.  Both arrays
+    are read-only and the grid cannot be changed after construction.
+    `values` is a read-only index -> value mapping for I/O and tests.
 
     The level tag exists so masks from one refinement level are not silently
     applied to data living on another.
     """
 
+    __slots__ = ("s", "level", "tau", "origin", "data", "in_support", "_values")
+
     def __init__(self, s: int, level: int, values, tau=None):
-        self.s = int(s)
-        if self.s < 1:
+        s = int(s)
+        if s < 1:
             raise EngineError("dimension must be positive")
-        if level < 0:
-            raise EngineError("level must be nonnegative")
-        self.level = int(level)
-        self.tau = as_tau(tau if tau is not None else (0.0,) * self.s, self.s)
-        vals: dict[tuple[int, ...], complex] = {}
+        keys, vals = [], []
         for idx, v in dict(values).items():
-            if isinstance(idx, int):
+            if isinstance(idx, (int, np.integer)):
                 idx = (idx,)
             key = tuple(int(x) for x in idx)
-            if len(key) != self.s:
-                raise EngineError(f"index {key} has length {len(key)}, expected {self.s}")
-            vals[key] = complex(v)
-        self.values = vals
+            if len(key) != s:
+                raise EngineError(f"index {key} has length {len(key)}, expected {s}")
+            keys.append(key)
+            vals.append(complex(v))
+        try:
+            points = np.array(keys, dtype=np.int64).reshape(-1, s)
+        except OverflowError as exc:
+            raise EngineError(f"lattice indices must lie within +-{MAX_INDEX}") from exc
+        self._init(s, level, tau, *_pack(points, np.array(vals, dtype=complex)))
+
+    @classmethod
+    def from_points(cls, s: int, level: int, points, values, tau=None) -> "GridData":
+        """Grid with values[i] at the distinct indices points[i] of an (N, s) array."""
+        obj = cls.__new__(cls)
+        obj._init(s, level, tau, *_pack(np.asarray(points, dtype=np.int64).reshape(-1, s), values))
+        return obj
+
+    def _init(self, s, level, tau, origin, in_support, data):
+        if level < 0:
+            raise EngineError("level must be nonnegative")
+        if not np.isfinite(data).all():
+            raise EngineError("grid values must be finite")
+        in_support.flags.writeable = False
+        data.flags.writeable = False
+        for name, value in (
+            ("s", int(s)),
+            ("level", int(level)),
+            ("tau", as_tau(tau if tau is not None else (0.0,) * s, s)),
+            ("origin", tuple(int(x) for x in origin)),
+            ("data", data),
+            ("in_support", in_support),
+            ("_values", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GridData is immutable")
 
     @classmethod
     def delta(cls, s: int, level: int = 0, tau=None) -> "GridData":
         return cls(s, level, {(0,) * s: 1.0}, tau=tau)
 
+    @property
+    def values(self) -> GridValues:
+        if self._values is None:
+            object.__setattr__(self, "_values", GridValues(self))
+        return self._values
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support indices as an (N, s) array in sorted order, and their values."""
+        loc = np.nonzero(self.in_support)
+        idx = np.stack(loc, axis=1).reshape(-1, self.s) + np.array(self.origin)
+        return idx, self.data[loc]
+
+    def values_at(self, indices) -> np.ndarray:
+        """Values at an (N, s) array of indices inside the bounding box."""
+        rel = np.asarray(indices, dtype=np.int64).reshape(-1, self.s) - np.array(self.origin)
+        return self.data[tuple(rel.T)]
+
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.values)
+        return list(map(tuple, self.points()[0].tolist()))
 
     def __len__(self):
-        return len(self.values)
+        return int(np.count_nonzero(self.in_support))
 
 
 def box_indices(window, s: int) -> list[tuple[int, ...]]:
@@ -110,6 +239,34 @@ def box_indices(window, s: int) -> list[tuple[int, ...]]:
     return idxs
 
 
+def _taps(mask: LaurentSymbol, M: DilationMatrix):
+    """The mask's sub-symbols as coarse-lattice taps: [(e, n, c)] over cosets e.
+
+    a_(e + M n[i]) = c[i]; the rows of the integer array n are in descending
+    lexicographic order.  Cosets without taps are left out.
+    """
+    if mask.s != M.s:
+        raise EngineError("dimension mismatch between mask and matrix")
+    groups: dict = {}
+    for mu, c in mask.sorted_items():
+        e, n = M.split(mu)
+        groups.setdefault(e, []).append((n, c))
+    out = []
+    for e in sorted(groups):
+        taps = sorted(groups[e], key=lambda t: t[0], reverse=True)
+        coeffs = [c for _, c in taps]
+        if not np.isfinite(np.array(coeffs)).all():
+            raise EngineError("mask has a non-finite coefficient")
+        out.append((e, np.array([n for n, _ in taps], dtype=np.int64), coeffs))
+    return out
+
+
+def _fine_points(M: DilationMatrix, e, g0, loc) -> np.ndarray:
+    """Fine indices e + M g, as an (N, s) array, of the coarse points g = g0 + loc."""
+    g = np.stack(loc, axis=1).reshape(-1, M.s) + g0
+    return g @ np.array(M.mat, dtype=np.int64).T + np.array(e, dtype=np.int64)
+
+
 def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridData:
     """One subdivision step: output_alpha = sum_beta mask_(alpha - M beta) f_beta.
 
@@ -118,44 +275,30 @@ def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridD
     """
     if mask.s != f.s or M.s != f.s:
         raise EngineError("dimension mismatch between mask, matrix and data")
-    msupp = mask.support()
-    mterms = mask.terms()
-    out_support = set()
-    for beta in f.values:
-        mb = M.apply(beta)
-        for mu in msupp:
-            out_support.add(tuple(a + b for a, b in zip(mb, mu)))
-    out: dict[tuple[int, ...], complex] = {}
-    if f.s == 1:
-        # same gather, with the divisibility test inlined; beta stays ascending
-        det = M.mat[0][0]
-        pairs = sorted((mu[0], c) for mu, c in mterms.items())
-        if det > 0:
-            pairs.reverse()
-        fv = f.values
-        for alpha in sorted(out_support):
-            a0 = alpha[0]
-            acc = 0j
-            for mu, c in pairs:
-                r = a0 - mu
-                if r % det == 0:
-                    fb = fv.get((r // det,))
-                    if fb is not None:
-                        acc += c * fb
-            out[alpha] = acc
-        return GridData(1, f.level + 1, out, tau=f.tau)
-    for alpha in sorted(out_support):
-        contribs = []
-        for mu in msupp:
-            beta = M.solve_integer(tuple(a - u for a, u in zip(alpha, mu)))
-            if beta is not None and beta in f.values:
-                contribs.append((beta, mterms[mu]))
-        contribs.sort(key=lambda t: t[0])
-        acc = 0j
-        for beta, c in contribs:
-            acc += c * f.values[beta]
-        out[alpha] = acc
-    return GridData(f.s, f.level + 1, out, tau=f.tau)
+    shape = f.data.shape
+    fr = np.ascontiguousarray(f.data.real)
+    fi = np.ascontiguousarray(f.data.imag)
+    points, values = [np.zeros((0, f.s), dtype=np.int64)], [np.zeros(0, complex)]
+    allocated = 0
+    for e, ns, coeffs in _taps(mask, M):
+        lo = ns.min(axis=0)
+        box = tuple((np.array(shape) + ns.max(axis=0) - lo).tolist())
+        allocated += int(np.prod(box))
+        _check_box(allocated)
+        re, im, present = np.zeros(box), np.zeros(box), np.zeros(box, bool)
+        for off, c in zip((ns - lo).tolist(), coeffs):
+            view = tuple(slice(o, o + d) for o, d in zip(off, shape))
+            re[view] += c.real * fr - c.imag * fi
+            im[view] += c.real * fi + c.imag * fr
+            present[view] |= f.in_support
+        loc = np.nonzero(present)
+        points.append(_fine_points(M, e, np.array(f.origin) + lo, loc))
+        vals = np.empty(len(loc[0]), complex)
+        vals.real, vals.imag = re[loc], im[loc]
+        values.append(vals)
+    return GridData.from_points(
+        f.s, f.level + 1, np.concatenate(points), np.concatenate(values), tau=f.tau
+    )
 
 
 def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | None = None) -> GridData:
@@ -186,13 +329,9 @@ def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> G
     t0 = as_tau(tau, M.s)
     if level < 0:
         raise EngineError("level must be nonnegative")
-    Mk = M.inv_power(level)
-    vals = {}
-    for alpha in box_indices(window, M.s):
-        shifted = [float(a) + tv for a, tv in zip(alpha, t0)]
-        t = tuple(float(sum(Mk[i][j] * shifted[j] for j in range(M.s))) for i in range(M.s))
-        vals[alpha] = exp_poly_value(g, lv, t)
-    return GridData(M.s, level, vals, tau=t0)
+    idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
+    vals = [exp_poly_value(g, lv, t) for t in param_points(M, t0, level, idx)]
+    return GridData.from_points(M.s, level, idx, np.array(vals, dtype=complex), tau=t0)
 
 
 def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
@@ -206,13 +345,8 @@ def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
     tau = scheme.tau if scheme.tau is not None else (0.0,) * scheme.M.s
     f = GridData.delta(scheme.M.s, level=start_level, tau=tau)
     g = refine(scheme, f, rounds, start_level=start_level)
-    Mk = scheme.M.inv_power(g.level)
-    out = []
-    for alpha in g.support():
-        shifted = [float(a) + tv for a, tv in zip(alpha, tau)]
-        t = tuple(float(sum(Mk[i][j] * shifted[j] for j in range(scheme.M.s))) for i in range(scheme.M.s))
-        out.append((t, g.values[alpha]))
-    return out
+    idx, vals = g.points()
+    return list(zip(param_points(scheme.M, tau, g.level, idx), vals.tolist()))
 
 
 def is_interpolatory(mask: LaurentSymbol, M: DilationMatrix) -> bool:
@@ -232,38 +366,37 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
     """Output indices whose whole stencil lies inside the input window.
 
     At these indices one subdivision step of data known only on the window
-    agrees with the step applied to data known on all of Z^s.
+    agrees with the step applied to data known on all of Z^s.  Per coset
+    this is the erosion of the window by the coset's taps.
     """
-    win = set(box_indices(window, M.s))
-    msupp = mask.support()
-    candidates = set()
-    for beta in win:
-        mb = M.apply(beta)
-        for mu in msupp:
-            candidates.add(tuple(a + b for a, b in zip(mb, mu)))
-    out = []
-    for alpha in sorted(candidates):
-        ok = True
-        for mu in msupp:
-            beta = M.solve_integer(tuple(a - u for a, u in zip(alpha, mu)))
-            if beta is not None and beta not in win:
-                ok = False
-                break
-        if ok:
-            out.append(alpha)
-    return out
+    win_idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
+    w0, win, _ = _pack(win_idx)
+    found = [np.zeros((0, M.s), dtype=np.int64)]
+    for e, ns, _ in _taps(mask, M):
+        hi = ns.max(axis=0)
+        box = np.array(win.shape) - (hi - ns.min(axis=0))
+        if (box <= 0).any():
+            continue
+        ok = np.ones(tuple(box.tolist()), bool)
+        for off in (hi - ns).tolist():
+            ok &= win[tuple(slice(o, o + d) for o, d in zip(off, box.tolist()))]
+        found.append(_fine_points(M, e, w0 + hi, np.nonzero(ok)))
+    pts = np.concatenate(found)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return list(map(tuple, pts.tolist()))
 
 
 # -- serialization ---------------------------------------------------------------
 
 
 def grid_to_json_obj(g: GridData) -> dict:
+    idx, vals = g.points()
     return {
         "level": g.level,
         "tau": list(g.tau),
         "values": [
-            {"idx": list(i), "re": v.real, "im": v.imag}
-            for i, v in sorted(g.values.items())
+            {"idx": i, "re": v.real, "im": v.imag}
+            for i, v in zip(idx.tolist(), vals.tolist())
         ],
     }
 
@@ -283,8 +416,9 @@ def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
 def grid_to_csv(g: GridData, fh) -> None:
     w = csv.writer(fh)
     w.writerow([f"idx{i}" for i in range(g.s)] + ["re", "im"])
-    for idx, v in sorted(g.values.items()):
-        w.writerow([*idx, repr(v.real), repr(v.imag)])
+    idx, vals = g.points()
+    for i, v in zip(idx.tolist(), vals.tolist()):
+        w.writerow([*i, repr(v.real), repr(v.imag)])
 
 
 def grid_from_csv(fh, level: int = 0, tau=None) -> GridData:

@@ -7,6 +7,7 @@ always stored as [re, im] pairs; floats round-trip losslessly.
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
@@ -32,12 +33,16 @@ class FileFormatError(ValueError):
 
 def complex_from_pair(obj) -> complex:
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
+        z = complex(obj)
+    elif isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
         isinstance(x, (int, float)) for x in obj
     ):
-        return complex(float(obj[0]), float(obj[1]))
-    raise FileFormatError(f"expected a real number or an [re, im] pair, got {obj!r}")
+        z = complex(float(obj[0]), float(obj[1]))
+    else:
+        raise FileFormatError(f"expected a real number or an [re, im] pair, got {obj!r}")
+    if not cmath.isfinite(z):
+        raise FileFormatError(f"number {obj!r} is not finite")
+    return z
 
 
 def pair_from_complex(z: complex) -> list[float]:
@@ -48,10 +53,10 @@ def pair_from_complex(z: complex) -> list[float]:
 def _decode_lambda(obj):
     """A frequency: [re, im], a bare real, or a list of those (vector)."""
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        return complex_from_pair(obj)
     if isinstance(obj, list):
         if len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
-            return complex(float(obj[0]), float(obj[1]))
+            return complex_from_pair(obj)
         return tuple(complex_from_pair(x) for x in obj)
     raise FileFormatError(f"cannot decode frequency {obj!r}")
 
@@ -162,6 +167,9 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
             raise FileFormatError("explicit scheme needs a stationary tail symbol")
         levels = [LaurentSymbol.from_json_obj(lv, s) for lv in levels_obj]
         tail = LaurentSymbol.from_json_obj(obj["tail"], s)
+        for sym in levels + [tail]:
+            if not all(cmath.isfinite(c) for c in sym.terms().values()):
+                raise FileFormatError("explicit scheme coefficients must be finite")
         return SchemeSpec.from_levels(
             str(obj.get("name", "explicit")), M, levels, tail, tau=obj.get("tau")
         )

@@ -267,18 +267,29 @@ class DilationMatrix:
 
     def coset_of(self, alpha: Sequence[int]) -> tuple[int, ...]:
         """The representative in coset_reps() equivalent to alpha mod M Z^s."""
+        return self.split(alpha)[0]
+
+    def split(self, alpha: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(e, n) with alpha = e + M n and e the representative in coset_reps().
+
+        Reduces y = U alpha into the HNF digit box of H = U M; the quotients
+        taken out along the way are n, because V H = M.
+        """
         y = [
             sum(self._U[i][j] * int(alpha[j]) for j in range(self.s))
             for i in range(self.s)
         ]
+        n = [0] * self.s
         for ell in range(self.s - 1, -1, -1):
             q = y[ell] // self._H[ell][ell]
             if q:
+                n[ell] = q
                 for r in range(ell + 1):
                     y[r] -= q * self._H[r][ell]
-        return tuple(
+        e = tuple(
             sum(self._V[i][j] * y[j] for j in range(self.s)) for i in range(self.s)
         )
+        return e, tuple(n)
 
     def dual_reps(self) -> list[tuple[int, ...]]:
         """Transversal of Z^s / M^T Z^s used to build the dual points."""
@@ -421,11 +432,20 @@ def v_sets(M: DilationMatrix, lambdas, k: int):
 
 
 def param_points(M: DilationMatrix, tau, k: int, alphas) -> list[tuple[float, ...]]:
-    """Grid attachment t^[k]_alpha = M^{-k}(alpha + tau)."""
+    """Grid attachment t^[k]_alpha = M^{-k}(alpha + tau), one tuple per index.
+
+    `alphas` is an iterable of index tuples or an (N, s) integer array.  Each
+    coordinate is summed left to right from +0.0 over elementwise products,
+    so every caller gets the same bits and an index that maps to zero gives
+    +0.0, never -0.0.
+    """
     t = as_tau(tau, M.s)
     Mk = M.inv_power(k)
-    out = []
-    for alpha in alphas:
-        shifted = np.array([float(a) + tv for a, tv in zip(alpha, t)])
-        out.append(tuple(float(x) for x in Mk @ shifted))
-    return out
+    shifted = np.asarray(alphas, dtype=np.int64).reshape(-1, M.s) + np.array(t)
+    coords = []
+    for i in range(M.s):
+        acc = np.zeros(len(shifted))
+        for j in range(M.s):
+            acc = acc + Mk[i, j] * shifted[:, j]
+        coords.append(acc.tolist())
+    return list(zip(*coords))

@@ -14,7 +14,10 @@ from expsub import (
     LaurentSymbol,
     NoAdmissibleTauError,
     NormalizationError,
+    ConditionRecord,
+    ConditionReport,
     SchemeSpec,
+    StepwiseReport,
     butterfly,
     check_generation,
     check_reproduction,
@@ -28,6 +31,7 @@ from expsub import (
     sqrt3_schemes,
     stepwise_test,
 )
+from expsub.checker import StepwiseRecord
 
 
 def quiet_space(pairs):
@@ -344,3 +348,30 @@ def test_normalize_matches_two_factor_closed_form():
     normed = normalize(raw, (la,), (float(n),))
     for k in (0, 1, 4):
         assert normed.symbol(k).max_diff(closed.symbol(k)) < 1e-13
+
+
+def test_stepwise_error_is_relative_above_one():
+    # samples reach about 2e6 here; an absolute 1e-9 would fail on rounding
+    lam = (0.98, 0.99)
+    scheme = sheared_convolution(lam, normalized=True)
+    space = ExpPolySpace([((0, 0), lam), ((1, 0), lam), ((0, 1), lam)])
+    rep = stepwise_test(scheme, space, (1.0, 1.0), 0, 6)
+    assert rep.verdict and rep.max_err < 1e-13
+
+
+def test_nan_records_reach_the_reported_maximum():
+    nan = float("nan")
+    ok = StepwiseRecord(gamma=(0,), lam=(0j,), max_err=1e-15, points=3)
+    bad = StepwiseRecord(gamma=(1,), lam=(0j,), max_err=nan, points=3)
+    sw = StepwiseReport(scheme="x", k=0, tol=1e-9, tau=(0.0,), records=[ok, bad, ok])
+    assert cmath.isnan(sw.max_err) and not sw.verdict
+    assert "nan" in sw.table()
+
+    def record(residual):
+        return ConditionRecord("generation", 0, (0,), (0j,), (1 + 0j,), (1 + 0j,), 0j, 0j, residual)
+
+    rep = ConditionReport("generation", "x", 1e-9, [record(1e-15), record(nan)])
+    assert cmath.isnan(rep.max_residual) and not rep.verdict
+    assert json.loads(json.dumps(rep.to_json_obj()))["verdict"] == "fail"
+    clipped = ConditionReport("generation", "x", 1e-9, [record(1e-15)] * 5 + [record(nan)])
+    assert "nan" in clipped.table(max_rows=2)

@@ -2,10 +2,14 @@
 
 import cmath
 import io
+import math
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expsub import (
     DilationMatrix,
@@ -27,6 +31,7 @@ from expsub import (
     param_points,
     refine,
     sample_exp_poly,
+    sheared_convolution,
     sqrt3_schemes,
     valid_interior,
 )
@@ -295,3 +300,149 @@ def test_bspline_refinement_digit_product():
         for j, e in enumerate(digits):
             want *= rs[j] ** e
         assert abs(v - want) < 1e-13
+
+
+# -- dense engine properties --------------------------------------------------------
+
+
+def bits(values):
+    """Index -> (re, im) hex strings, so signed zeros count as different bits."""
+    return {k: (complex(v).real.hex(), complex(v).imag.hex()) for k, v in dict(values).items()}
+
+
+def old_valid_interior(mask, M, window):
+    """Set-based definition: candidates whose every lattice preimage is in the window."""
+    win = set(box_indices(window, M.s))
+    candidates = set()
+    for beta in win:
+        mb = M.apply(beta)
+        for mu in mask.support():
+            candidates.add(tuple(a + b for a, b in zip(mb, mu)))
+    out = []
+    for alpha in sorted(candidates):
+        preimages = (M.solve_integer(tuple(a - u for a, u in zip(alpha, mu))) for mu in mask.support())
+        if all(beta is None or beta in win for beta in preimages):
+            out.append(alpha)
+    return out
+
+
+finite = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+# exact zeros (both signs) are drawn often, so supports carry zero values
+value = st.one_of(st.sampled_from([0j, complex(-0.0, 0.0)]), st.builds(complex, finite, finite))
+
+
+@st.composite
+def operator_case(draw):
+    M = DilationMatrix(draw(st.sampled_from(MATRIX_POOL)))
+    index = st.tuples(*[st.integers(-4, 4)] * M.s)
+    mask = LaurentSymbol(M.s, draw(st.dictionaries(index, value, min_size=1, max_size=8)))
+    # a few points drawn from a box of 9^s leave holes in the support
+    f = GridData(M.s, 0, draw(st.dictionaries(index, value, max_size=10)))
+    beta = draw(index)
+    return M, mask, f, beta
+
+
+@given(operator_case())
+def test_dense_operator_matches_brute_force_bits(case):
+    M, mask, f, _ = case
+    got = apply_operator(mask, M, f)
+    assert bits(got.values) == bits(brute_force_step(mask, M, f))
+    assert len(got) == len(got.values) == len(brute_force_step(mask, M, f))
+
+
+@given(operator_case(), st.builds(complex, finite, finite))
+def test_operator_is_linear(case, a):
+    M, mask, f, _ = case
+    g = GridData(f.s, 0, {k: v * 1j - 0.5 for k, v in f.values.items()})
+    combo = GridData(f.s, 0, {k: a * f.values[k] + g.values[k] for k in f.values})
+    lhs = apply_operator(mask, M, combo).values
+    sf = apply_operator(mask, M, f).values
+    sg = apply_operator(mask, M, g).values
+    assert set(lhs) == set(sf) == set(sg)
+    for k in lhs:
+        assert abs(lhs[k] - (a * sf[k] + sg[k])) <= 1e-12 * (1 + abs(a)) * 64
+
+
+@given(operator_case())
+def test_shift_commutes_with_operator(case):
+    M, mask, f, beta = case
+    moved = GridData(f.s, 0, {tuple(x + b for x, b in zip(k, beta)): v for k, v in f.values.items()})
+    mb = M.apply(beta)
+    want = {tuple(x + b for x, b in zip(k, mb)): v for k, v in apply_operator(mask, M, f).values.items()}
+    assert bits(apply_operator(mask, M, moved).values) == bits(want)
+
+
+@given(operator_case(), st.integers(0, 3))
+def test_valid_interior_matches_set_definition(case, radius):
+    M, mask, _, _ = case
+    assert valid_interior(mask, M, radius) == old_valid_interior(mask, M, radius)
+    # a set, because a list of 2-D index pairs reads as per-axis ranges
+    holes = {i for i in box_indices(radius + 1, M.s) if sum(i) % 3}
+    assert valid_interior(mask, M, holes) == old_valid_interior(mask, M, holes)
+
+
+def test_grid_is_dense_and_read_only():
+    g = GridData(2, 1, {(0, 0): 1.0, (2, -1): 0.0, (1, 1): 2j})
+    assert len(g.values) == 3 and g.values._dict is None  # len does not build the dict
+    assert g.origin == (0, -1) and g.data.shape == (3, 3)
+    assert g.data.dtype == np.complex128 and g.data.flags.c_contiguous
+    assert g.in_support.sum() == 3 and g.values[(2, -1)] == 0  # zero stays in support
+    assert g.support() == [(0, 0), (1, 1), (2, -1)]
+    with pytest.raises(ValueError):
+        g.data[0, 0] = 5
+    with pytest.raises(ValueError):
+        g.in_support[0, 0] = False
+    with pytest.raises(TypeError):
+        g.values[(0, 0)] = 5
+    with pytest.raises(AttributeError):
+        g.level = 3
+
+
+def test_far_apart_or_huge_indices_are_rejected():
+    with pytest.raises(EngineError, match="bounding box"):
+        GridData(2, 0, {(0, 0): 1.0, (10**5, 10**5): 1.0})
+    for far in (2**40, -(2**70)):  # M g must not wrap around in int64
+        with pytest.raises(EngineError, match="indices"):
+            GridData(1, 0, {(far,): 1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_non_finite_data_and_taps_are_rejected(bad):
+    with pytest.raises(EngineError):
+        GridData(1, 0, {(0,): 1.0, (3,): bad})
+    with pytest.raises(EngineError):
+        grid_from_json_obj({"level": 0, "values": [{"idx": [0], "re": complex(bad).real, "im": complex(bad).imag}]})
+    mask = LaurentSymbol(1, {(0,): 1.0, (1,): bad})
+    with pytest.raises(EngineError):
+        apply_operator(mask, DilationMatrix(2), GridData.delta(1))
+
+
+def test_param_points_match_limit_samples_on_all_geometries():
+    schemes = [
+        exp_bspline(2, 0.7),
+        exp_bspline(3, 0.4j),
+        dual4_binary(1.0),
+        butterfly((1.0, 0.5)),
+        sheared_convolution((0.6, 0.9), normalized=True),
+        sqrt3_schemes()["interpolatory"],
+        sqrt3_schemes()["approximating"],
+    ]
+    for scheme in schemes:
+        rounds = 4 if scheme.M.s == 2 else 7
+        tau = scheme.tau if scheme.tau is not None else (0.0,) * scheme.M.s
+        support = refine(scheme, GridData.delta(scheme.M.s, tau=tau), rounds).support()
+        got = param_points(scheme.M, tau, rounds, support)
+        assert got == [t for t, _ in basic_limit_samples(scheme, rounds)]
+        Mk = scheme.M.inv_power(rounds)
+        for alpha, t in zip(support, got):
+            shifted = [float(a) + tv for a, tv in zip(alpha, tau)]
+            want = tuple(float(sum(Mk[i][j] * shifted[j] for j in range(scheme.M.s))) for i in range(scheme.M.s))
+            assert [x.hex() for x in t] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("mat", [-2, [[1, 2], [-2, -1]]])
+def test_param_points_never_give_negative_zero(mat):
+    M = DilationMatrix(mat)
+    for k in (1, 2, 3):
+        (t,) = param_points(M, (0.0,) * M.s, k, [(0,) * M.s])
+        assert all(math.copysign(1.0, x) == 1.0 for x in t)

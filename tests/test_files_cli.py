@@ -378,3 +378,20 @@ def test_cli_solve_tau_explicit_hat(tmp_path, capsys):
     )
     assert main(["solve-tau", "--scheme", scheme, "--space", space]) == 0
     assert abs(float(capsys.readouterr().out.strip()) - 1.0) < 1e-12
+
+
+def test_cli_stepwise_rejects_nan_tail(tmp_path, capsys):
+    # Python's json reads NaN; an all-NaN mask must not pass with max err 0
+    nan_hat = [{"exp": [e], "re": float("nan"), "im": 0.0} for e in range(3)]
+    scheme = write_json(
+        tmp_path / "nan.json",
+        {"name": "nan", "dimension": 1, "dilation": [2], "kind": "explicit", "levels": [], "tail": nan_hat, "tau": [1.0]},
+    )
+    space = write_json(
+        tmp_path / "linear.json",
+        {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}, {"gamma": [1], "lambda": [[0, 0]]}]},
+    )
+    assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "2", "--mode", "stepwise"]) != 0
+    assert "finite" in capsys.readouterr().err
+    with pytest.raises(FileFormatError):
+        load_space_obj({"pairs": [{"gamma": [0], "lambda": [[float("inf"), 0]]}]})

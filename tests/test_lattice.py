@@ -82,6 +82,17 @@ def test_coset_of_consistency():
         assert same_coset(M, alpha, rep)
 
 
+@pytest.mark.parametrize("mat", [2, -2, 3, [[2, 0], [0, 2]], SHEAR, SQRT3])
+def test_split_gives_coset_rep_and_coarse_index(mat):
+    M = DilationMatrix(mat)
+    reps = coset_reps(M)
+    for a in range(-7, 8):
+        alpha = (a,) if M.s == 1 else (a, 3 - 2 * a)
+        e, n = M.split(alpha)
+        assert e in reps and e == M.coset_of(alpha)
+        assert tuple(x + y for x, y in zip(e, M.apply(n))) == alpha
+
+
 def test_dual_points_univariate_roots_of_unity():
     xi = dual_coset_points(DilationMatrix(2))
     assert xi[0] == ((1 + 0j),)
