@@ -28,7 +28,7 @@ from .engine import (
     sample_exp_poly,
     valid_interior,
 )
-from .lattice import DilationMatrix, as_complex_vector, as_tau, param_points, q_eval
+from .lattice import as_complex_vector, as_tau, displacement, param_points, q_eval, v_sets
 from .symbols import ExpPolySpace, SchemeSpec
 
 __all__ = [
@@ -186,92 +186,56 @@ def _residual(lhs: complex, rhs: complex) -> float:
     return err / scale if scale > 1.0 else err
 
 
-def _freq_vector(lam, M: DilationMatrix, k: int) -> np.ndarray:
-    """w = lambda^T M^{-(k+1)}, the exponent data of the evaluation point."""
-    return np.array(lam, dtype=complex) @ M.inv_power(k + 1)
+def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float) -> ConditionReport:
+    """The one condition loop over V_k.
 
-
-def _dual_iter(M: DilationMatrix):
-    for i, eps in enumerate(M.dual_points()):
-        yield eps, i == 0
-
-
-def check_generation(scheme: SchemeSpec, space: ExpPolySpace, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Zero conditions: D^gamma a^[k] vanishes on V'_k for every pair in the space."""
+    Every right-hand side is zero except m v^(M tau - tau) q_gamma(M tau - tau)
+    at the all-ones point; without a tau that point is left out, which leaves
+    the zero conditions on V'_k.
+    """
     M = scheme.M
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
+    t = None if tau is None else as_tau(tau, M.s)
     records = []
     for k in _levels(k_range):
         a = scheme.symbol(k)
         for lam in space.lambdas():
-            w = _freq_vector(lam, M, k)
-            base = tuple(cmath.exp(-w[j]) for j in range(M.s))
+            full, prime = v_sets(M, [lam], k)
+            if t is not None:
+                x, v_pow_x = displacement(M, t, full[0].w)
             for gamma in space.gammas_for(lam):
-                for eps, is_one in _dual_iter(M):
-                    if is_one:
-                        continue
-                    v = tuple(e * b for e, b in zip(eps, base))
-                    lhs = a.weighted_derivative(gamma, v)
+                for p in prime if t is None else full:
+                    lhs = a.weighted_derivative(gamma, p.v)
+                    rhs = M.m * v_pow_x * q_eval(gamma, x) if p.eps_is_one else 0j
                     records.append(
                         ConditionRecord(
-                            kind="generation",
+                            kind=mode,
                             k=k,
                             gamma=gamma,
                             lam=lam,
-                            eps=eps,
-                            v=v,
+                            eps=p.eps,
+                            v=p.v,
                             lhs=lhs,
-                            rhs=0j,
-                            residual=_residual(lhs, 0j),
+                            rhs=rhs,
+                            residual=_residual(lhs, rhs),
                         )
                     )
-    return ConditionReport(mode="generation", scheme=scheme.name, tol=tol, records=records)
+    return ConditionReport(mode=mode, scheme=scheme.name, tol=tol, records=records, tau=t)
+
+
+def check_generation(scheme: SchemeSpec, space: ExpPolySpace, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
+    """Zero conditions: D^gamma a^[k] vanishes on V'_k for every pair in the space."""
+    return _conditions("generation", scheme, space, None, k_range, tol)
 
 
 def check_reproduction(scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Shifted reproduction conditions at every dual point.
 
     At the all-ones point the required value is m v^(M tau - tau)
-    q_gamma(M tau - tau); elsewhere it is zero.  v^(M tau - tau) is formed
-    from the defining exponents, so no logarithm branch is involved.
+    q_gamma(M tau - tau); elsewhere it is zero.
     """
-    M = scheme.M
-    if space.s != M.s:
-        raise CheckError("space dimension does not match the scheme")
-    t = as_tau(tau, M.s)
-    x = tuple(
-        float(sum(M.mat[i][j] * t[j] for j in range(M.s)) - t[i]) for i in range(M.s)
-    )
-    records = []
-    for k in _levels(k_range):
-        a = scheme.symbol(k)
-        for lam in space.lambdas():
-            w = _freq_vector(lam, M, k)
-            base = tuple(cmath.exp(-w[j]) for j in range(M.s))
-            v_pow_x = cmath.exp(-complex(sum(w[j] * x[j] for j in range(M.s))))
-            for gamma in space.gammas_for(lam):
-                rhs_one = M.m * v_pow_x * q_eval(gamma, x)
-                for eps, is_one in _dual_iter(M):
-                    v = tuple(e * b for e, b in zip(eps, base))
-                    lhs = a.weighted_derivative(gamma, v)
-                    rhs = rhs_one if is_one else 0j
-                    records.append(
-                        ConditionRecord(
-                            kind="reproduction",
-                            k=k,
-                            gamma=gamma,
-                            lam=lam,
-                            eps=eps,
-                            v=v,
-                            lhs=lhs,
-                            rhs=rhs,
-                            residual=_residual(lhs, rhs),
-                        )
-                    )
-    return ConditionReport(
-        mode="reproduction", scheme=scheme.name, tol=tol, records=records, tau=t
-    )
+    return _conditions("reproduction", scheme, space, tau, k_range, tol)
 
 
 def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: float) -> np.ndarray:
@@ -286,12 +250,12 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
     M = scheme.M
     s = M.s
     a = scheme.symbol(k)
-    ones = (1.0 + 0j,) * s
     units = [tuple(int(i == j) for i in range(s)) for j in range(s)]
 
     zero_lam = (0j,) * s
     gammas0 = space.gammas_for(zero_lam)
     if gammas0 and all(u in gammas0 for u in units):
+        ones = v_sets(M, [zero_lam], k)[0][0].v  # V_k starts at the all-ones point
         a1 = a.eval(ones)
         if abs(a1 - M.m) > tol * M.m:
             raise NoAdmissibleTauError(
@@ -309,31 +273,29 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
             "solve_tau needs lambda = 0 with all first-order gammas, "
             "or a lambda with every component nonzero"
         )
-    for lam in nz_lams:
+    # the all-ones point of V_k for each frequency
+    anchors = [p for p in v_sets(M, nz_lams, k)[0] if p.eps_is_one]
+    for lam, p in zip(nz_lams, anchors):
         if all(u in space.gammas_for(lam) for u in units):
-            w = _freq_vector(lam, M, k)
-            v = tuple(cmath.exp(-w[j]) for j in range(s))
-            av = a.eval(v)
+            av = a.eval(p.v)
             if abs(av) < 1e-14:
                 raise NoAdmissibleTauError(f"a(v) vanishes at the probe point, level {k}")
             return np.array(
-                [a.weighted_derivative(u, v) / av for u in units], dtype=complex
+                [a.weighted_derivative(u, p.v) / av for u in units], dtype=complex
             )
 
     rows = []
     rhs = []
-    for lam in nz_lams:
-        w = _freq_vector(lam, M, k)
-        if np.max(np.abs(w)) >= cmath.pi:
+    for p in anchors:
+        if np.max(np.abs(p.w)) >= cmath.pi:
             raise BranchAmbiguityError(
                 f"|lambda^T M^-(k+1)| reaches pi at probe level {k}; increase k_probe"
             )
-        v = tuple(cmath.exp(-w[j]) for j in range(s))
-        av = a.eval(v)
+        av = a.eval(p.v)
         if abs(av) < 1e-14:
             raise NoAdmissibleTauError(f"a(v) vanishes at the probe point, level {k}")
         val = -cmath.log(av / M.m)
-        rows.append([w[j] for j in range(s)])
+        rows.append(p.w)
         rhs.append(val)
     A = np.vstack([np.real(rows), np.imag(rows)])
     b = np.concatenate([np.real(rhs), np.imag(rhs)])
@@ -380,19 +342,15 @@ def normalize(scheme: SchemeSpec, anchor_lambda, tau) -> SchemeSpec:
     M = scheme.M
     lam = as_complex_vector(anchor_lambda, M.s)
     t = as_tau(tau, M.s)
-    x = tuple(
-        float(sum(M.mat[i][j] * t[j] for j in range(M.s)) - t[i]) for i in range(M.s)
-    )
 
     def factor(k: int) -> complex:
-        w = _freq_vector(lam, M, k)
-        v = tuple(cmath.exp(-w[j]) for j in range(M.s))
-        av = scheme.symbol(k).eval(v)
+        one = v_sets(M, [lam], k)[0][0]  # V_k starts at the all-ones point
+        av = scheme.symbol(k).eval(one.v)
         if av == 0:
             raise NormalizationError(
                 f"symbol at level {k} vanishes at the normalization anchor"
             )
-        return M.m * cmath.exp(-complex(sum(w[j] * x[j] for j in range(M.s)))) / av
+        return M.m * displacement(M, t, one.w)[1] / av
 
     return scheme.scaled(factor, suffix="normalized", tau=t)
 

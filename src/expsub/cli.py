@@ -2,7 +2,8 @@
 
 Subcommands: check, solve-tau, refine, limit, catalog.  Exit codes follow the
 usual verification convention: 0 all requested checks pass, 1 a condition
-fails, 2 bad input.
+fails, 2 bad input, 3 internal error (a catalog construction failed its own
+cross-check).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import CATALOG, CatalogParameterError
+from .catalog import CATALOG, CatalogError
 from .checker import (
     DEFAULT_TOL,
     BranchAmbiguityError,
@@ -31,21 +32,7 @@ from .engine import (
     grid_to_json_obj,
     refine,
 )
-from .files import FileFormatError, load_scheme, load_space
-from .lattice import LatticeError
-from .symbols import SymbolError
-
-_INPUT_ERRORS = (
-    FileFormatError,
-    LatticeError,
-    SymbolError,
-    EngineError,
-    CheckError,
-    CatalogParameterError,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+from .files import FileFormatError, load_scheme, load_space, scheme_file_for_catalog
 
 
 def _parse_tau(text: str) -> tuple[float, ...]:
@@ -177,7 +164,9 @@ def cmd_catalog(args) -> int:
     if not args.id:
         raise FileFormatError("emit needs --id")
     params = json.loads(args.params) if args.params else {}
-    obj = _emit_scheme_file(args.id, params)
+    if not isinstance(params, dict) or "name" in params:
+        raise FileFormatError("--params must be a JSON object of catalog parameters")
+    obj = scheme_file_for_catalog(args.id, **params)
     text = json.dumps(obj, indent=2)
     if args.out:
         with open(Path(args.out), "w", encoding="utf-8") as fh:
@@ -186,26 +175,6 @@ def cmd_catalog(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _emit_scheme_file(entry_id: str, params: dict) -> dict:
-    from .files import _catalog_kwargs, load_scheme_obj  # round-trip guard
-
-    if entry_id not in CATALOG:
-        raise FileFormatError(f"unknown catalog id {entry_id!r}")
-    kwargs = _catalog_kwargs(entry_id, params)
-    spec = CATALOG[entry_id].factory(**kwargs)
-    obj = {
-        "name": spec.name,
-        "dimension": spec.M.s,
-        "dilation": [x for row in spec.M.mat for x in row],
-        "kind": f"catalog:{entry_id}",
-        "parameters": params,
-    }
-    if spec.tau is not None:
-        obj["tau"] = list(spec.tau)
-    load_scheme_obj(obj)
-    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +235,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except CatalogError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

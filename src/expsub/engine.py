@@ -204,9 +204,8 @@ class GridData:
 def box_indices(window, s: int) -> list[tuple[int, ...]]:
     """Expand a window spec into a sorted list of lattice indices.
 
-    Accepts an int radius R (the box [-R, R]^s), a (lo, hi) pair applied to
-    every axis, a per-axis list of (lo, hi) pairs, or an explicit iterable of
-    index tuples.
+    Accepts an int radius R (the box [-R, R]^s), a (lo, hi) pair of ints
+    applied to every axis, or an explicit iterable of index tuples (points).
     """
     if isinstance(window, int):
         ranges = [(-window, window)] * s
@@ -216,10 +215,6 @@ def box_indices(window, s: int) -> list[tuple[int, ...]]:
         and all(isinstance(x, int) for x in window)
     ):
         ranges = [tuple(window)] * s
-    elif isinstance(window, (tuple, list)) and window and isinstance(window[0], (tuple, list)) and len(window[0]) == 2 and all(isinstance(x, int) for x in window[0]):
-        if len(window) != s:
-            raise EngineError("per-axis window must give one (lo, hi) pair per axis")
-        ranges = [tuple(r) for r in window]
     else:
         out = set()
         for idx in window:

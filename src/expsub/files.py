@@ -11,7 +11,7 @@ import cmath
 import json
 from pathlib import Path
 
-from .catalog import CATALOG
+from .catalog import CATALOG, CatalogError
 from .lattice import DilationMatrix
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
@@ -61,73 +61,80 @@ def _decode_lambda(obj):
     raise FileFormatError(f"cannot decode frequency {obj!r}")
 
 
-def _catalog_kwargs(entry_id: str, params: dict) -> dict:
-    p = dict(params or {})
-    out = {}
-    if entry_id == "exp_bspline":
-        out["m"] = int(p.pop("m"))
-        out["lam"] = _decode_lambda(p.pop("lambda"))
-        if "n_fold" in p:
-            out["n_fold"] = int(p.pop("n_fold"))
-        if "tau" in p:
-            t = p.pop("tau")
-            out["tau"] = None if t is None else float(t)
-    elif entry_id == "exp_product":
-        out["m"] = int(p.pop("m"))
-        out["factors"] = [
-            (_decode_lambda(l), int(n)) for l, n in p.pop("factors")
-        ]
-        if "normalization" in p:
-            out["normalization"] = p.pop("normalization")
-    elif entry_id == "exp_box_spline":
-        out["n_dil"] = int(p.pop("n_dil"))
-        out["lam"] = _decode_lambda(p.pop("lambda"))
-    elif entry_id in ("dual4_binary", "dual4_ternary", "butterfly"):
-        out["lam"] = _decode_lambda(p.pop("lambda"))
-    elif entry_id == "sheared_convolution":
-        out["lam"] = _decode_lambda(p.pop("lambda"))
-        if "normalized" in p:
-            out["normalized"] = bool(p.pop("normalized"))
-    elif entry_id == "sqrt3":
-        if "variant" in p:
-            out["variant"] = str(p.pop("variant"))
-    else:
-        raise FileFormatError(f"unknown catalog id {entry_id!r}")
-    if p:
-        raise FileFormatError(f"unused parameters for {entry_id}: {sorted(p)}")
-    return out
+def _file_form(value):
+    """A parameter value as scheme files store it.
+
+    Complex numbers, alone or inside lists and tuples, become [re, im]
+    pairs; file-form values come back unchanged.
+    """
+    if isinstance(value, complex):
+        return pair_from_complex(value)
+    if isinstance(value, (list, tuple)):
+        return [_file_form(v) for v in value]
+    return value
 
 
-def _encode_params(entry_id: str, params: dict) -> dict:
-    """JSON-safe rendering of factory parameters (complex -> [re, im])."""
-    out = {}
-    for key, value in params.items():
-        name = {"lam": "lambda"}.get(key, key)
-        if isinstance(value, complex):
-            out[name] = pair_from_complex(value)
-        elif isinstance(value, tuple) and all(isinstance(z, complex) for z in value):
-            out[name] = [pair_from_complex(z) for z in value]
-        elif key == "factors":
-            out[name] = [[pair_from_complex(complex(l)), int(n)] for l, n in value]
-        else:
-            out[name] = value
-    return out
+# How each parameter kind declared in CatalogEntry.parameters is decoded.
+_DECODE = {
+    "int": int,
+    "real": float,
+    "bool": bool,
+    "str": str,
+    "frequency": _decode_lambda,
+    "factors": lambda fs: [(_decode_lambda(l), int(n)) for l, n in fs],
+}
 
 
-def scheme_file_for_catalog(entry_id: str, name: str | None = None, **params) -> dict:
-    """SchemeFile JSON object naming a catalog entry with its parameters."""
+def _catalog_entry(entry_id: str):
     if entry_id not in CATALOG:
         raise FileFormatError(f"unknown catalog id {entry_id!r}")
-    spec = CATALOG[entry_id].factory(**_catalog_kwargs(entry_id, _encode_params(entry_id, params)))
+    return CATALOG[entry_id]
+
+
+def _catalog_spec(entry, parameters) -> SchemeSpec:
+    """Decode scheme-file parameters by their declared kinds and build the scheme.
+
+    A null value is passed as None; the file key "lambda" is the factory's
+    `lam`, because `lambda` is reserved in Python.
+    """
+    params = parameters or {}
+    if not isinstance(params, dict):
+        raise FileFormatError(f"parameters for {entry.id} must be an object")
+    unused = sorted(set(params) - set(entry.parameters))
+    if unused:
+        raise FileFormatError(f"unused parameters for {entry.id}: {unused}")
+    kwargs = {}
+    try:
+        for key, value in params.items():
+            decode = _DECODE[entry.parameters[key][0]]
+            kwargs["lam" if key == "lambda" else key] = None if value is None else decode(value)
+        return entry.factory(**kwargs)
+    except (FileFormatError, CatalogError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad parameters for {entry.id}: {exc}") from exc
+
+
+def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params) -> dict:
+    """SchemeFile JSON object naming a catalog entry with its parameters.
+
+    Parameters may be Python values (`lam=1 + 0j`) or file-form values
+    (`**{"lambda": [1, 0]}`).  The object is loaded back before it is
+    returned, so a file written from it always loads.
+    """
+    entry = _catalog_entry(entry_id)
+    parameters = {"lambda" if key == "lam" else key: _file_form(v) for key, v in params.items()}
+    spec = _catalog_spec(entry, parameters)
     obj = {
         "name": name or spec.name,
         "dimension": spec.M.s,
         "dilation": [x for row in spec.M.mat for x in row],
         "kind": f"catalog:{entry_id}",
-        "parameters": _encode_params(entry_id, params),
+        "parameters": parameters,
     }
     if spec.tau is not None:
         obj["tau"] = list(spec.tau)
+    load_scheme_obj(obj)
     return obj
 
 
@@ -143,23 +150,17 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
     M = DilationMatrix([flat[i * s : (i + 1) * s] for i in range(s)])
 
     if isinstance(kind, str) and kind.startswith("catalog:"):
-        entry_id = kind.split(":", 1)[1]
-        if entry_id not in CATALOG:
-            raise FileFormatError(f"unknown catalog id {entry_id!r}")
-        try:
-            spec = CATALOG[entry_id].factory(**_catalog_kwargs(entry_id, obj.get("parameters", {})))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, FileFormatError):
-                raise
-            raise FileFormatError(f"bad parameters for {entry_id}: {exc}") from exc
+        spec = _catalog_spec(_catalog_entry(kind.split(":", 1)[1]), obj.get("parameters", {}))
         if spec.M != M:
             raise FileFormatError("dilation in file disagrees with the catalog entry")
         tau = obj.get("tau", None)
-        if tau is not None:
-            spec = spec.with_tau(tau)
-        if "name" in obj:
-            spec.name = str(obj["name"])
-        return spec
+        return SchemeSpec(
+            str(obj.get("name", spec.name)),
+            spec.M,
+            spec.symbol,
+            tau=spec.tau if tau is None else tau,
+            space=spec.space,
+        )
 
     if kind == "explicit":
         levels_obj = obj.get("levels", [])

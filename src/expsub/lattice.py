@@ -25,6 +25,7 @@ __all__ = [
     "q_eval",
     "v_sets",
     "VPoint",
+    "displacement",
     "param_points",
     "same_coset",
     "transversals_equivalent",
@@ -401,12 +402,13 @@ def q_eval(gamma, z) -> complex:
 
 
 class VPoint(NamedTuple):
-    """One evaluation point v_j = eps_j * exp(-(lambda^T M^{-(k+1)})_j)."""
+    """One evaluation point v_j = eps_j * exp(-w_j), w = lambda^T M^{-(k+1)}."""
 
     v: tuple[complex, ...]
     eps: tuple[complex, ...]
     lam: tuple[complex, ...]
     eps_is_one: bool
+    w: tuple[complex, ...]
 
 
 def v_sets(M: DilationMatrix, lambdas, k: int):
@@ -422,13 +424,26 @@ def v_sets(M: DilationMatrix, lambdas, k: int):
     full = []
     for lam in lambdas:
         lamv = as_complex_vector(lam, M.s)
-        w = np.array(lamv) @ W
+        w = tuple(np.array(lamv) @ W)
         base = tuple(cmath.exp(-w[j]) for j in range(M.s))
         for i, eps in enumerate(xi_pts):
             v = tuple(e * b for e, b in zip(eps, base))
-            full.append(VPoint(v=v, eps=eps, lam=lamv, eps_is_one=(i == 0)))
+            full.append(VPoint(v, eps, lamv, i == 0, w))
     prime = [p for p in full if not p.eps_is_one]
     return full, prime
+
+
+def displacement(M: DilationMatrix, tau, w) -> tuple[tuple[float, ...], complex]:
+    """x = M tau - tau and v^x = exp(-w . x) for a point with exponents w.
+
+    `w` is a point's `VPoint.w`.  v^x is formed from the defining exponents,
+    so no logarithm branch is involved.
+    """
+    t = as_tau(tau, M.s)
+    x = tuple(
+        float(sum(M.mat[i][j] * t[j] for j in range(M.s)) - t[i]) for i in range(M.s)
+    )
+    return x, cmath.exp(-complex(sum(w[j] * x[j] for j in range(M.s))))
 
 
 def param_points(M: DilationMatrix, tau, k: int, alphas) -> list[tuple[float, ...]]:

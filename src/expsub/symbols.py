@@ -288,6 +288,8 @@ class SchemeSpec:
 
     `rule` maps a level to a LaurentSymbol; results are cached.  `tau` is the
     documented shift parameter, `space` the documented reproduction space.
+    Attributes cannot be set after construction; `with_tau`, `scaled` and
+    `shifted` build derived specs.
     """
 
     def __init__(
@@ -298,12 +300,18 @@ class SchemeSpec:
         tau=None,
         space: "ExpPolySpace | None" = None,
     ):
-        self.name = str(name)
-        self.M = M
-        self._rule = rule
-        self.tau = None if tau is None else as_tau(tau, M.s)
-        self.space = space
-        self._cache: dict[int, LaurentSymbol] = {}
+        for attr, value in (
+            ("name", str(name)),
+            ("M", M),
+            ("_rule", rule),
+            ("tau", None if tau is None else as_tau(tau, M.s)),
+            ("space", space),
+            ("_cache", {}),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SchemeSpec is immutable")
 
     def symbol(self, k: int) -> LaurentSymbol:
         if not isinstance(k, int) or k < 0:

@@ -375,3 +375,29 @@ def test_nan_records_reach_the_reported_maximum():
     assert json.loads(json.dumps(rep.to_json_obj()))["verdict"] == "fail"
     clipped = ConditionReport("generation", "x", 1e-9, [record(1e-15)] * 5 + [record(nan)])
     assert "nan" in clipped.table(max_rows=2)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        dual4_binary(0.9),
+        dual4_ternary(0.7j),
+        butterfly((0.4, -0.6)),
+        sheared_convolution((0.8, 0.3), normalized=True),
+        sqrt3_schemes()["interpolatory"],
+    ],
+    ids=lambda sc: sc.name,
+)
+def test_generation_records_are_the_reproduction_records_off_the_ones_point(scheme):
+    def bits(z):
+        return (z.real.hex(), z.imag.hex())
+
+    ones = (1 + 0j,) * scheme.M.s
+    gen = check_generation(scheme, scheme.space, (0, 3)).records
+    rep = [r for r in check_reproduction(scheme, scheme.space, scheme.tau, (0, 3)).records if r.eps != ones]
+    assert gen and len(gen) == len(rep)
+    for g, r in zip(gen, rep):
+        assert (g.k, g.gamma, g.lam, g.eps) == (r.k, r.gamma, r.lam, r.eps)
+        assert [bits(z) for z in g.v] == [bits(z) for z in r.v]
+        assert bits(g.lhs) == bits(r.lhs) and g.residual == r.residual
+        assert bits(g.rhs) == bits(r.rhs) == bits(0j)

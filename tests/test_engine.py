@@ -446,3 +446,13 @@ def test_param_points_never_give_negative_zero(mat):
     for k in (1, 2, 3):
         (t,) = param_points(M, (0.0,) * M.s, k, [(0,) * M.s])
         assert all(math.copysign(1.0, x) == 1.0 for x in t)
+
+
+@given(operator_case(), st.integers(1, 3))
+def test_point_list_window_is_points(case, radius):
+    M, mask, _, _ = case
+    assert box_indices([(0, 1), (2, 3)], 2) == [(0, 1), (2, 3)]
+    assert box_indices([[2, 3], (0, 1), (4, 5)], 2) == [(0, 1), (2, 3), (4, 5)]
+    # valid_interior output is a list of index tuples; fed back, it is a window
+    once = valid_interior(mask, M, radius + 2)
+    assert valid_interior(mask, M, once) == old_valid_interior(mask, M, set(once))

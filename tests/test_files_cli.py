@@ -395,3 +395,66 @@ def test_cli_stepwise_rejects_nan_tail(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     with pytest.raises(FileFormatError):
         load_space_obj({"pairs": [{"gamma": [0], "lambda": [[float("inf"), 0]]}]})
+
+
+# file-form parameters for every catalog entry; exp_product factors are pairs
+FILE_PARAMS = {
+    "exp_bspline": {"m": 2, "lambda": [1, 0], "n_fold": 2, "tau": 1.0},
+    "exp_product": {"m": 2, "factors": [[[1, 0], 1], [[-1, 0], 1]], "normalization": "two_factor"},
+    "exp_box_spline": {"n_dil": 2, "lambda": [[0.5, 0], [-0.25, 0]]},
+    "dual4_binary": {"lambda": [0, 1]},
+    "dual4_ternary": {"lambda": 0.8},
+    "butterfly": {"lambda": [[1, 0], [0.5, 0]]},
+    "sheared_convolution": {"lambda": [[1, 0], [0.5, 0]], "normalized": True},
+    "sqrt3": {"variant": "interpolatory"},
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(FILE_PARAMS))
+def test_catalog_emit_and_writer_agree(entry_id, capsys):
+    from expsub import CATALOG
+
+    assert set(FILE_PARAMS) == set(CATALOG)
+    params = FILE_PARAMS[entry_id]
+    assert main(["catalog", "emit", "--id", entry_id, "--params", json.dumps(params)]) == 0
+    emitted = json.loads(capsys.readouterr().out)
+    written = scheme_file_for_catalog(entry_id, **params)
+    assert emitted == json.loads(json.dumps(written))
+    assert emitted["parameters"] == params
+    assert load_scheme_obj(emitted).symbol(2) == load_scheme_obj(written).symbol(2)
+    for extra in ({"name": "x"}, {"entry_id": "x"}, {"unknown": 1}):
+        assert main(["catalog", "emit", "--id", entry_id, "--params", json.dumps({**params, **extra})]) == 2
+
+
+def test_scheme_spec_is_immutable_and_file_name_is_kept():
+    spec = dual4_binary(1.0)
+    with pytest.raises(AttributeError):
+        spec.tau = "garbage"
+    with pytest.raises(AttributeError):
+        spec.name = "other"
+    obj = scheme_file_for_catalog("dual4_binary", name="mine", **{"lambda": 1.0})
+    loaded = load_scheme_obj(obj)
+    assert loaded.name == "mine" and loaded.tau == (-0.5,)
+    assert loaded.symbol(3) == spec.symbol(3) and loaded.symbol(3) is loaded.symbol(3)
+    retimed = load_scheme_obj({**obj, "tau": [0.25]})
+    assert retimed.name == "mine" and retimed.tau == (0.25,)
+
+
+def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from expsub import CATALOG, CatalogError, SchemeSpec
+
+    scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0}))
+    space = write_json(tmp_path / "space.json", CONIC_SPACE)
+
+    def broken(lam):
+        def rule(k):
+            raise CatalogError(f"dual4_binary: construction mismatch at level {k}")
+
+        return SchemeSpec("dual4_binary", dual4_binary(lam).M, rule, tau=(-0.5,))
+
+    monkeypatch.setitem(CATALOG, "dual4_binary", dataclasses.replace(CATALOG["dual4_binary"], factory=broken))
+    assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--mode", "generation"]) == 3
+    assert "internal error" in capsys.readouterr().err
+    assert main(["check", "--scheme", str(tmp_path / "missing.json"), "--space", space]) == 2
