@@ -14,9 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-import numpy as np
-
-from .lattice import DilationMatrix, as_complex_vector
+from .lattice import DilationMatrix, as_complex_vector, displacement, v_sets
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -440,7 +438,7 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
     lamv = _axis_lambda(lam, 2)
 
     def rule(k: int) -> LaurentSymbol:
-        w = np.array(lamv, dtype=complex) @ M.inv_power(k + 1)
+        w = v_sets(M, [lamv], k)[0][0].w
         b = LaurentSymbol(
             2,
             {
@@ -450,8 +448,8 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
         )
         mask = b * b * 0.25
         if normalized:
-            # K = (1/4) v^(M tau - tau) with M tau - tau = (2, 1) for tau = (1, 1)
-            mask = mask * cmath.exp(-complex(2 * w[0] + w[1]))
+            # K = (1/4) v^(M tau - tau) at the all-ones point, tau = (1, 1)
+            mask = mask * displacement(M, (1, 1), w)[1]
         return mask
 
     if normalized:

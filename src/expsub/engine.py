@@ -24,7 +24,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .lattice import DilationMatrix, as_complex_vector, as_multi_index, as_tau, param_points
-from .symbols import LaurentSymbol, SchemeSpec, SymbolError
+from .symbols import LaurentSymbol, SchemeSpec
 
 __all__ = [
     "EngineError",
@@ -204,13 +204,14 @@ class GridData:
 def box_indices(window, s: int) -> list[tuple[int, ...]]:
     """Expand a window spec into a sorted list of lattice indices.
 
-    Accepts an int radius R (the box [-R, R]^s), a (lo, hi) pair of ints
-    applied to every axis, or an explicit iterable of index tuples (points).
+    Accepts an int radius R (the box [-R, R]^s), a tuple (lo, hi) of two ints
+    applied to every axis, or any other iterable (a list or a set, say) of
+    indices, read as points; a bare int point is a 1-D index.
     """
     if isinstance(window, int):
         ranges = [(-window, window)] * s
     elif (
-        isinstance(window, (tuple, list))
+        isinstance(window, tuple)
         and len(window) == 2
         and all(isinstance(x, int) for x in window)
     ):
@@ -235,20 +236,11 @@ def box_indices(window, s: int) -> list[tuple[int, ...]]:
 
 
 def _taps(mask: LaurentSymbol, M: DilationMatrix):
-    """The mask's sub-symbols as coarse-lattice taps: [(e, n, c)] over cosets e.
-
-    a_(e + M n[i]) = c[i]; the rows of the integer array n are in descending
-    lexicographic order.  Cosets without taps are left out.
-    """
+    """`mask.polyphase(M)` as arrays: [(e, n, c)] with a_(e + M n[i]) = c[i]."""
     if mask.s != M.s:
         raise EngineError("dimension mismatch between mask and matrix")
-    groups: dict = {}
-    for mu, c in mask.sorted_items():
-        e, n = M.split(mu)
-        groups.setdefault(e, []).append((n, c))
     out = []
-    for e in sorted(groups):
-        taps = sorted(groups[e], key=lambda t: t[0], reverse=True)
+    for e, taps in mask.polyphase(M).items():
         coeffs = [c for _, c in taps]
         if not np.isfinite(np.array(coeffs)).all():
             raise EngineError("mask has a non-finite coefficient")
@@ -345,16 +337,9 @@ def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
 
 
 def is_interpolatory(mask: LaurentSymbol, M: DilationMatrix) -> bool:
-    """Exact test for mask_(M alpha) = delta_(alpha,0)."""
-    if mask.s != M.s:
-        raise SymbolError("dimension mismatch")
+    """Exact test for mask_(M alpha) = delta_(alpha,0): the zero coset's only tap is a_0 = 1."""
     zero = (0,) * M.s
-    if mask.coeff(zero) != 1:
-        return False
-    for e in mask.support():
-        if e != zero and M.solve_integer(e) is not None:
-            return False
-    return True
+    return mask.polyphase(M).get(zero) == [(zero, 1)]
 
 
 def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple[int, ...]]:

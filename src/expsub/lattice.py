@@ -5,15 +5,26 @@ modulus larger than one.  It splits Z^s into m = |det M| cosets indexed by
 a digit set E, and pairs them with m unimodular evaluation points
 Xi = {exp(2 pi i M^{-T} xi)} generalizing the m-th roots of unity.
 
-Everything constructed here is immutable and safe to share between threads.
+One decomposition serves all of it: the row Hermite normal form H = U M
+computed at construction.  det M = det U * prod(H_ii).  `split(alpha)`
+reduces U alpha into the digit box 0 <= d_i < H_ii, which gives
+alpha = e + M n; it is the coset map (`coset_of`) and the membership test
+(`solve_integer`, e = 0).  The digit box mapped back through U^{-1} is the
+transversal E, and the same construction on M^T gives the dual
+representatives.
+
+Everything constructed here rejects attribute writes after construction;
+the lazy caches only hold values derived from M, so it is safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,39 +55,19 @@ class LatticeError(ValueError):
     """Invalid dilation matrix or lattice operation."""
 
 
-def _int_det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def _row_hnf(mat):
     """Row-style Hermite normal form over the integers.
 
-    Returns (H, U, V) with H = U @ mat, V = U^{-1}, U unimodular, H upper
-    triangular with positive diagonal and above-diagonal entries reduced
-    into [0, diagonal).
+    Returns (H, U, V, det_u) with H = U @ mat, V = U^{-1}, U unimodular of
+    determinant det_u = +-1, H upper triangular with positive diagonal and
+    above-diagonal entries reduced into [0, diagonal).  So det(mat) is
+    det_u * prod(H_ii).
     """
     s = len(mat)
     H = [[int(x) for x in row] for row in mat]
     U = [[int(i == j) for j in range(s)] for i in range(s)]
     V = [[int(i == j) for j in range(s)] for i in range(s)]
+    det_u = 1
 
     def row_op(i, j, q):
         # r_i <- r_i - q r_j on H and U; V absorbs the inverse column op.
@@ -87,12 +78,16 @@ def _row_hnf(mat):
             V[r][j] += q * V[r][i]
 
     def swap(i, j):
+        nonlocal det_u
+        det_u = -det_u
         H[i], H[j] = H[j], H[i]
         U[i], U[j] = U[j], U[i]
         for r in range(s):
             V[r][i], V[r][j] = V[r][j], V[r][i]
 
     def negate(i):
+        nonlocal det_u
+        det_u = -det_u
         for c in range(s):
             H[i][c] = -H[i][c]
             U[i][c] = -U[i][c]
@@ -101,7 +96,7 @@ def _row_hnf(mat):
 
     for j in range(s):
         if all(H[i][j] == 0 for i in range(j, s)):
-            raise LatticeError("singular matrix has no Hermite normal form basis")
+            raise LatticeError("dilation matrix must be nonsingular")
         while any(H[i][j] != 0 for i in range(j + 1, s)):
             pivot = min(
                 (i for i in range(j, s) if H[i][j] != 0),
@@ -119,7 +114,16 @@ def _row_hnf(mat):
             q = H[i][j] // H[j][j]
             if q:
                 row_op(i, j, q)
-    return H, U, V
+    return H, U, V, det_u
+
+
+def _digit_box(H, V) -> list[tuple[int, ...]]:
+    """The points V d with 0 <= d_i < H_ii: one per coset of Z^s / (V H) Z^s."""
+    s = len(H)
+    return [
+        tuple(sum(V[i][j] * d[j] for j in range(s)) for i in range(s))
+        for d in itertools.product(*(range(H[i][i]) for i in range(s)))
+    ]
 
 
 def _frac_inverse(mat):
@@ -149,32 +153,40 @@ class DilationMatrix:
 
     def __init__(self, entries):
         rows = self._coerce_rows(entries)
-        self.s = len(rows)
-        if any(len(r) != self.s for r in rows):
+        s = len(rows)
+        if any(len(r) != s for r in rows):
             raise LatticeError("dilation matrix must be square")
-        self.mat = tuple(tuple(int(x) for x in r) for r in rows)
-        self.det = _int_det(self.mat)
-        if self.det == 0:
-            raise LatticeError("dilation matrix must be nonsingular")
-        self.m = abs(self.det)
-        if self.m < 2:
+        mat = tuple(tuple(int(x) for x in r) for r in rows)
+        H, U, V, det_u = _row_hnf(mat)
+        det = det_u * math.prod(H[i][i] for i in range(s))
+        if abs(det) < 2:
             raise LatticeError("|det M| must be at least 2")
-        eigs = np.linalg.eigvals(np.array(self.mat, dtype=float))
+        eigs = np.linalg.eigvals(np.array(mat, dtype=float))
         if np.min(np.abs(eigs)) <= 1.0 + _EIG_TOL:
             raise LatticeError(
                 "all eigenvalues of a dilation matrix must exceed 1 in modulus"
             )
-        self._H, self._U, self._V = _row_hnf(self.mat)
-        self._inv_frac = _frac_inverse(self.mat)
-        # adjugate: integer matrix with M^{-1} = adj / det
-        self._adj = tuple(
-            tuple(int(x * self.det) for x in row) for row in self._inv_frac
-        )
-        self._inv = np.array([[float(x) for x in row] for row in self._inv_frac])
-        self._inv_powers = {0: np.eye(self.s), 1: self._inv}
-        self._coset_reps: list[tuple[int, ...]] | None = None
-        self._dual: list[tuple[complex, ...]] | None = None
-        self._dual_reps: list[tuple[int, ...]] | None = None
+        inv_frac = _frac_inverse(mat)
+        inv = np.array([[float(x) for x in row] for row in inv_frac])
+        for name, value in (
+            ("s", s),
+            ("mat", mat),
+            ("det", det),
+            ("m", abs(det)),
+            ("_H", H),
+            ("_U", U),
+            ("_V", V),
+            ("_inv_frac", inv_frac),
+            ("_inv", inv),
+            ("_inv_powers", {0: np.eye(s), 1: inv}),
+            ("_coset_reps", None),
+            ("_dual", None),
+            ("_dual_reps", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DilationMatrix is immutable")
 
     @staticmethod
     def _coerce_rows(entries):
@@ -219,17 +231,9 @@ class DilationMatrix:
         )
 
     def solve_integer(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer beta with M beta = vec, or None when vec is off-lattice."""
-        y = [
-            sum(self._adj[i][j] * int(vec[j]) for j in range(self.s))
-            for i in range(self.s)
-        ]
-        if any(v % self.det for v in y):
-            return None
-        return tuple(v // self.det for v in y)
-
-    def in_lattice(self, vec: Sequence[int]) -> bool:
-        return self.solve_integer(vec) is not None
+        """Integer n with M n = vec, or None when vec is off-lattice."""
+        e, n = self.split(vec)
+        return None if any(e) else n
 
     def inv_power(self, p: int) -> np.ndarray:
         """M^{-p} in double precision, 0 <= p <= MAX_INV_POWER."""
@@ -244,26 +248,12 @@ class DilationMatrix:
                 self._inv_powers[q] = got
         return got
 
-    def transpose(self) -> "DilationMatrix":
-        return DilationMatrix([list(col) for col in zip(*self.mat)])
-
     # -- cosets ------------------------------------------------------------------
-
-    def _box_digits(self, H) -> Iterable[tuple[int, ...]]:
-        return itertools.product(*(range(H[i][i]) for i in range(self.s)))
 
     def coset_reps(self) -> list[tuple[int, ...]]:
         """Canonical transversal E of Z^s / M Z^s, from the HNF digit box."""
         if self._coset_reps is None:
-            reps = []
-            for d in self._box_digits(self._H):
-                reps.append(
-                    tuple(
-                        sum(self._V[i][j] * d[j] for j in range(self.s))
-                        for i in range(self.s)
-                    )
-                )
-            self._coset_reps = sorted(reps)
+            object.__setattr__(self, "_coset_reps", sorted(_digit_box(self._H, self._V)))
         return list(self._coset_reps)
 
     def coset_of(self, alpha: Sequence[int]) -> tuple[int, ...]:
@@ -295,19 +285,11 @@ class DilationMatrix:
     def dual_reps(self) -> list[tuple[int, ...]]:
         """Transversal of Z^s / M^T Z^s used to build the dual points."""
         if self._dual_reps is None:
-            mt = [list(col) for col in zip(*self.mat)]
-            H, _, V = _row_hnf(mt)
-            reps = []
-            for d in self._box_digits(H):
-                reps.append(
-                    tuple(
-                        sum(V[i][j] * d[j] for j in range(self.s))
-                        for i in range(self.s)
-                    )
-                )
+            H, _, V, _ = _row_hnf([list(col) for col in zip(*self.mat)])
+            reps = _digit_box(H, V)
             zero = (0,) * self.s
             reps.remove(zero)
-            self._dual_reps = [zero] + sorted(reps)
+            object.__setattr__(self, "_dual_reps", [zero] + sorted(reps))
         return list(self._dual_reps)
 
     def dual_points(self) -> list[tuple[complex, ...]]:
@@ -325,7 +307,7 @@ class DilationMatrix:
                         cmath.exp(2j * cmath.pi * float(u % 1)) for u in phases
                     )
                 )
-            self._dual = pts
+            object.__setattr__(self, "_dual", pts)
         return list(self._dual)
 
 
@@ -344,7 +326,7 @@ def dual_coset_points(M: DilationMatrix) -> list[tuple[complex, ...]]:
 
 def same_coset(M: DilationMatrix, a: Sequence[int], b: Sequence[int]) -> bool:
     """Exact test for a = b mod M Z^s."""
-    return M.in_lattice(tuple(int(x) - int(y) for x, y in zip(a, b)))
+    return M.solve_integer(tuple(int(x) - int(y) for x, y in zip(a, b))) is not None
 
 
 def transversals_equivalent(M: DilationMatrix, reps_a, reps_b) -> bool:

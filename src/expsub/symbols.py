@@ -86,12 +86,6 @@ class LaurentSymbol:
     def one(cls, s: int) -> "LaurentSymbol":
         return cls(s, {(0,) * s: 1.0})
 
-    @classmethod
-    def monomial(cls, exp, coeff=1.0) -> "LaurentSymbol":
-        if isinstance(exp, int):
-            exp = (exp,)
-        return cls(len(exp), {tuple(exp): coeff})
-
     # -- inspection ---------------------------------------------------------------
 
     def terms(self) -> dict[tuple[int, ...], complex]:
@@ -250,16 +244,33 @@ class LaurentSymbol:
             out[e] = out.get(e, 0) + c * w
         return LaurentSymbol(self.s, out)
 
+    def polyphase(self, M: DilationMatrix) -> dict[tuple[int, ...], list]:
+        """The sub-symbols a_e as coarse-lattice taps: {e: [(n, c), ...]}.
+
+        Each term c z^mu lands under its coset representative e with
+        mu = e + M n.  Keys are in ascending order, cosets without terms are
+        left out, and each coset's taps are in descending-lexicographic n.
+        """
+        if M.s != self.s:
+            raise SymbolError("dimension mismatch with dilation matrix")
+        groups: dict = {}
+        for mu, c in self._terms.items():
+            e, n = M.split(mu)
+            groups.setdefault(e, []).append((n, c))
+        return {
+            e: sorted(groups[e], key=lambda t: t[0], reverse=True)
+            for e in sorted(groups)
+        }
+
     def sub_symbol(self, eps, M: DilationMatrix) -> "LaurentSymbol":
         """Restriction to the coset eps + M Z^s (exponents kept in place)."""
         if isinstance(eps, int):
             eps = (eps,)
-        if M.s != self.s:
-            raise SymbolError("dimension mismatch with dilation matrix")
-        target = M.coset_of(eps)
+        taps = self.polyphase(M)
+        e = M.coset_of(eps)
         return LaurentSymbol(
             self.s,
-            {e: c for e, c in self._terms.items() if M.coset_of(e) == target},
+            {tuple(x + y for x, y in zip(e, M.apply(n))): c for n, c in taps.get(e, [])},
         )
 
     # -- serialization -----------------------------------------------------------

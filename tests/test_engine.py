@@ -376,7 +376,7 @@ def test_shift_commutes_with_operator(case):
 def test_valid_interior_matches_set_definition(case, radius):
     M, mask, _, _ = case
     assert valid_interior(mask, M, radius) == old_valid_interior(mask, M, radius)
-    # a set, because a list of 2-D index pairs reads as per-axis ranges
+    # a set of points; a list would read the same
     holes = {i for i in box_indices(radius + 1, M.s) if sum(i) % 3}
     assert valid_interior(mask, M, holes) == old_valid_interior(mask, M, holes)
 
@@ -456,3 +456,11 @@ def test_point_list_window_is_points(case, radius):
     # valid_interior output is a list of index tuples; fed back, it is a window
     once = valid_interior(mask, M, radius + 2)
     assert valid_interior(mask, M, once) == old_valid_interior(mask, M, set(once))
+
+
+def test_only_a_tuple_of_two_ints_is_a_range():
+    assert box_indices((3, 5), 1) == [(3,), (4,), (5,)]
+    assert box_indices([3, 5], 1) == [(3,), (5,)]
+    assert box_indices({5, 3}, 1) == [(3,), (5,)]
+    assert box_indices([3, 5, 7], 1) == [(3,), (5,), (7,)]
+    assert box_indices((0, 1), 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]

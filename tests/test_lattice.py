@@ -238,3 +238,14 @@ def test_inv_power_cap():
     with pytest.raises(LatticeError):
         M.inv_power(100)
     assert np.allclose(M.inv_power(3), [[0.125]])
+
+
+def test_dilation_matrix_rejects_attribute_writes():
+    M = DilationMatrix([[2, 0], [0, 2]])
+    for name, value in (("mat", ((3,),)), ("det", 9), ("s", 1), ("_coset_reps", [])):
+        with pytest.raises(AttributeError):
+            setattr(M, name, value)
+    # the lazy caches still fill
+    assert coset_reps(M) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(dual_coset_points(M)) == 4
+    assert M.mat == ((2, 0), (0, 2)) and M.det == 4 and M.s == 2
