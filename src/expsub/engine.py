@@ -131,7 +131,7 @@ class GridData:
         if s < 1:
             raise EngineError("dimension must be positive")
         keys, vals = [], []
-        for idx, v in dict(values).items():
+        for idx, v in values.items() if isinstance(values, Mapping) else values:
             if isinstance(idx, (int, np.integer)):
                 idx = (idx,)
             key = tuple(int(x) for x in idx)
@@ -139,6 +139,8 @@ class GridData:
                 raise EngineError(f"index {key} has length {len(key)}, expected {s}")
             keys.append(key)
             vals.append(complex(v))
+        if len(set(keys)) < len(keys):
+            raise EngineError("grid data gives an index more than once")
         try:
             points = np.array(keys, dtype=np.int64).reshape(-1, s)
         except OverflowError as exc:
@@ -382,10 +384,10 @@ def grid_to_json_obj(g: GridData) -> dict:
 
 
 def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
-    values = {}
+    values = []
     for rec in obj["values"]:
         idx = tuple(int(x) for x in rec["idx"])
-        values[idx] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
+        values.append((idx, complex(float(rec["re"]), float(rec.get("im", 0.0)))))
         if s is None:
             s = len(idx)
     if s is None:
@@ -409,10 +411,10 @@ def grid_from_csv(fh, level: int = 0, tau=None) -> GridData:
     s = sum(1 for h in header if h.startswith("idx"))
     if s == 0 or header[s] != "re":
         raise EngineError("CSV header must be idx0..idx{s-1},re,im")
-    values = {}
+    values = []
     for row in rows[1:]:
         if not row:
             continue
         idx = tuple(int(x) for x in row[:s])
-        values[idx] = complex(float(row[s]), float(row[s + 1]))
+        values.append((idx, complex(float(row[s]), float(row[s + 1]))))
     return GridData(s, level, values, tau=tau)

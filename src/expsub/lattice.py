@@ -11,7 +11,9 @@ reduces U alpha into the digit box 0 <= d_i < H_ii, which gives
 alpha = e + M n; it is the coset map (`coset_of`) and the membership test
 (`solve_integer`, e = 0).  The digit box mapped back through U^{-1} is the
 transversal E, and the same construction on M^T gives the dual
-representatives.
+representatives.  Back-substitution in H X = m I, m = |det M| = prod(H_ii),
+gives A = m M^{-1} = X U, the one copy of M^{-1}: it gives the dual points
+exactly, and M^{-p} = A^p / m^p rounded once per entry, for every p >= 0.
 
 Everything constructed here rejects attribute writes after construction;
 the lazy caches only hold values derived from M, so it is safe to share
@@ -23,7 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from fractions import Fraction
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,9 +47,6 @@ __all__ = [
     "as_complex_vector",
 ]
 
-# Powers M^{-p} are formed in double precision; entries shrink with p because
-# the spectral radius of M^{-1} is below one, but we still cap the exponent.
-MAX_INV_POWER = 64
 _EIG_TOL = 1e-9
 
 
@@ -126,22 +125,22 @@ def _digit_box(H, V) -> list[tuple[int, ...]]:
     ]
 
 
-def _frac_inverse(mat):
-    """Exact inverse of an integer matrix as a tuple of Fraction rows."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise LatticeError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+def _int_matmul(a, b):
+    """a @ b over the integers, as tuple rows."""
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
+
+
+def _scaled_inverse(H, U, m: int):
+    """A = m M^{-1} over the integers, from H = U M with m = prod(H_ii).
+
+    Back-substitutes H X = m I; each division is exact because m H^{-1} is
+    the adjugate of H.  Then M^{-1} = H^{-1} U gives A = X U.
+    """
+    s = len(H)
+    X = [[0] * s for _ in range(s)]
+    for i, c in itertools.product(range(s - 1, -1, -1), range(s)):
+        X[i][c] = (m * (i == c) - sum(H[i][j] * X[j][c] for j in range(i + 1, s))) // H[i][i]
+    return _int_matmul(X, U)
 
 
 class DilationMatrix:
@@ -166,8 +165,6 @@ class DilationMatrix:
             raise LatticeError(
                 "all eigenvalues of a dilation matrix must exceed 1 in modulus"
             )
-        inv_frac = _frac_inverse(mat)
-        inv = np.array([[float(x) for x in row] for row in inv_frac])
         for name, value in (
             ("s", s),
             ("mat", mat),
@@ -176,9 +173,9 @@ class DilationMatrix:
             ("_H", H),
             ("_U", U),
             ("_V", V),
-            ("_inv_frac", inv_frac),
-            ("_inv", inv),
-            ("_inv_powers", {0: np.eye(s), 1: inv}),
+            ("_A", _scaled_inverse(H, U, abs(det))),
+            ("_inv_powers", {}),
+            ("_int_power", (0, np.eye(s, dtype=int).tolist())),
             ("_coset_reps", None),
             ("_dual", None),
             ("_dual_reps", None),
@@ -236,16 +233,25 @@ class DilationMatrix:
         return None if any(e) else n
 
     def inv_power(self, p: int) -> np.ndarray:
-        """M^{-p} in double precision, 0 <= p <= MAX_INV_POWER."""
-        if not 0 <= p <= MAX_INV_POWER:
-            raise LatticeError(f"inverse power {p} outside [0, {MAX_INV_POWER}]")
+        """M^{-p} = A^p / m^p, each entry rounded once; read-only, cached per p.
+
+        One exact power (q, A^q) is kept to extend from; p < q starts at A^0.
+        """
+        p = operator.index(p)
+        if p < 0:
+            raise LatticeError(f"inverse power {p} is negative")
         got = self._inv_powers.get(p)
         if got is None:
-            top = max(q for q in self._inv_powers if q <= p)
-            got = self._inv_powers[top]
-            for q in range(top + 1, p + 1):
-                got = got @ self._inv
-                self._inv_powers[q] = got
+            q, power = self._int_power
+            if q > p:
+                q, power = 0, np.eye(self.s, dtype=int).tolist()
+            for _ in range(p - q):
+                power = _int_matmul(power, self._A)
+            object.__setattr__(self, "_int_power", (p, power))
+            scale = self.m**p
+            got = np.array([[x / scale for x in row] for row in power])
+            got.flags.writeable = False
+            self._inv_powers[p] = got
         return got
 
     # -- cosets ------------------------------------------------------------------
@@ -295,18 +301,8 @@ class DilationMatrix:
     def dual_points(self) -> list[tuple[complex, ...]]:
         """The set Xi = {exp(2 pi i M^{-T} xi)}; the all-ones point comes first."""
         if self._dual is None:
-            inv_t = tuple(zip(*self._inv_frac))  # exact M^{-T}
-            pts = []
-            for xi in self.dual_reps():
-                phases = [
-                    sum(inv_t[i][j] * xi[j] for j in range(self.s))
-                    for i in range(self.s)
-                ]
-                pts.append(
-                    tuple(
-                        cmath.exp(2j * cmath.pi * float(u % 1)) for u in phases
-                    )
-                )
+            phases = _int_matmul(self.dual_reps(), self._A)  # rows (A^T xi)^T = m (M^{-T} xi)^T
+            pts = [tuple(cmath.exp(2j * cmath.pi * ((y % self.m) / self.m)) for y in row) for row in phases]
             object.__setattr__(self, "_dual", pts)
         return list(self._dual)
 

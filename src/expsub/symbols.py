@@ -286,6 +286,8 @@ class LaurentSymbol:
         terms = {}
         for rec in obj:
             e = tuple(int(x) for x in rec["exp"])
+            if e in terms:
+                raise SymbolError(f"exponent {e} is given more than once")
             terms[e] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
             if s is None:
                 s = len(e)

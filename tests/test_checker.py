@@ -1,12 +1,16 @@
 """Generation/reproduction conditions, shift solving, normalization, stepwise."""
 
 import cmath
+import functools
 import json
 import warnings
 
+import mpmath
 import pytest
+import sympy
 
 from expsub import (
+    DEFAULT_TOL,
     BranchAmbiguityError,
     CheckError,
     DilationMatrix,
@@ -401,3 +405,97 @@ def test_generation_records_are_the_reproduction_records_off_the_ones_point(sche
         assert [bits(z) for z in g.v] == [bits(z) for z in r.v]
         assert bits(g.lhs) == bits(r.lhs) and g.residual == r.residual
         assert bits(g.rhs) == bits(r.rhs) == bits(0j)
+
+
+def test_reproduction_holds_at_deep_levels():
+    for scheme in (dual4_binary(0.9), sqrt3_schemes()["interpolatory"]):
+        rep = check_reproduction(scheme, scheme.space, scheme.tau, (60, 100))
+        assert rep.verdict and {r.k for r in rep.records} == set(range(60, 101))
+
+
+# -- 50-digit oracle for condition residuals -------------------------------------
+
+
+def mp_rational(x) -> mpmath.mpf:
+    x = sympy.Rational(x)
+    return mpmath.mpf(int(x.p)) / int(x.q)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_inv_power(mat, p):
+    """M^{-p} as a tuple of mpf rows, from the exact sympy inverse."""
+    with mpmath.workdps(50):
+        P = sympy.Matrix(mat).inv() ** p
+        return tuple(tuple(mp_rational(x) for x in P.row(i)) for i in range(P.rows))
+
+
+def mp_eps(M: DilationMatrix, eps):
+    """The exact dual point whose double-precision value is eps."""
+    inv_t = sympy.Matrix(M.mat).inv().T
+    for xi in M.dual_reps():
+        phases = [sum(inv_t[i, j] * xi[j] for j in range(M.s)) % 1 for i in range(M.s)]
+        pt = [mpmath.expjpi(2 * mp_rational(u)) for u in phases]
+        if all(abs(complex(z) - e) < 1e-12 for z, e in zip(pt, eps)):
+            return pt, not any(phases)
+    raise AssertionError(f"no dual point near {eps}")
+
+
+def mp_falling(gamma, z):
+    out = mpmath.mpf(1)
+    for zl, gl in zip(z, gamma):
+        for j in range(gl):
+            out *= zl - j
+    return out
+
+
+def mp_residual(scheme: SchemeSpec, tau, rec: ConditionRecord) -> float:
+    """The record's residual from the float mask, exact M^-(k+1), eps and M tau - tau."""
+    M = scheme.M
+    with mpmath.workdps(50):
+        P = exact_inv_power(M.mat, rec.k + 1)
+        lam = [mpmath.mpc(z) for z in rec.lam]
+        w = [sum(lam[i] * P[i][j] for i in range(M.s)) for j in range(M.s)]
+        eps, eps_is_one = mp_eps(M, rec.eps)
+        v = [e * mpmath.exp(-wj) for e, wj in zip(eps, w)]
+        lhs = mpmath.mpc(0)
+        for alpha, c in scheme.symbol(rec.k).sorted_items():
+            term = mpmath.mpc(c) * mp_falling(rec.gamma, alpha)
+            for vl, al in zip(v, alpha):
+                term *= vl**al
+            lhs += term
+        rhs = mpmath.mpc(0)
+        if eps_is_one:
+            t = [mpmath.mpf(x) for x in tau]
+            x = [sum(M.mat[i][j] * t[j] for j in range(M.s)) - t[i] for i in range(M.s)]
+            rhs = M.m * mpmath.exp(-sum(wj * xj for wj, xj in zip(w, x))) * mp_falling(rec.gamma, x)
+        err = abs(lhs - rhs)
+        return float(err / abs(rhs) if abs(rhs) > 1 else err)
+
+
+ORACLE_SCHEMES = [
+    dual4_binary(0.9),
+    dual4_ternary(1.1j),
+    butterfly((0.5, 0.3)),
+    sheared_convolution((0.6, 0.9), normalized=True),
+    sqrt3_schemes()["interpolatory"],
+]
+
+
+@pytest.mark.parametrize("scheme", ORACLE_SCHEMES, ids=lambda sc: sc.name)
+def test_residuals_match_fifty_digit_oracle(scheme):
+    rep = check_reproduction(scheme, scheme.space, scheme.tau, [0, 3, 64, 200])
+    assert rep.verdict
+    for rec in rep.records:
+        exact = mp_residual(scheme, scheme.tau, rec)
+        assert abs(rec.residual - exact) <= 1e-12
+        assert (rec.residual <= DEFAULT_TOL) == (exact <= DEFAULT_TOL)
+
+
+def test_fifty_digit_oracle_fails_a_wrong_tau():
+    scheme = dual4_binary(0.9)
+    rep = check_reproduction(scheme, scheme.space, (0.0,), [0, 3, 64, 200])
+    exact = [mp_residual(scheme, (0.0,), rec) for rec in rep.records]
+    assert not rep.verdict and max(exact) > DEFAULT_TOL
+    for rec, e in zip(rep.records, exact):
+        assert abs(rec.residual - e) <= 1e-12
+        assert (rec.residual <= DEFAULT_TOL) == (e <= DEFAULT_TOL)

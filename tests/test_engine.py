@@ -274,6 +274,20 @@ def test_grid_serialization_roundtrips():
     assert csv_back.values == g.values
 
 
+def test_repeated_index_in_grid_json_is_rejected():
+    obj = {"level": 0, "values": [{"idx": [0], "re": 1.0}, {"idx": [0], "re": 5.0}]}
+    with pytest.raises(EngineError, match="more than once"):
+        grid_from_json_obj(obj)
+
+
+def test_repeated_index_in_grid_csv_is_rejected():
+    with pytest.raises(EngineError, match="more than once"):
+        grid_from_csv(io.StringIO("idx0,re,im\n0,1.0,0.0\n0,7.0,0.0\n"))
+    # an int key and its 1-tuple name the same index
+    with pytest.raises(EngineError, match="more than once"):
+        GridData(1, 0, {0: 1.0, (0,): 2.0})
+
+
 def test_limit_samples_attach_to_parameter_points():
     scheme = dual4_binary(1.0)  # tau = -1/2 travels into the samples
     samples = basic_limit_samples(scheme, 3)

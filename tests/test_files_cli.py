@@ -162,6 +162,28 @@ def test_cli_check_uses_scheme_tau_and_solves_when_missing(tmp_path):
     assert main(["check", "--scheme", bare, "--space", space, "--kmax", "2", "--mode", "reproduction"]) == 0
 
 
+def test_cli_check_runs_beyond_level_64(tmp_path):
+    scheme = write_json(tmp_path / "dual4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0}))
+    space = write_json(tmp_path / "space.json", CONIC_SPACE)
+    assert main(["check", "--scheme", scheme, "--space", space, "--kmin", "60", "--kmax", "70"]) == 0
+
+
+def test_cli_rejects_repeated_keys(tmp_path, capsys):
+    # the repeat carries the same value, so either reading gives a valid scheme
+    tail = [{"exp": [0], "re": 0.5}, {"exp": [1], "re": 1.0}, {"exp": [2], "re": 0.5}, {"exp": [1], "re": 1.0}]
+    obj = {"name": "twice", "dimension": 1, "dilation": [2], "kind": "explicit", "levels": [], "tail": tail}
+    scheme = write_json(tmp_path / "twice.json", obj)
+    space = write_json(tmp_path / "space.json", {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}]})
+    assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--mode", "generation"]) == 2
+    assert "more than once" in capsys.readouterr().err
+    good = write_json(tmp_path / "bsp.json", scheme_file_for_catalog("exp_bspline", m=2, **{"lambda": 0.0}))
+    data = {"level": 0, "values": [{"idx": [0], "re": 1.0}, {"idx": [0], "re": 5.0}]}
+    grid = write_json(tmp_path / "grid.json", data)
+    out = str(tmp_path / "out.json")
+    assert main(["refine", "--scheme", good, "--input", grid, "--levels", "1", "--out", out]) == 2
+    assert "more than once" in capsys.readouterr().err
+
+
 def test_cli_solve_tau_outputs(tmp_path, capsys):
     scheme = write_json(
         tmp_path / "t.json", scheme_file_for_catalog("dual4_ternary", **{"lambda": 1.0})

@@ -1,9 +1,16 @@
 """Coset transversals, dual points, falling factorials, evaluation sets."""
 
 import cmath
+import random
+import sys
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expsub import (
     DilationMatrix,
@@ -19,6 +26,18 @@ from expsub import (
 
 SHEAR = [[2, 1], [0, 2]]
 SQRT3 = [[1, 2], [-2, -1]]
+# every geometry of the suite, plus a 3-D matrix and a negative determinant
+POWER_POOL = [
+    2,
+    3,
+    -2,
+    [[2, 0], [0, 2]],
+    SHEAR,
+    SQRT3,
+    [[1, 1], [-1, 1]],
+    [[2, 1, 0], [0, 2, 1], [1, 0, 2]],
+    [[3, 1], [1, -2]],
+]
 
 
 def adj2_solve(mat, vec):
@@ -235,9 +254,79 @@ def test_param_points():
 def test_inv_power_cap():
     M = DilationMatrix(2)
     M.inv_power(60)
-    with pytest.raises(LatticeError):
-        M.inv_power(100)
+    assert M.inv_power(100)[0, 0] == 2.0 ** -100
     assert np.allclose(M.inv_power(3), [[0.125]])
+
+
+def exact_inverse(mat):
+    """M^{-1} as an exact sympy matrix, independent of the HNF."""
+    return sympy.Matrix([[mat]] if isinstance(mat, int) else mat).inv()
+
+
+def rounded(exact):
+    """Correctly rounded doubles of an exact rational sympy matrix."""
+    return np.array([[float(Fraction(int(x.p), int(x.q))) for x in row] for row in exact.tolist()])
+
+
+@given(st.sampled_from(POWER_POOL), st.lists(st.integers(0, 300), min_size=1, max_size=4))
+def test_inv_power_is_correctly_rounded(mat, ps):
+    # one fresh matrix per example, so the powers are reached by extending
+    # the kept exact power and by starting again below it
+    M = DilationMatrix(mat)
+    inv = exact_inverse(mat)
+    for p in ps:
+        got = M.inv_power(p)
+        assert np.array_equal(got, rounded(inv**p)) and not got.flags.writeable
+
+
+def test_inv_power_rejects_negative():
+    with pytest.raises(LatticeError):
+        DilationMatrix(2).inv_power(-1)
+
+
+@pytest.mark.parametrize("mat", POWER_POOL)
+def test_dual_points_match_fraction_formula(mat):
+    # exp(2 pi i (M^{-T} xi mod 1)) with the phase reduced over Fraction
+    M = DilationMatrix(mat)
+    inv_t = exact_inverse(mat).T
+    want = []
+    for xi in M.dual_reps():
+        phases = [
+            sum(Fraction(int(inv_t[i, j].p), int(inv_t[i, j].q)) * xi[j] for j in range(M.s))
+            for i in range(M.s)
+        ]
+        want.append(tuple(cmath.exp(2j * cmath.pi * float(u % 1)) for u in phases))
+    hexes = [[(z.real.hex(), z.imag.hex()) for z in pt] for pt in M.dual_points()]
+    assert hexes == [[(z.real.hex(), z.imag.hex()) for z in pt] for pt in want]
+
+
+def test_inv_power_threads_agree_with_serial():
+    # the caches fill without a lock: a lost write may only cost a recompute
+    serial = DilationMatrix(SQRT3)
+    want = {p: serial.inv_power(p) for p in range(201)}
+    shared = DilationMatrix(SQRT3)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        order = list(range(201))
+        random.Random(i).shuffle(order)
+        barrier.wait()
+        results[i] = {p: shared.inv_power(p) for p in order}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert all(np.array_equal(got[p], want[p]) for p in range(201))
 
 
 def test_dilation_matrix_rejects_attribute_writes():

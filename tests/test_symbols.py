@@ -13,6 +13,7 @@ from expsub import (
     LaurentSymbol,
     SchemeSpec,
     SymbolDomainError,
+    SymbolError,
     sqrt3_schemes,
 )
 
@@ -193,6 +194,12 @@ def test_serialization_roundtrip_exact():
         text = json.dumps(a.to_json_obj())
         b = LaurentSymbol.from_json_obj(json.loads(text))
         assert a == b
+
+
+def test_repeated_exponent_in_symbol_json_is_rejected():
+    obj = [{"exp": [1], "re": 1.0}, {"exp": [1], "re": 2.0}]
+    with pytest.raises(SymbolError, match="more than once"):
+        LaurentSymbol.from_json_obj(obj)
 
 
 def test_scheme_spec_levels_and_tail():
