@@ -59,6 +59,11 @@ def _axis_lambda(lam, s: int, name="lambda", allow_zero=True) -> tuple[complex, 
     return v
 
 
+def _level_scale(M: DilationMatrix, k: int) -> float:
+    """m^-(k+1), correctly rounded, for a dilation M = m I."""
+    return float(M.inv_power(k + 1)[0, 0])
+
+
 def _geometric_factor(m: int, r: complex) -> LaurentSymbol:
     """1 + r z + ... + r^(m-1) z^(m-1)."""
     return LaurentSymbol(1, {(e,): r**e for e in range(m)})
@@ -86,10 +91,11 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
     t = None if tau is None else float(tau)
 
     def rule(k: int) -> LaurentSymbol:
-        r = cmath.exp(lamc * float(m) ** -(k + 1))
+        h = _level_scale(M, k)
+        r = cmath.exp(lamc * h)
         sym = _geometric_factor(m, r) ** n_fold
         if t is not None:
-            K = float(m) ** (1 - n_fold) * cmath.exp(-lamc * float(m) ** -(k + 1) * (m - 1) * t)
+            K = float(m) ** (1 - n_fold) * cmath.exp(-lamc * h * (m - 1) * t)
             sym = sym * K
         return sym
 
@@ -129,8 +135,9 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
         (la, n), (mu, _) = facs
 
         def K(k: int) -> complex:
-            r = cmath.exp(la * float(m) ** -(k + 1))
-            s = cmath.exp(mu * float(m) ** -(k + 1))
+            h = _level_scale(M, k)
+            r = cmath.exp(la * h)
+            s = cmath.exp(mu * h)
             return float(m) ** (1 - n) * sum(
                 r ** (m - 1 - e) * s**e for e in range(m)
             ) ** (-n)
@@ -149,9 +156,10 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
         raise CatalogParameterError(f"unknown normalization {normalization!r}")
 
     def rule(k: int) -> LaurentSymbol:
+        h = _level_scale(M, k)
         sym = LaurentSymbol.one(1)
         for lamc, n in facs:
-            r = cmath.exp(lamc * float(m) ** -(k + 1))
+            r = cmath.exp(lamc * h)
             sym = sym * _geometric_factor(m, r) ** n
         if K is not None:
             sym = sym * K(k)
@@ -174,7 +182,8 @@ def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
     M = DilationMatrix([[n_dil * int(i == j) for j in range(s)] for i in range(s)])
 
     def rule(k: int) -> LaurentSymbol:
-        r = [cmath.exp(z * float(n_dil) ** -(k + 1)) for z in lamv]
+        h = _level_scale(M, k)
+        r = [cmath.exp(z * h) for z in lamv]
         terms = {}
         for eps in product(range(n_dil), repeat=s):
             c = complex(1)
@@ -200,8 +209,8 @@ def _poly1(coeffs) -> LaurentSymbol:
     return LaurentSymbol(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
-def _dual4_w(lam: complex, m: int, k: int) -> complex:
-    h = float(m) ** -(k + 1) * lam / 2
+def _dual4_w(lam: complex, M: DilationMatrix, k: int) -> complex:
+    h = _level_scale(M, k) * lam / 2
     return (cmath.exp(h) + cmath.exp(-h)) / 2
 
 
@@ -223,7 +232,7 @@ def dual4_binary(lam) -> SchemeSpec:
     M = DilationMatrix(2)
 
     def rule(k: int) -> LaurentSymbol:
-        w = _dual4_w(lamc, 2, k)
+        w = _dual4_w(lamc, M, k)
         _guard_factors({"w": w, "2w^2-1": 2 * w**2 - 1, "w+1": w + 1}, k, "dual4_binary")
         den = 64 * w**3 * (2 * w**2 - 1) * (w + 1)
         c0 = -(6 * w**2 + 2 * w - 1) / den
@@ -272,7 +281,7 @@ def dual4_ternary(lam) -> SchemeSpec:
     M = DilationMatrix(3)
 
     def rule(k: int) -> LaurentSymbol:
-        w = _dual4_w(lamc, 3, k)
+        w = _dual4_w(lamc, M, k)
         _guard_factors(
             {
                 "w": w,
@@ -405,8 +414,9 @@ def butterfly(lam) -> SchemeSpec:
     M = DilationMatrix([[2, 0], [0, 2]])
 
     def rule(k: int) -> LaurentSymbol:
-        r1 = cmath.exp(lamv[0] * 2.0 ** -(k + 1))
-        r2 = cmath.exp(lamv[1] * 2.0 ** -(k + 1))
+        h = _level_scale(M, k)
+        r1 = cmath.exp(lamv[0] * h)
+        r2 = cmath.exp(lamv[1] * h)
         terms = {
             e: float(c) * r1 ** e[0] * r2 ** e[1]
             for e, c in _BUTTERFLY_COEFFS.items()

@@ -137,8 +137,10 @@ class ConditionReport:
         shown = self.records
         clipped = 0
         if len(shown) > max_rows:
-            # NaN residuals sort first, so a NaN record is never clipped
-            worst = sorted(shown, key=lambda r: (not cmath.isnan(r.residual), -r.residual))[:max_rows]
+            # Rank by the printed residual, ties in record order, so a
+            # last-bit change never swaps rows of equal printed value; NaN
+            # residuals sort first, so a NaN record is never clipped.
+            worst = sorted(shown, key=_printed_rank)[:max_rows]
             clipped = len(shown) - max_rows
             shown = sorted(worst, key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
         for r in shown:
@@ -156,6 +158,13 @@ class ConditionReport:
             f" non-singularity assumed)"
         )
         return "\n".join(lines)
+
+
+def _printed_rank(r: ConditionRecord) -> tuple[bool, float]:
+    """Sort key, worst first, on the residual as the table prints it."""
+    if cmath.isnan(r.residual):
+        return (False, 0.0)
+    return (True, -float(f"{r.residual:.3e}"))
 
 
 def _fmt_c(z: complex) -> str:

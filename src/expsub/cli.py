@@ -9,6 +9,7 @@ cross-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,11 +27,12 @@ from .checker import (
 )
 from .engine import (
     EngineError,
-    basic_limit_samples,
     grid_from_json_obj,
     grid_to_csv,
-    grid_to_json_obj,
+    grid_to_json,
+    limit_sample_arrays,
     refine,
+    write_rows,
 )
 from .files import FileFormatError, load_scheme, load_space, scheme_file_for_catalog
 
@@ -76,22 +78,21 @@ def cmd_check(args) -> int:
                 print(f"error: no tau given and solving failed: {exc}", file=sys.stderr)
                 return 2
 
-    results = []
+    reports = []
     for mode in modes:
         if mode == "generation":
-            rep = check_generation(scheme, space, k_range, tol=args.tol)
-            print(rep.table())
-            results.append(rep.to_json_obj())
+            batch = [check_generation(scheme, space, k_range, tol=args.tol)]
         elif mode == "reproduction":
-            rep = check_reproduction(scheme, space, tau, k_range, tol=args.tol)
-            print(rep.table())
-            results.append(rep.to_json_obj())
+            batch = [check_reproduction(scheme, space, tau, k_range, tol=args.tol)]
         else:
-            for k in range(args.kmin, args.kmax + 1):
-                rep = stepwise_test(scheme, space, tau, k, args.window, tol=args.tol)
-                print(rep.table())
-                results.append(rep.to_json_obj())
-    verdict = all(r["verdict"] == "pass" for r in results)
+            batch = (
+                stepwise_test(scheme, space, tau, k, args.window, tol=args.tol)
+                for k in range(args.kmin, args.kmax + 1)
+            )
+        for rep in batch:
+            print(rep.table())
+            reports.append(rep)
+    verdict = all(rep.verdict for rep in reports)
     if args.report:
         _write_json(
             args.report,
@@ -103,7 +104,7 @@ def cmd_check(args) -> int:
                 "kmin": args.kmin,
                 "kmax": args.kmax,
                 "verdict": "pass" if verdict else "fail",
-                "results": results,
+                "results": [rep.to_json_obj() for rep in reports],
             },
         )
     return 0 if verdict else 1
@@ -130,7 +131,8 @@ def cmd_refine(args) -> int:
     out = refine(scheme, data, args.levels, start_level=args.start_level)
     fmt = args.format or ("csv" if args.out.endswith(".csv") else "json")
     if fmt == "json":
-        _write_json(args.out, grid_to_json_obj(out))
+        with open(Path(args.out), "w", encoding="utf-8") as fh:
+            grid_to_json(out, fh)
     else:
         with open(Path(args.out), "w", encoding="utf-8", newline="") as fh:
             grid_to_csv(out, fh)
@@ -140,13 +142,13 @@ def cmd_refine(args) -> int:
 
 def cmd_limit(args) -> int:
     scheme = load_scheme(args.scheme)
-    samples = basic_limit_samples(scheme, args.rounds, start_level=args.start_level)
+    t, vals = limit_sample_arrays(scheme, args.rounds, start_level=args.start_level)
     s = scheme.M.s
     row = ",".join(["%.17g"] * (s + 2)) + "\n"  # each field as _fmt writes it
     with open(Path(args.out), "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([f"t{i}" for i in range(s)] + ["re", "im"]) + "\n")
-        fh.writelines(row % (*t, v.real, v.imag) for t, v in samples)
-    print(f"wrote {len(samples)} limit samples to {args.out}")
+        write_rows(fh, row, [*t.T, vals.real, vals.imag])
+    print(f"wrote {len(vals)} limit samples to {args.out}")
     return 0
 
 
@@ -231,8 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CatalogError as exc:

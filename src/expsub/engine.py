@@ -19,11 +19,19 @@ from __future__ import annotations
 
 import cmath
 import csv
+import json
 from collections.abc import Mapping
 
 import numpy as np
 
-from .lattice import DilationMatrix, as_complex_vector, as_multi_index, as_tau, param_points
+from .lattice import (
+    DilationMatrix,
+    as_complex_vector,
+    as_multi_index,
+    as_tau,
+    param_array,
+    param_points,
+)
 from .symbols import LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -34,10 +42,12 @@ __all__ = [
     "sample_exp_poly",
     "exp_poly_value",
     "basic_limit_samples",
+    "limit_sample_arrays",
     "is_interpolatory",
     "valid_interior",
     "box_indices",
     "grid_to_json_obj",
+    "grid_to_json",
     "grid_from_json_obj",
     "grid_to_csv",
     "grid_from_csv",
@@ -323,11 +333,12 @@ def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> G
     return GridData.from_points(M.s, level, idx, np.array(vals, dtype=complex), tau=t0)
 
 
-def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
-    """Refine the delta sequence and attach values to their parameter points.
+def limit_sample_arrays(scheme: SchemeSpec, rounds: int, start_level: int = 0):
+    """Refine the delta sequence; its parameter points and values as arrays.
 
-    Returns a list of (t, value) pairs with t = M^{-(start_level+rounds)}
-    (alpha + tau), sorted by index.  tau comes from the scheme (default 0).
+    Returns an (N, s) float array of t = M^{-(start_level+rounds)}(alpha + tau)
+    and the N complex values, sorted by index alpha.  tau comes from the
+    scheme (default 0).
     """
     if rounds < 1:
         raise EngineError("need at least one refinement round")
@@ -335,7 +346,13 @@ def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
     f = GridData.delta(scheme.M.s, level=start_level, tau=tau)
     g = refine(scheme, f, rounds, start_level=start_level)
     idx, vals = g.points()
-    return list(zip(param_points(scheme.M, tau, g.level, idx), vals.tolist()))
+    return param_array(scheme.M, tau, g.level, idx), vals
+
+
+def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
+    """`limit_sample_arrays` as a list of (t, value) pairs, t a coordinate tuple."""
+    t, vals = limit_sample_arrays(scheme, rounds, start_level)
+    return list(zip(map(tuple, t.tolist()), vals.tolist()))
 
 
 def is_interpolatory(mask: LaurentSymbol, M: DilationMatrix) -> bool:
@@ -370,6 +387,39 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
 
 # -- serialization ---------------------------------------------------------------
 
+# Rows formatted by one `%` per block: large enough that the per-call cost
+# vanishes, small enough that a block's text and arguments stay a few
+# hundred kB.
+BLOCK_ROWS = 1024
+
+
+def write_rows(fh, row: str, columns, sep: str = "") -> None:
+    """Write `row % (c[i] for c in columns)` for every i, joined by `sep`.
+
+    `columns` are equal-length 1-D arrays; a block of rows is taken from each
+    with `.tolist()` and formatted with one `%` on a repeated template, so
+    the text is exactly that of formatting row by row.
+    """
+    n, width = len(columns[0]), len(columns)
+    block = tmpl = None
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        if hi - lo != block:
+            block = hi - lo
+            tmpl = sep.join([row] * block)
+            args = [None] * (block * width)
+        for j, col in enumerate(columns):
+            args[j::width] = col[lo:hi].tolist()
+        if lo:
+            fh.write(sep)
+        fh.write(tmpl % tuple(args))
+
+
+def _grid_columns(g: GridData) -> list[np.ndarray]:
+    """Index columns idx0..idx{s-1}, then the real and imaginary parts."""
+    idx, vals = g.points()
+    return [*idx.T, vals.real, vals.imag]
+
 
 def grid_to_json_obj(g: GridData) -> dict:
     idx, vals = g.points()
@@ -381,6 +431,19 @@ def grid_to_json_obj(g: GridData) -> dict:
             for i, v in zip(idx.tolist(), vals.tolist())
         ],
     }
+
+
+def grid_to_json(g: GridData, fh) -> None:
+    """Write `grid_to_json_obj(g)` as `json.dump(.., indent=2)` does, plus a newline."""
+    head = json.dumps({"level": g.level, "tau": list(g.tau), "values": []}, indent=2)
+    if not len(g):
+        fh.write(head + "\n")
+        return
+    idx = ",\n".join(["        %d"] * g.s)
+    record = '    {\n      "idx": [\n' + idx + '\n      ],\n      "re": %r,\n      "im": %r\n    }'
+    fh.write(head[: -len("]\n}")] + "\n")  # up to the "[" of the values list
+    write_rows(fh, record, _grid_columns(g), sep=",\n")
+    fh.write("\n  ]\n}\n")
 
 
 def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
@@ -396,11 +459,9 @@ def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
 
 
 def grid_to_csv(g: GridData, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow([f"idx{i}" for i in range(g.s)] + ["re", "im"])
-    idx, vals = g.points()
-    for i, v in zip(idx.tolist(), vals.tolist()):
-        w.writerow([*i, repr(v.real), repr(v.imag)])
+    """Header idx0..idx{s-1},re,im; integer indices, values as `repr`; CRLF line ends."""
+    fh.write(",".join([f"idx{i}" for i in range(g.s)] + ["re", "im"]) + "\r\n")
+    write_rows(fh, ",".join(["%d"] * g.s + ["%r", "%r"]) + "\r\n", _grid_columns(g))
 
 
 def grid_from_csv(fh, level: int = 0, tau=None) -> GridData:

@@ -39,6 +39,7 @@ __all__ = [
     "v_sets",
     "VPoint",
     "displacement",
+    "param_array",
     "param_points",
     "same_coset",
     "transversals_equivalent",
@@ -424,8 +425,8 @@ def displacement(M: DilationMatrix, tau, w) -> tuple[tuple[float, ...], complex]
     return x, cmath.exp(-complex(sum(w[j] * x[j] for j in range(M.s))))
 
 
-def param_points(M: DilationMatrix, tau, k: int, alphas) -> list[tuple[float, ...]]:
-    """Grid attachment t^[k]_alpha = M^{-k}(alpha + tau), one tuple per index.
+def param_array(M: DilationMatrix, tau, k: int, alphas) -> np.ndarray:
+    """Grid attachment t^[k]_alpha = M^{-k}(alpha + tau) as an (N, s) float array.
 
     `alphas` is an iterable of index tuples or an (N, s) integer array.  Each
     coordinate is summed left to right from +0.0 over elementwise products,
@@ -435,10 +436,13 @@ def param_points(M: DilationMatrix, tau, k: int, alphas) -> list[tuple[float, ..
     t = as_tau(tau, M.s)
     Mk = M.inv_power(k)
     shifted = np.asarray(alphas, dtype=np.int64).reshape(-1, M.s) + np.array(t)
-    coords = []
+    out = np.zeros((len(shifted), M.s))
     for i in range(M.s):
-        acc = np.zeros(len(shifted))
         for j in range(M.s):
-            acc = acc + Mk[i, j] * shifted[:, j]
-        coords.append(acc.tolist())
-    return list(zip(*coords))
+            out[:, i] = out[:, i] + Mk[i, j] * shifted[:, j]
+    return out
+
+
+def param_points(M: DilationMatrix, tau, k: int, alphas) -> list[tuple[float, ...]]:
+    """`param_array` as a list with one coordinate tuple per index."""
+    return list(map(tuple, param_array(M, tau, k, alphas).tolist()))

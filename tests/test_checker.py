@@ -3,6 +3,7 @@
 import cmath
 import functools
 import json
+import math
 import warnings
 
 import mpmath
@@ -499,3 +500,28 @@ def test_fifty_digit_oracle_fails_a_wrong_tau():
     for rec, e in zip(rep.records, exact):
         assert abs(rec.residual - e) <= 1e-12
         assert (rec.residual <= DEFAULT_TOL) == (e <= DEFAULT_TOL)
+
+
+def test_table_rows_follow_the_printed_residual():
+    """A last-bit change among equal printed residuals leaves the table as it was."""
+
+    def report(residuals):
+        records = [
+            ConditionRecord("generation", k, (0,), (1j,), (1,), (1,), 0j, 0j, r)
+            for k, r in enumerate(residuals)
+        ]
+        return ConditionReport("generation", "ties", 1e-9, records)
+
+    base = [2.5e-12] * 50 + [1e-13] * 5
+    table = report(base).table()
+    rows = table.splitlines()[2:-2]
+    assert len(rows) == 40 and all("2.500e-12 ok" in row for row in rows)
+    assert "... 15 more record(s)" in table
+    for i in (0, 39, 40, 49):
+        for direction in (1.0, 0.0):
+            moved = list(base)
+            moved[i] = math.nextafter(base[i], direction)
+            assert f"{moved[i]:.3e}" == "2.500e-12"
+            assert report(moved).table() == table
+    # records shown are the first 40 in record order
+    assert [int(row.split()[0]) for row in rows] == list(range(40))

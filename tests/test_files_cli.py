@@ -480,3 +480,41 @@ def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--mode", "generation"]) == 3
     assert "internal error" in capsys.readouterr().err
     assert main(["check", "--scheme", str(tmp_path / "missing.json"), "--space", space]) == 2
+
+
+def test_cli_parser_is_reused_across_subcommands(tmp_path, capsys):
+    from expsub import cli
+
+    assert cli._parser() is cli._parser()
+    scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_ternary", **{"lambda": 1.0}))
+    space = write_json(tmp_path / "space.json", CONIC_SPACE)
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["limit", "--scheme", scheme, "--rounds", "2", "--start-level", "3", "--out", str(first)]) == 0
+    assert main(["solve-tau", "--scheme", scheme, "--space", space, "--kprobe", "1"]) == 0
+    assert abs(float(capsys.readouterr().out.split()[-1]) + 0.25) < 1e-10
+    # the second limit call gets the default start level, not the first call's 3
+    assert main(["limit", "--scheme", scheme, "--rounds", "2", "--out", str(again)]) == 0
+    level0 = cli.build_parser().parse_args(["limit", "--scheme", scheme, "--rounds", "2", "--out", "x"])
+    assert level0.start_level == 0
+    assert first.read_text() != again.read_text()
+    assert main(["catalog", "list"]) == 0
+    assert "dual4_ternary:" in capsys.readouterr().out
+
+
+def test_cli_check_builds_json_records_only_for_a_report(tmp_path, monkeypatch):
+    from expsub import ConditionRecord, ConditionReport
+
+    scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0}))
+    space = write_json(tmp_path / "space.json", CONIC_SPACE)
+    argv = ["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--window", "3"]
+    calls = []
+    for cls in (ConditionRecord, ConditionReport):
+        original = cls.to_json_obj
+        monkeypatch.setattr(cls, "to_json_obj", lambda self, f=original: calls.append(1) or f(self))
+    assert main(argv) == 0
+    assert calls == []
+    report = tmp_path / "report.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    assert calls and json.loads(report.read_text())["verdict"] == "pass"
+    # a failing check still exits 1 without a report
+    assert main(argv[:-4] + ["--tau", "0", "--mode", "reproduction"]) == 1
