@@ -206,16 +206,23 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = None if tau is None else as_tau(tau, M.s)
+    lams = space.lambdas()
+    gammas = sorted({g for g, _ in space.pairs})
     records = []
     for k in _levels(k_range):
-        a = scheme.symbol(k)
-        for lam in space.lambdas():
-            full, prime = v_sets(M, [lam], k)
+        full, _ = v_sets(M, lams, k)
+        # One evaluation per level: a row per gamma, a column per point of V_k.
+        values = scheme.symbol(k).weighted_derivatives(gammas, [p.v for p in full]).tolist()
+        for i, lam in enumerate(lams):
+            points = full[i * M.m : (i + 1) * M.m]
             if t is not None:
-                x, v_pow_x = displacement(M, t, full[0].w)
+                x, v_pow_x = displacement(M, t, points[0].w)
             for gamma in space.gammas_for(lam):
-                for p in prime if t is None else full:
-                    lhs = a.weighted_derivative(gamma, p.v)
+                row = values[gammas.index(gamma)]
+                for j, p in enumerate(points, start=i * M.m):
+                    if t is None and p.eps_is_one:
+                        continue
+                    lhs = row[j]
                     rhs = M.m * v_pow_x * q_eval(gamma, x) if p.eps_is_one else 0j
                     records.append(
                         ConditionRecord(
@@ -260,38 +267,26 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
     s = M.s
     a = scheme.symbol(k)
     units = [tuple(int(i == j) for i in range(s)) for j in range(s)]
-
     zero_lam = (0j,) * s
-    gammas0 = space.gammas_for(zero_lam)
-    if gammas0 and all(u in gammas0 for u in units):
-        ones = v_sets(M, [zero_lam], k)[0][0].v  # V_k starts at the all-ones point
-        a1 = a.eval(ones)
-        if abs(a1 - M.m) > tol * M.m:
-            raise NoAdmissibleTauError(
-                f"a(1) = {a1:.12g} differs from m = {M.m}; polynomial route needs a(1) = m"
-            )
-        return np.array(
-            [a.weighted_derivative(u, ones) / M.m for u in units], dtype=complex
-        )
-
-    nz_lams = [
-        lam for lam in space.lambdas() if all(z != 0 for z in lam)
-    ]
-    if not nz_lams:
+    poly = all(u in space.gammas_for(zero_lam) for u in units)
+    lams = [zero_lam] if poly else [lam for lam in space.lambdas() if all(z != 0 for z in lam)]
+    if not lams:
         raise CheckError(
             "solve_tau needs lambda = 0 with all first-order gammas, "
             "or a lambda with every component nonzero"
         )
     # the all-ones point of V_k for each frequency
-    anchors = [p for p in v_sets(M, nz_lams, k)[0] if p.eps_is_one]
-    for lam, p in zip(nz_lams, anchors):
+    anchors = [p for p in v_sets(M, lams, k)[0] if p.eps_is_one]
+    for lam, p in zip(lams, anchors):
         if all(u in space.gammas_for(lam) for u in units):
-            av = a.eval(p.v)
+            av, *grad = a.weighted_derivatives([(0,) * s] + units, [p.v])[:, 0].tolist()
+            if poly and abs(av - M.m) > tol * M.m:
+                raise NoAdmissibleTauError(
+                    f"a(1) = {av:.12g} differs from m = {M.m}; polynomial route needs a(1) = m"
+                )
             if abs(av) < 1e-14:
                 raise NoAdmissibleTauError(f"a(v) vanishes at the probe point, level {k}")
-            return np.array(
-                [a.weighted_derivative(u, p.v) / av for u in units], dtype=complex
-            )
+            return np.array([d / (M.m if poly else av) for d in grad], dtype=complex)
 
     rows = []
     rhs = []

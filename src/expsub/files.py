@@ -51,26 +51,32 @@ def pair_from_complex(z: complex) -> list[float]:
 
 
 def _decode_lambda(obj):
-    """A frequency: [re, im], a bare real, or a list of those (vector)."""
+    """A frequency: a bare real, an [re, im] pair, or a list of pairs (a vector).
+
+    A list of bare reals other than a pair is rejected: it could be a vector.
+    """
     if isinstance(obj, (int, float)):
         return complex_from_pair(obj)
     if isinstance(obj, list):
-        if len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
+        if not all(isinstance(x, (int, float)) for x in obj):
+            return tuple(complex_from_pair(x) for x in obj)
+        if len(obj) == 2:
             return complex_from_pair(obj)
-        return tuple(complex_from_pair(x) for x in obj)
-    raise FileFormatError(f"cannot decode frequency {obj!r}")
+    raise FileFormatError(f"cannot decode frequency {obj!r}; write a vector as [re, im] pairs")
 
 
-def _file_form(value):
-    """A parameter value as scheme files store it.
+def _file_form(value, kind: str = ""):
+    """A parameter value of the declared `kind` as scheme files store it.
 
     Complex numbers, alone or inside lists and tuples, become [re, im]
-    pairs; file-form values come back unchanged.
+    pairs, and so does each number of a `frequency` tuple (a vector).
+    File-form values, bare reals and lists among them, come back unchanged.
     """
     if isinstance(value, complex):
         return pair_from_complex(value)
     if isinstance(value, (list, tuple)):
-        return [_file_form(v) for v in value]
+        vector = kind == "frequency" and isinstance(value, tuple)
+        return [pair_from_complex(v) if vector else _file_form(v) for v in value]
     return value
 
 
@@ -118,12 +124,15 @@ def _catalog_spec(entry, parameters) -> SchemeSpec:
 def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params) -> dict:
     """SchemeFile JSON object naming a catalog entry with its parameters.
 
-    Parameters may be Python values (`lam=1 + 0j`) or file-form values
-    (`**{"lambda": [1, 0]}`).  The object is loaded back before it is
-    returned, so a file written from it always loads.
+    Parameters may be Python values (`lam=1 + 0j`, `lam=(0.5, 0.3)`) or
+    file-form values (`**{"lambda": [1, 0]}`).  The object is loaded back
+    before it is returned, so a file written from it always loads.
     """
     entry = _catalog_entry(entry_id)
-    parameters = {"lambda" if key == "lam" else key: _file_form(v) for key, v in params.items()}
+    parameters = {}
+    for key, value in params.items():
+        key = "lambda" if key == "lam" else key
+        parameters[key] = _file_form(value, entry.parameters.get(key, ("",))[0])
     spec = _catalog_spec(entry, parameters)
     obj = {
         "name": name or spec.name,

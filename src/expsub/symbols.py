@@ -15,6 +15,8 @@ import warnings
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .lattice import (
     DilationMatrix,
     as_complex_vector,
@@ -39,11 +41,20 @@ class SymbolDomainError(SymbolError):
     """Evaluation outside the domain (C \\ {0})^s."""
 
 
-def _falling(a: int, g: int) -> int:
-    """Integer falling factorial a (a-1) ... (a-g+1)."""
-    out = 1
-    for j in range(g):
-        out *= a - j
+_ZERO_PAIR = np.array([-0.0, 0.0]).reshape(2, 1, 1, 1)
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)
+
+
+def _falling_weights(exps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Exact weights q_gamma(alpha) = prod_l alpha_l (alpha_l - 1) ... (alpha_l - gamma_l + 1).
+
+    `exps` is a (T, s) object array of exponents and `gammas` a (G, s) int
+    array of multi-indices; the result is a (G, T) object array of Python ints.
+    """
+    out = np.ones((len(gammas), len(exps)), dtype=object)
+    for l, top in enumerate(gammas.max(axis=0).tolist()):
+        for d in range(top):
+            out = out * np.where(gammas[:, l : l + 1] > d, exps[:, l] - d, 1)
     return out
 
 
@@ -190,18 +201,46 @@ class LaurentSymbol:
 
     # -- analysis -------------------------------------------------------------------
 
+    def weighted_derivatives(self, gammas, points) -> np.ndarray:
+        """z^gamma D^gamma a(z) for every gamma and point, as a (G, P) complex array.
+
+        Each value has the bits of the term-by-term loop over `sorted_items`
+        from +0.0: terms of weight q_gamma(alpha) = 0 are skipped, c * q is
+        formed as CPython multiplies a complex by an int, powers are Python's
+        `**`, and complex products are split into parts, as numpy's may fuse.
+        """
+        gs = [as_multi_index(g, self.s) for g in gammas]
+        zs = [as_complex_vector(z, self.s) for z in points]
+        if any(c == 0 for z in zs for c in z):
+            raise SymbolDomainError("symbol evaluation requires nonzero components")
+        out = np.zeros((len(gs), len(zs)), dtype=complex)
+        if not self._terms or not gs:
+            return out
+        exps, coeffs = zip(*self.sorted_items())
+        w = _falling_weights(np.array(exps, dtype=object), np.array(gs)).astype(float).T
+        used = w != 0  # (T, G)
+        needed = [e for e, u in zip(exps, used.any(axis=1)) if u]
+        powers = []  # (s, T, P), each power taken once and only where a term needs it
+        for l, column in enumerate(zip(*exps)):
+            table = {e: [z[l] ** e for z in zs] for e in {n[l] for n in needed}}
+            powers.append([table.get(e, [0j] * len(zs)) for e in column])
+        p = np.array(powers, dtype=complex)[:, :, None, :]
+        c = np.array(coeffs).view(float).reshape(-1, 2).T[:, :, None, None]  # (re, im) rows
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python's complex
+            # Values are (2, T, G, P) arrays of (re, im) parts; x times r + ij
+            # is x * r + x[::-1] * (-j, j) = (re r - im j, im r + re j).
+            x = c * w[:, :, None] + c[::-1] * _ZERO_PAIR  # CPython's c * w
+            for r, j in zip(p.real, _SIGNS * p.imag[:, None]):
+                x = x * r + x[::-1] * j
+            # Sequential sums; the + 0.0 gives the loop's +0.0 where every
+            # term is -0.0, and a skipped term's +0.0 changes no running sum.
+            total = np.add.accumulate(np.where(used[:, :, None], x, 0.0), axis=1)[:, -1] + 0.0
+        out.real, out.imag = total
+        return out
+
     def eval(self, z) -> complex:
         """a(z) = sum a_alpha z^alpha; negative exponents via reciprocals."""
-        zz = as_complex_vector(z, self.s)
-        if any(c == 0 for c in zz):
-            raise SymbolDomainError("symbol evaluation requires nonzero components")
-        total = 0j
-        for exp, c in self.sorted_items():
-            term = c
-            for zj, ej in zip(zz, exp):
-                term *= zj**ej
-            total += term
-        return total
+        return complex(self.weighted_derivatives([(0,) * self.s], [z])[0, 0])
 
     def weighted_derivative(self, gamma, z) -> complex:
         """z^gamma D^gamma a(z) = sum a_alpha q_gamma(alpha) z^alpha.
@@ -209,39 +248,18 @@ class LaurentSymbol:
         The falling-factorial weights are exact integers, so this avoids
         differentiating through negative exponents symbolically.
         """
-        g = as_multi_index(gamma, self.s)
-        zz = as_complex_vector(z, self.s)
-        if any(c == 0 for c in zz):
-            raise SymbolDomainError("symbol evaluation requires nonzero components")
-        total = 0j
-        for exp, c in self.sorted_items():
-            w = 1
-            for a, gl in zip(exp, g):
-                w *= _falling(a, gl)
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            term = c * w
-            for zj, ej in zip(zz, exp):
-                term *= zj**ej
-            total += term
-        return total
+        return complex(self.weighted_derivatives([gamma], [z])[0, 0])
 
     def partial_derivative(self, gamma) -> "LaurentSymbol":
         """The mixed partial D^gamma a as a new symbol."""
         g = as_multi_index(gamma, self.s)
+        exps = np.array(list(self._terms), dtype=object).reshape(-1, self.s)
+        weights = _falling_weights(exps, np.array([g]))
         out: dict[tuple[int, ...], complex] = {}
-        for exp, c in self._terms.items():
-            w = 1
-            for a, gl in zip(exp, g):
-                w *= _falling(a, gl)
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            e = tuple(a - gl for a, gl in zip(exp, g))
-            out[e] = out.get(e, 0) + c * w
+        for (exp, c), w in zip(self._terms.items(), weights[0].tolist()):
+            if w:
+                e = tuple(a - gl for a, gl in zip(exp, g))
+                out[e] = out.get(e, 0) + c * w
         return LaurentSymbol(self.s, out)
 
     def polyphase(self, M: DilationMatrix) -> dict[tuple[int, ...], list]:

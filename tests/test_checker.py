@@ -9,6 +9,8 @@ import warnings
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsub import (
     DEFAULT_TOL,
@@ -525,3 +527,55 @@ def test_table_rows_follow_the_printed_residual():
             assert report(moved).table() == table
     # records shown are the first 40 in record order
     assert [int(row.split()[0]) for row in rows] == list(range(40))
+
+
+# One scheme per geometry (M = 2, M = 3, 2I, the shear and sqrt3), built from
+# a drawn frequency scale where the family has one; each reproduces its
+# documented space at its documented tau.
+GEOMETRIES = {
+    "M2": lambda r: dual4_binary(r),
+    "M3": lambda r: dual4_ternary(1j * r),
+    "2I": lambda r: butterfly((0.5 * r, -0.3 * r)),
+    "shear": lambda r: sheared_convolution((0.6j * r, 0.9j * r), normalized=True),
+    "sqrt3": lambda r: sqrt3_schemes()["interpolatory"],
+}
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(sorted(GEOMETRIES)),
+    st.floats(0.3, 1.2),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+)
+def test_shifted_masks_reproduce_at_the_transported_tau(geometry, r, beta):
+    base = GEOMETRIES[geometry](r)
+    M = base.M
+    beta = tuple(beta[: M.s])
+    # tau' = tau + (M - I)^-1 beta, solved exactly and rounded once
+    A = sympy.Matrix(M.mat) - sympy.eye(M.s)
+    step = A.solve(sympy.Matrix(beta))
+    tau = tuple(float(sympy.Rational(t) + s) for t, s in zip(base.tau, step))
+    shifted = base.shifted(beta)
+    assert check_reproduction(shifted, base.space, tau, (0, 2)).verdict
+    got = solve_tau(shifted, base.space)
+    assert max(abs(g - t) for g, t in zip(got, tau)) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(sorted(GEOMETRIES)),
+    st.floats(0.3, 1.2),
+    st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+    st.integers(0, 10),
+)
+def test_solve_tau_recovers_tau_through_normalize(geometry, r, scale, anchor):
+    base = GEOMETRIES[geometry](r)
+    lams = base.space.lambdas()
+    # A per-level factor breaks reproduction; normalizing at the documented
+    # tau, anchored at any frequency of the space, restores it.
+    spoiled = base.scaled(lambda k: scale * (1 + 0.25 * k))
+    with pytest.raises(NoAdmissibleTauError):
+        solve_tau(spoiled, base.space)
+    normed = normalize(spoiled, lams[anchor % len(lams)], base.tau)
+    got = solve_tau(normed, base.space)
+    assert max(abs(g - t) for g, t in zip(got, base.tau)) <= 1e-12

@@ -89,6 +89,30 @@ def test_bad_scheme_files():
         )
 
 
+@pytest.mark.parametrize(
+    "entry_id, params",
+    [("exp_box_spline", {"n_dil": 2}), ("butterfly", {}), ("sheared_convolution", {"normalized": True})],
+)
+def test_frequency_tuples_are_vectors(entry_id, params):
+    # A Python tuple of reals is a vector, never one complex number.
+    obj = scheme_file_for_catalog(entry_id, lam=(0.5, 0.25), **params)
+    assert obj["parameters"]["lambda"] == [[0.5, 0.0], [0.25, 0.0]]
+    spec = load_scheme_obj(json.loads(json.dumps(obj)))
+    assert obj["dimension"] == spec.M.s == 2
+    assert spec.space.lambdas() == [(0.5 + 0j, 0.25 + 0j)]
+
+
+def test_frequency_bare_real_lists_other_than_pairs_are_rejected():
+    obj = scheme_file_for_catalog("butterfly", lam=(0.5, 0.25))
+    for bad in ([0.5, 0.25, 0.1], [0.5], []):
+        with pytest.raises(FileFormatError, match="pairs"):
+            load_scheme_obj({**obj, "parameters": {"lambda": bad}})
+    with pytest.raises(FileFormatError, match="pairs"):
+        scheme_file_for_catalog("exp_box_spline", n_dil=2, **{"lambda": [0.5, 0.25, 0.1]})
+    # Two bare reals are one complex number, as in every other file field.
+    assert (1j,) in load_scheme_obj(scheme_file_for_catalog("dual4_binary", **{"lambda": [0, 1]})).space.lambdas()
+
+
 def test_cli_check_pass_fail_and_report(tmp_path, capsys):
     scheme = write_json(
         tmp_path / "scheme.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0})

@@ -1,9 +1,12 @@
-"""Golden sha256 digests of `expsub limit` and `expsub refine` output files.
+"""Golden sha256 digests of `expsub limit`, `refine`, `check` and `solve-tau` output.
 
 One case per geometry (M = 2, M = 3, 2I, the shear [[2,1],[0,2]] and the
-sqrt3 matrix [[1,2],[-2,-1]]).  The digests were recorded with the row-by-row
-writers (`csv.writer`, `json.dump(indent=2)`, one `%` per row) that the block
-writers replaced, so any change to the bytes of an output file fails here.
+sqrt3 matrix [[1,2],[-2,-1]]).  The file digests were recorded with the
+row-by-row writers (`csv.writer`, `json.dump(indent=2)`, one `%` per row)
+that the block writers replaced, so any change to the bytes of an output file
+fails here.  The `check --report` JSON holds every record's `v`, `lhs` and
+`rhs` as `repr` floats, so its digest pins the condition values bit for bit;
+those digests were recorded with the per-record scalar symbol loops.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ import math
 import pytest
 
 from expsub.cli import main
-from expsub.files import scheme_file_for_catalog
+from expsub.files import load_scheme_obj, scheme_file_for_catalog
+from expsub.symbols import ExpPolySpace
 
 # name -> (catalog id, parameters, limit rounds, refine levels, input dimension)
 CASES = {
@@ -93,3 +97,74 @@ def test_refine_csv_has_crlf_line_ends(tmp_path):
     lines = (tmp_path / "2I_butterfly_refine.csv").read_bytes().split(b"\r\n")
     assert lines[0] == b"idx0,idx1,re,im" and lines[-1] == b""
     assert all(b"\n" not in line for line in lines)
+
+
+# name -> (kmin, kmax, stepwise window, space pairs for solve-tau or None for the
+# documented space).  The butterfly case solves against the pure exponential,
+# which takes the logarithm route; the others take the D a(1) / m and the
+# derivative-ratio routes.
+CHECK_CASES = {
+    "M2_dual4_binary": (0, 3, 6, None),
+    "M3_dual4_ternary": (2, 4, 6, None),
+    "2I_butterfly": (0, 1, 5, [((0, 0), (0.5, 0.3))]),
+    "shear_normalized": (1, 3, 4, None),
+    "sqrt3_interpolatory": (0, 2, 4, None),
+}
+
+CHECK_GOLDEN = {
+    "2I_butterfly": {
+        "check.report": "931301c5862ffe1677535530cbf85d064e27858fdf32ddb7417ab4412e983330",
+        "check.stdout": "9235f4022eb6f8813f772692e743e815d134afd05311c674d260b1668ab0f5dc",
+        "solve-tau": "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101",
+    },
+    "M2_dual4_binary": {
+        "check.report": "6270d519c0a14093dd2335766d67d39fb469d33d3dce3a66fad970af702a327b",
+        "check.stdout": "0a09847610f913d67ef75c369a028915e873b633e589d831ab6a3f809fddab12",
+        "solve-tau": "a3c737f0150863136ddef79341fa7d93bc73f3e3b7041d124b2ae4e22f9c4cbe",
+    },
+    "M3_dual4_ternary": {
+        "check.report": "be9bc8eb1f08b3426af10021451643961ce9694ccdcd11e545c6d37292ec01b0",
+        "check.stdout": "5c985f6a14ba3cdf5aa417d2a7b482a63218a1f3d2dae8d2ad97e236dcf4900a",
+        "solve-tau": "67bf6fb1055d29751edb83be7b733b2d238b3ac5c0f444bae3912e25cd9a6fd1",
+    },
+    "shear_normalized": {
+        "check.report": "c15963d25c85278ef0c446fde3b815f08efe52c964992a208f26c16970aa2114",
+        "check.stdout": "63f13ccd09acffd31606a57eb50b09b6e31d4a00c77ecf7c36f4fb94506faf8e",
+        "solve-tau": "1419fe20a2440bbad72b9a30039286f4e65587f4d69a8181ccc205f4fd10d3bc",
+    },
+    "sqrt3_interpolatory": {
+        "check.report": "c7f428a507955c9b7ceb51823fe54b43b105339bc8a7825bea757136e79e397d",
+        "check.stdout": "e23a36c251d627b3e8a46bdcc8900adbc7ae13ac9c892e8975155629d6b8d6aa",
+        "solve-tau": "b50bf14dc38684723294076b3ed48aba9d7d3512408297812ea49e16a02b37b7",
+    },
+}
+
+
+def check_digests(tmp_path, capsys, name: str) -> dict:
+    entry, params, *_ = CASES[name]
+    kmin, kmax, window, solve_pairs = CHECK_CASES[name]
+    obj = scheme_file_for_catalog(entry, **params)
+    scheme = tmp_path / f"{name}.json"
+    scheme.write_text(json.dumps(obj))
+    space = tmp_path / f"{name}_space.json"
+    space.write_text(json.dumps(load_scheme_obj(obj).space.to_json_obj()))
+    report = tmp_path / f"{name}_report.json"
+    capsys.readouterr()
+    assert main(["check", "--scheme", str(scheme), "--space", str(space), "--mode", "all",
+          "--kmin", str(kmin), "--kmax", str(kmax), "--window", str(window),
+          "--report", str(report)]) == 0
+    table = capsys.readouterr().out
+    if solve_pairs is not None:
+        space.write_text(json.dumps(ExpPolySpace(solve_pairs).to_json_obj()))
+    assert main(["solve-tau", "--scheme", str(scheme), "--space", str(space)]) == 0
+    solved = capsys.readouterr().out
+    return {
+        "check.report": hashlib.sha256(report.read_bytes()).hexdigest(),
+        "check.stdout": hashlib.sha256(table.encode()).hexdigest(),
+        "solve-tau": hashlib.sha256(solved.encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_CASES))
+def test_check_and_solve_tau_match_golden_digests(tmp_path, capsys, name):
+    assert check_digests(tmp_path, capsys, name) == CHECK_GOLDEN[name]
