@@ -50,7 +50,6 @@ from .checker import (
 from .catalog import (
     CATALOG,
     CatalogEntry,
-    CatalogError,
     CatalogParameterError,
     butterfly,
     dual4_binary,

@@ -1,9 +1,9 @@
 """Parametric constructors for the built-in scheme families.
 
 Each constructor returns a SchemeSpec whose documented shift parameter and
-reproduction space are attached as metadata.  Families whose masks are given
-both by closed-form coefficients and by a factored symbol are built twice and
-cross-checked coefficient-wise at every requested level.
+reproduction space are attached as metadata, and builds each level's mask
+once.  A dual four-point level where a denominator factor of the coefficient
+formulas falls below 1e-12 in modulus raises CatalogParameterError.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .lattice import DilationMatrix, as_complex_vector, displacement, v_sets
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
-    "CatalogError",
     "CatalogParameterError",
     "CatalogEntry",
     "CATALOG",
@@ -35,13 +34,6 @@ __all__ = [
     "SHEAR_DIGITS",
     "sqrt3_schemes",
 ]
-
-_CROSS_CHECK_TOL = 1e-12
-
-
-class CatalogError(ValueError):
-    """Internal construction mismatch."""
-
 
 class CatalogParameterError(ValueError):
     """Scheme parameters outside the supported domain."""
@@ -117,8 +109,7 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
 
     normalization: None leaves the raw product; "two_factor" applies the
     K^[k] = m^(1-n) (sum_e r_k^(m-1-e) s_k^e)^(-n) scaling that pairs with
-    shift parameter n for two distinct factors of equal multiplicity; a
-    callable k -> K gives explicit per-level scaling.
+    shift parameter n for two distinct factors of equal multiplicity.
     """
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
@@ -127,6 +118,7 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
         raise CatalogParameterError("need at least one factor with positive multiplicity")
     M = DilationMatrix(m)
 
+    K = doc_tau = space = None
     if normalization == "two_factor":
         if len(facs) != 2 or facs[0][1] != facs[1][1]:
             raise CatalogParameterError(
@@ -144,15 +136,7 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
 
         doc_tau = (float(n),)
         space = ExpPolySpace([((0,), (la,)), ((0,), (mu,))])
-    elif callable(normalization):
-        K = normalization
-        doc_tau = None
-        space = None
-    elif normalization is None:
-        K = None
-        doc_tau = None
-        space = None
-    else:
+    elif normalization is not None:
         raise CatalogParameterError(f"unknown normalization {normalization!r}")
 
     def rule(k: int) -> LaurentSymbol:
@@ -225,8 +209,9 @@ def _guard_factors(factors: dict[str, complex], k: int, scheme: str):
 def dual4_binary(lam) -> SchemeSpec:
     """Binary dual four-point scheme reproducing span{1, x, e^(lx), e^(-lx)}.
 
-    Eight taps anchored at z^-4 .. z^3, shift parameter -1/2.  Coefficient
-    formulas and the factored symbol are cross-checked at construction.
+    Eight taps anchored at z^-4 .. z^3, shift parameter -1/2, from closed-form
+    coefficients in w = cosh(lambda 2^-(k+1) / 2); a level where w, 2w^2 - 1
+    or w + 1 is below 1e-12 in modulus raises CatalogParameterError.
     """
     lamc = _axis_lambda(lam, 1, allow_zero=False)[0]
     M = DilationMatrix(2)
@@ -239,17 +224,9 @@ def dual4_binary(lam) -> SchemeSpec:
         c1 = (10 * w**2 + 2 * w - 3) / den + 0.75
         c2 = (-2 * w**2 + 2 * w + 3) / den + 0.25
         c3 = -(2 * w**2 + 2 * w + 1) / den
-        mask = LaurentSymbol(
+        return LaurentSymbol(
             1, {(e,): c for e, c in zip(range(-4, 4), [c3, c0, c2, c1, c1, c2, c0, c3])}
         )
-        factored = (
-            _poly1([1, 1]) ** 3
-            * _poly1([1, 4 * w**2 - 2, 1])
-            * _poly1([2 * w**2 + 2 * w + 1, -(8 * w**4 + 8 * w**3 + 2), 2 * w**2 + 2 * w + 1])
-        ).shift(-4) * (-1 / den)
-        if mask.max_diff(factored) > _CROSS_CHECK_TOL:
-            raise CatalogError(f"dual4_binary: construction mismatch at level {k}")
-        return mask
 
     return SchemeSpec(
         "dual4_binary",
@@ -306,21 +283,7 @@ def dual4_ternary(lam) -> SchemeSpec:
         c33 = (80 * w**4 + 32 * w**3 - 48 * w**2 - 12 * w + 3) / d2
         c31, c21, c11, c01 = c03, c13, c23, c33
         coeffs = [c03, c02, c01, c13, c12, c11, c23, c22, c21, c33, c32, c31]
-        mask = LaurentSymbol(1, {(e,): c for e, c in zip(range(-6, 6), coeffs)})
-        K = 1 / (
-            24 * w * (2 * w - 1) ** 3 * (2 * w + 1) ** 3 * (4 * w**2 - 3) * (w + 1)
-        )
-        A = 16 * w**4 + 16 * w**3 + 3
-        B = -64 * w**6 - 64 * w**5 + 32 * w**4 + 32 * w**3 - 12 * w**2 - 12 * w - 6
-        factored = (
-            _poly1([1, 1, 1]) ** 2
-            * _poly1([1, 1])
-            * _poly1([1, 4 * w**2 - 2, 16 * w**4 - 16 * w**2 + 3, 4 * w**2 - 2, 1])
-            * _poly1([A, B, A])
-        ).shift(-6) * (-K)
-        if mask.max_diff(factored) > _CROSS_CHECK_TOL:
-            raise CatalogError(f"dual4_ternary: construction mismatch at level {k}")
-        return mask
+        return LaurentSymbol(1, {(e,): c for e, c in zip(range(-6, 6), coeffs)})
 
     return SchemeSpec(
         "dual4_ternary",

@@ -185,6 +185,12 @@ def _levels(k_range) -> list[int]:
     return sorted(set(ks))
 
 
+def _check_tol(tol) -> None:
+    """Reject a NaN, infinite or negative tolerance: it decides every verdict in advance."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise CheckError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def _nan_max(values: list[float]) -> float:
     return float(np.max(values)) if values else 0.0
 
@@ -202,6 +208,7 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
     at the all-ones point; without a tau that point is left out, which leaves
     the zero conditions on V'_k.
     """
+    _check_tol(tol)
     M = scheme.M
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
@@ -314,6 +321,7 @@ def solve_tau(scheme: SchemeSpec, space: ExpPolySpace, k_probe: int = 0, tol: fl
     the two estimates must agree, tau = (M - I)^{-1} x must be real, and the
     resulting reproduction conditions must hold at the probe levels.
     """
+    _check_tol(tol)
     if k_probe < 0:
         raise CheckError("probe level must be nonnegative")
     M = scheme.M
@@ -427,6 +435,7 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
     own samples at level k + 1.  Errors follow the condition residual rule:
     relative where the exact sample exceeds 1 in modulus, else absolute.
     """
+    _check_tol(tol)
     M = scheme.M
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")

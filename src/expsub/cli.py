@@ -2,8 +2,9 @@
 
 Subcommands: check, solve-tau, refine, limit, catalog.  Exit codes follow the
 usual verification convention: 0 all requested checks pass, 1 a condition
-fails, 2 bad input, 3 internal error (a catalog construction failed its own
-cross-check).
+fails, 2 bad input, such as catalog parameters outside a family's domain (a
+dual four-point level whose denominator factor vanishes) or a tolerance that
+is negative or not finite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import CATALOG, CatalogError
+from .catalog import CATALOG
 from .checker import (
     DEFAULT_TOL,
     BranchAmbiguityError,
@@ -243,9 +244,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CatalogError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

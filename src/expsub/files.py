@@ -11,7 +11,7 @@ import cmath
 import json
 from pathlib import Path
 
-from .catalog import CATALOG, CatalogError
+from .catalog import CATALOG
 from .lattice import DilationMatrix
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
@@ -115,7 +115,7 @@ def _catalog_spec(entry, parameters) -> SchemeSpec:
             decode = _DECODE[entry.parameters[key][0]]
             kwargs["lam" if key == "lambda" else key] = None if value is None else decode(value)
         return entry.factory(**kwargs)
-    except (FileFormatError, CatalogError):
+    except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad parameters for {entry.id}: {exc}") from exc

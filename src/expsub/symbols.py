@@ -466,9 +466,7 @@ class ExpPolySpace:
     def exponentials(cls, lambdas, s: int | None = None) -> "ExpPolySpace":
         """Pure exponentials exp(lambda . x), gamma = 0."""
         lams = [as_complex_vector(l, s) for l in lambdas]
-        if s is None:
-            s = len(lams[0])
-        return cls([((0,) * s, l) for l in lams])
+        return cls([((0,) * len(l), l) for l in lams])
 
     @classmethod
     def span(cls, gammas, lambdas) -> "ExpPolySpace":

@@ -50,6 +50,12 @@ def test_exp_product_collapse_and_guards():
         exp_product(2, [(1.0, 1)], normalization="bogus")
 
 
+def test_exp_product_rejects_a_callable_normalization():
+    # per-level factors belong to SchemeSpec.scaled, not to this family
+    with pytest.raises(CatalogParameterError, match="unknown normalization"):
+        exp_product(2, [(1.0, 1)], normalization=lambda k: 0.5)
+
+
 def test_exp_box_spline_mask():
     scheme = exp_box_spline(2, (0.0, 0.0))
     assert scheme.symbol(0) == LaurentSymbol(
@@ -267,14 +273,73 @@ def test_dual4_ternary_limit_monotone():
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
+# -- factored oracle for the dual four-point masks -------------------------------
+# The catalog builds each level once, from closed-form coefficients.  These
+# factored symbols are a second construction of the same masks, with w taken
+# from cmath.cosh rather than the catalog's exponentials.
+
+
+def _poly(coeffs):
+    return LaurentSymbol(1, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def _dual4_w(lam, m, k):
+    return cmath.cosh(lam / (2 * m ** (k + 1)))
+
+
+def dual4_binary_factored(lam, k):
+    w = _dual4_w(lam, 2, k)
+    den = 64 * w**3 * (2 * w**2 - 1) * (w + 1)
+    return (
+        _poly([1, 1]) ** 3
+        * _poly([1, 4 * w**2 - 2, 1])
+        * _poly([2 * w**2 + 2 * w + 1, -(8 * w**4 + 8 * w**3 + 2), 2 * w**2 + 2 * w + 1])
+    ).shift(-4) * (-1 / den)
+
+
+def dual4_ternary_factored(lam, k):
+    w = _dual4_w(lam, 3, k)
+    K = 1 / (24 * w * (2 * w - 1) ** 3 * (2 * w + 1) ** 3 * (4 * w**2 - 3) * (w + 1))
+    A = 16 * w**4 + 16 * w**3 + 3
+    B = -64 * w**6 - 64 * w**5 + 32 * w**4 + 32 * w**3 - 12 * w**2 - 12 * w - 6
+    return (
+        _poly([1, 1, 1]) ** 2
+        * _poly([1, 1])
+        * _poly([1, 4 * w**2 - 2, 16 * w**4 - 16 * w**2 + 3, 4 * w**2 - 2, 1])
+        * _poly([A, B, A])
+    ).shift(-6) * (-K)
+
+
 def test_dual4_cross_construction_all_levels():
-    # factored and coefficient constructions are cross-checked at 1e-12 inside
-    # the rule; touching k = 0..10 would raise on any disagreement
-    b = dual4_binary(1j)
-    t = dual4_ternary(1j)
-    for k in range(11):
-        b.symbol(k)
-        t.symbol(k)
+    # every coefficient against the factored oracle, relative to ||a^[k]||_1
+    # (the worst case over these frequencies and levels is about 5e-16)
+    for family, oracle in (
+        (dual4_binary, dual4_binary_factored),
+        (dual4_ternary, dual4_ternary_factored),
+    ):
+        for lam in (0.3, 0.9, 1.0, 2.0, 5.0, 0.5j, 1j, 1.1j, 2j, 3j):
+            scheme = family(lam)
+            for k in (*range(63), 100, 200):
+                mask, factored = scheme.symbol(k), oracle(lam, k)
+                assert mask.support() == factored.support()
+                scale = max(1.0, sum(abs(c) for _, c in mask.sorted_items()))
+                assert mask.max_diff(factored) <= 1e-12 * scale, (family.__name__, lam, k)
+
+
+def test_dual4_large_masks_build_and_reproduce():
+    # ||a||_1 is 7.3e3 and 77 at these levels, so two constructions differ by
+    # more than an absolute 1e-12 on rounding alone; both masks are valid
+    from expsub import check_reproduction
+
+    for family, oracle, lam, k in (
+        (dual4_binary, dual4_binary_factored, 3.1414j, 0),
+        (dual4_ternary, dual4_ternary_factored, 57.9103j, 1),
+    ):
+        scheme = family(lam)
+        mask = scheme.symbol(k)
+        scale = sum(abs(c) for _, c in mask.sorted_items())
+        assert mask.max_diff(oracle(lam, k)) <= 1e-12 * scale
+        assert check_reproduction(scheme, scheme.space, scheme.tau, (k, k + 3)).verdict
 
 
 def test_level_factors_are_correctly_rounded():

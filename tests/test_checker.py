@@ -311,6 +311,23 @@ def test_invalid_k_range():
         check_generation(scheme, scheme.space, ())
 
 
+def test_negative_or_non_finite_tolerance_is_rejected():
+    scheme = dual4_binary(1.0)
+    space, tau = scheme.space, scheme.tau
+    reports = (
+        lambda tol: check_generation(scheme, space, (0, 1), tol=tol),
+        lambda tol: check_reproduction(scheme, space, tau, (0, 1), tol=tol),
+        lambda tol: stepwise_test(scheme, space, tau, 0, 4, tol=tol),
+    )
+    for call in (*reports, lambda tol: solve_tau(scheme, space, tol=tol)):
+        for tol in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+            with pytest.raises(CheckError, match="tolerance must be finite and nonnegative"):
+                call(tol)
+    # zero is a tolerance: it gives a report with a verdict, not an error
+    for call in reports:
+        assert call(0).tol == 0
+
+
 def test_three_factor_product_has_no_admissible_tau():
     lams = (1.0, -1.0, 2.0)
     scheme = exp_product(2, [(l, 1) for l in lams])

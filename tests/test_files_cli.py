@@ -486,24 +486,27 @@ def test_scheme_spec_is_immutable_and_file_name_is_kept():
     assert retimed.name == "mine" and retimed.tau == (0.25,)
 
 
-def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
-    import dataclasses
-
-    from expsub import CATALOG, CatalogError, SchemeSpec
-
+def test_cli_bad_tolerance_and_missing_file_exit_2(tmp_path, capsys):
     scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0}))
     space = write_json(tmp_path / "space.json", CONIC_SPACE)
-
-    def broken(lam):
-        def rule(k):
-            raise CatalogError(f"dual4_binary: construction mismatch at level {k}")
-
-        return SchemeSpec("dual4_binary", dual4_binary(lam).M, rule, tau=(-0.5,))
-
-    monkeypatch.setitem(CATALOG, "dual4_binary", dataclasses.replace(CATALOG["dual4_binary"], factory=broken))
-    assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--mode", "generation"]) == 3
-    assert "internal error" in capsys.readouterr().err
+    argv = ["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--window", "3"]
+    for mode in ("generation", "reproduction", "stepwise"):
+        for tol in ("nan", "-1", "inf"):
+            assert main(argv + ["--mode", mode, f"--tol={tol}"]) == 2
+            assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+    assert main(["solve-tau", "--scheme", scheme, "--space", space, "--tol", "nan"]) == 2
+    # tol = 0 is a tolerance like any other: rounding at 8e-17 fails the check
+    assert main(argv + ["--mode", "generation", "--tol", "0"]) == 1
     assert main(["check", "--scheme", str(tmp_path / "missing.json"), "--space", space]) == 2
+
+
+def test_cli_check_passes_a_large_dual4_mask(tmp_path, capsys):
+    # ||a^[0]||_1 is 7.3e3; the check passes and is not reported as a fault
+    scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": [0, 3.1414]}))
+    space = write_json(tmp_path / "space.json", dual4_binary(3.1414j).space.to_json_obj())
+    argv = ["check", "--scheme", scheme, "--space", space, "--mode", "reproduction", "--kmin", "0", "--kmax", "3"]
+    assert main(argv) == 0
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_cli_parser_is_reused_across_subcommands(tmp_path, capsys):

@@ -239,3 +239,23 @@ def test_space_deterministic_order():
         ((1,), (0j,)),
         ((0,), ((1 + 0j),)),
     )
+
+
+def test_space_exponentials_and_span():
+    sp = ExpPolySpace.exponentials([0.5, -0.5])
+    assert sp.pairs == (((0,), ((-0.5 + 0j),)), ((0,), ((0.5 + 0j),)))
+    assert ExpPolySpace.exponentials([(1, 2)], s=2).pairs == (((0, 0), ((1 + 0j), (2 + 0j))),)
+    for bad in ([], [0.5, (1, 2)]):
+        with pytest.raises(SymbolError):
+            ExpPolySpace.exponentials(bad)
+    with pytest.raises(SymbolError):
+        ExpPolySpace.exponentials([], s=2)
+    with pytest.raises(ValueError):
+        ExpPolySpace.exponentials([0.5], s=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        span = ExpPolySpace.span([(0,), (1,)], [0.0, 1.0])
+    assert span == ExpPolySpace([((g,), (l,)) for g in (0, 1) for l in (0.0, 1.0)])
+    assert len(span) == 4 and span.gammas_for(1.0) == [(0,), (1,)]
+    with pytest.raises(SymbolError):
+        ExpPolySpace.span([], [0.0])
