@@ -21,14 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (
-    EngineError,
-    apply_operator,
-    exp_poly_value,
-    sample_exp_poly,
-    valid_interior,
-)
-from .lattice import as_complex_vector, as_tau, displacement, param_points, q_eval, v_sets
+from .engine import exp_poly_values, sampled_step
+from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_sets
 from .symbols import ExpPolySpace, SchemeSpec
 
 __all__ = [
@@ -195,10 +189,12 @@ def _nan_max(values: list[float]) -> float:
     return float(np.max(values)) if values else 0.0
 
 
-def _residual(lhs: complex, rhs: complex) -> float:
-    err = abs(lhs - rhs)
-    scale = abs(rhs)
-    return err / scale if scale > 1.0 else err
+def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """|lhs - rhs|, divided by |rhs| where |rhs| exceeds 1, elementwise; np.hypot
+    of the parts has the bits of Python's complex abs (numpy's may differ)."""
+    err = np.hypot(lhs.real - rhs.real, lhs.imag - rhs.imag)
+    scale = np.hypot(rhs.real, rhs.imag)
+    return np.divide(err, scale, out=err, where=scale > 1.0)
 
 
 def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float) -> ConditionReport:
@@ -215,7 +211,7 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
     t = None if tau is None else as_tau(tau, M.s)
     lams = space.lambdas()
     gammas = sorted({g for g, _ in space.pairs})
-    records = []
+    rows = []  # the fields of each record but its residual
     for k in _levels(k_range):
         full, _ = v_sets(M, lams, k)
         # One evaluation per level: a row per gamma, a column per point of V_k.
@@ -229,21 +225,10 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
                 for j, p in enumerate(points, start=i * M.m):
                     if t is None and p.eps_is_one:
                         continue
-                    lhs = row[j]
                     rhs = M.m * v_pow_x * q_eval(gamma, x) if p.eps_is_one else 0j
-                    records.append(
-                        ConditionRecord(
-                            kind=mode,
-                            k=k,
-                            gamma=gamma,
-                            lam=lam,
-                            eps=p.eps,
-                            v=p.v,
-                            lhs=lhs,
-                            rhs=rhs,
-                            residual=_residual(lhs, rhs),
-                        )
-                    )
+                    rows.append((mode, k, gamma, lam, p.eps, p.v, row[j], rhs))
+    lhs, rhs = np.array([r[6:] for r in rows], dtype=complex).reshape(-1, 2).T
+    records = [ConditionRecord(*r, e) for r, e in zip(rows, _residuals(lhs, rhs).tolist())]
     return ConditionReport(mode=mode, scheme=scheme.name, tol=tol, records=records, tau=t)
 
 
@@ -440,17 +425,9 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
-    a = scheme.symbol(k)
-    valid = valid_interior(a, M, window)
-    if not valid:
-        raise EngineError("empty valid interior; enlarge the window")
-    pts = param_points(M, t, k + 1, valid)
-    report = StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t)
-    for gamma, lam in space.pairs:
-        f = sample_exp_poly(gamma, lam, M, t, k, window)
-        got = apply_operator(a, M, f).values_at(valid).tolist()
-        errs = [_residual(v, exp_poly_value(gamma, lam, p)) for v, p in zip(got, pts)]
-        report.records.append(
-            StepwiseRecord(gamma=gamma, lam=lam, max_err=_nan_max(errs), points=len(valid))
-        )
-    return report
+    valid, got = sampled_step(scheme.symbol(k), M, space.pairs, t, k, window)
+    pts = param_array(M, t, k + 1, valid)
+    exact = np.array([exp_poly_values(gamma, lam, pts) for gamma, lam in space.pairs])
+    errs = _residuals(got, exact).max(axis=1).tolist()  # np.max keeps a NaN
+    records = [StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, errs)]
+    return StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)

@@ -17,7 +17,6 @@ padding, so a NaN or inf would reach points the support never touches.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 from collections.abc import Mapping
@@ -30,7 +29,6 @@ from .lattice import (
     as_multi_index,
     as_tau,
     param_array,
-    param_points,
 )
 from .symbols import LaurentSymbol, SchemeSpec
 
@@ -41,6 +39,8 @@ __all__ = [
     "refine",
     "sample_exp_poly",
     "exp_poly_value",
+    "exp_poly_values",
+    "sampled_step",
     "basic_limit_samples",
     "limit_sample_arrays",
     "is_interpolatory",
@@ -73,11 +73,17 @@ def _check_box(points: int) -> None:
 
 
 def _pack(points: np.ndarray, values: np.ndarray | None = None):
-    """Dense (origin, support mask, values) over the bounding box of `points`."""
+    """Dense (origin, support mask, values) over the bounding box of `points`.
+
+    `values` may be a (B, N) stack, giving data of shape (B, *box).
+    """
     s = points.shape[1]
+    lead = () if values is None else np.shape(values)[:-1]
+    if values is not None and not np.isfinite(values).all():
+        raise EngineError("grid values must be finite")
     if not len(points):
         shape = (0,) * s
-        return np.zeros(s, dtype=np.int64), np.zeros(shape, bool), np.zeros(shape, complex)
+        return np.zeros(s, dtype=np.int64), np.zeros(shape, bool), np.zeros(lead + shape, complex)
     if np.abs(points).max() > MAX_INDEX:
         raise EngineError(f"lattice indices must lie within +-{MAX_INDEX}")
     lo = points.min(axis=0)
@@ -86,10 +92,19 @@ def _pack(points: np.ndarray, values: np.ndarray | None = None):
     loc = tuple((points - lo).T)
     mask = np.zeros(shape, bool)
     mask[loc] = True
-    data = np.zeros(shape, complex)
+    data = np.zeros(lead + shape, complex)
     if values is not None:
-        data[loc] = values
+        data[(Ellipsis, *loc)] = values
     return lo, mask, data
+
+
+def _values_at(origin, in_support, data, indices) -> np.ndarray:
+    """`data[..., alpha - origin]` at an (N, s) array of support indices alpha."""
+    rel = np.asarray(indices, dtype=np.int64).reshape(-1, in_support.ndim) - np.asarray(origin)
+    loc = tuple(rel.T)
+    if not (((rel >= 0) & (rel < in_support.shape)).all() and in_support[loc].all()):
+        raise EngineError("index outside the support of the grid")
+    return data[(Ellipsis, *loc)]
 
 
 class GridValues(Mapping):
@@ -167,8 +182,6 @@ class GridData:
     def _init(self, s, level, tau, origin, in_support, data):
         if level < 0:
             raise EngineError("level must be nonnegative")
-        if not np.isfinite(data).all():
-            raise EngineError("grid values must be finite")
         in_support.flags.writeable = False
         data.flags.writeable = False
         for name, value in (
@@ -202,9 +215,8 @@ class GridData:
         return idx, self.data[loc]
 
     def values_at(self, indices) -> np.ndarray:
-        """Values at an (N, s) array of indices inside the bounding box."""
-        rel = np.asarray(indices, dtype=np.int64).reshape(-1, self.s) - np.array(self.origin)
-        return self.data[tuple(rel.T)]
+        """Values at an (N, s) array of support indices; any other index raises."""
+        return _values_at(self.origin, self.in_support, self.data, indices)
 
     def support(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.points()[0].tolist()))
@@ -266,6 +278,33 @@ def _fine_points(M: DilationMatrix, e, g0, loc) -> np.ndarray:
     return g @ np.array(M.mat, dtype=np.int64).T + np.array(e, dtype=np.int64)
 
 
+def _step(taps, M: DilationMatrix, origin, in_support: np.ndarray, data: np.ndarray):
+    """The polyphase step on a (B, *box) stack of data sharing `in_support`:
+    the output support as an (N, s) index array and its (B, N) values."""
+    shape = in_support.shape
+    fr, fi = np.ascontiguousarray(data.real), np.ascontiguousarray(data.imag)
+    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros((len(data), 0), complex)]
+    allocated = 0
+    for e, ns, coeffs in taps:
+        lo = ns.min(axis=0)
+        box = tuple((np.array(shape) + ns.max(axis=0) - lo).tolist())
+        allocated += int(np.prod(box))
+        _check_box(allocated)
+        re, im = np.zeros((2, len(data), *box))
+        present = np.zeros(box, bool)
+        for off, c in zip((ns - lo).tolist(), coeffs):
+            view = tuple(slice(o, o + d) for o, d in zip(off, shape))
+            re[(Ellipsis, *view)] += c.real * fr - c.imag * fi
+            im[(Ellipsis, *view)] += c.real * fi + c.imag * fr
+            present[view] |= in_support
+        loc = np.nonzero(present)
+        points.append(_fine_points(M, e, np.asarray(origin) + lo, loc))
+        vals = np.empty((len(data), len(loc[0])), complex)
+        vals.real, vals.imag = re[(Ellipsis, *loc)], im[(Ellipsis, *loc)]
+        values.append(vals)
+    return np.concatenate(points), np.concatenate(values, axis=1)
+
+
 def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridData:
     """One subdivision step: output_alpha = sum_beta mask_(alpha - M beta) f_beta.
 
@@ -274,30 +313,8 @@ def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridD
     """
     if mask.s != f.s or M.s != f.s:
         raise EngineError("dimension mismatch between mask, matrix and data")
-    shape = f.data.shape
-    fr = np.ascontiguousarray(f.data.real)
-    fi = np.ascontiguousarray(f.data.imag)
-    points, values = [np.zeros((0, f.s), dtype=np.int64)], [np.zeros(0, complex)]
-    allocated = 0
-    for e, ns, coeffs in _taps(mask, M):
-        lo = ns.min(axis=0)
-        box = tuple((np.array(shape) + ns.max(axis=0) - lo).tolist())
-        allocated += int(np.prod(box))
-        _check_box(allocated)
-        re, im, present = np.zeros(box), np.zeros(box), np.zeros(box, bool)
-        for off, c in zip((ns - lo).tolist(), coeffs):
-            view = tuple(slice(o, o + d) for o, d in zip(off, shape))
-            re[view] += c.real * fr - c.imag * fi
-            im[view] += c.real * fi + c.imag * fr
-            present[view] |= f.in_support
-        loc = np.nonzero(present)
-        points.append(_fine_points(M, e, np.array(f.origin) + lo, loc))
-        vals = np.empty(len(loc[0]), complex)
-        vals.real, vals.imag = re[loc], im[loc]
-        values.append(vals)
-    return GridData.from_points(
-        f.s, f.level + 1, np.concatenate(points), np.concatenate(values), tau=f.tau
-    )
+    points, values = _step(_taps(mask, M), M, f.origin, f.in_support, f.data[None])
+    return GridData.from_points(f.s, f.level + 1, points, values[0], tau=f.tau)
 
 
 def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | None = None) -> GridData:
@@ -313,24 +330,61 @@ def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | Non
     return g
 
 
+def exp_poly_values(gamma, lam, t) -> np.ndarray:
+    """x^gamma exp(lambda . x) at the rows of an (N, s) float array t (0^0 = 1).
+
+    The bits of `p *= t_l ** gamma_l; p * cmath.exp(sum(lambda_l * t_l))`: Python's
+    `**`, and complex products formed from parts as CPython forms them.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1, len(gamma))
+    p = np.ones(len(t))
+    re = im = 0.0  # `sum` adds the first term to 0
+    for col, g, l in zip(t.T, gamma, map(complex, lam)):
+        if g:
+            p = p * (col if g == 1 else np.array([x**g for x in col.tolist()]))
+        re = re + (l.real * col - l.imag * 0.0)
+        im = im + (l.real * 0.0 + l.imag * col)
+    z = np.empty(len(t), complex)
+    z.real, z.imag = re, im
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are rejected later
+        e = np.exp(z)  # the bits of cmath.exp
+        z.real, z.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
+    return z
+
+
 def exp_poly_value(gamma, lam, t) -> complex:
     """x^gamma exp(lambda . x) at the real point t (0^0 = 1)."""
-    p = 1.0
-    for tl, gl in zip(t, gamma):
-        p *= tl**gl
-    return p * cmath.exp(sum(l * tl for l, tl in zip(lam, t)))
+    return complex(exp_poly_values(gamma, lam, [t])[0])
+
+
+def _samples(pairs, M: DilationMatrix, tau, level: int, window):
+    """The window's (N, s) indices and a (P, N) stack of each pair's samples."""
+    if level < 0:
+        raise EngineError("level must be nonnegative")
+    idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
+    t = param_array(M, tau, level, idx)
+    vals = [exp_poly_values(as_multi_index(g, M.s), as_complex_vector(lam, M.s), t) for g, lam in pairs]
+    return idx, np.array(vals).reshape(-1, len(t))
 
 
 def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> GridData:
     """Samples of x^gamma exp(lambda . x) at t = M^{-level}(alpha + tau)."""
-    g = as_multi_index(gamma, M.s)
-    lv = as_complex_vector(lam, M.s)
-    t0 = as_tau(tau, M.s)
-    if level < 0:
-        raise EngineError("level must be nonnegative")
-    idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
-    vals = [exp_poly_value(g, lv, t) for t in param_points(M, t0, level, idx)]
-    return GridData.from_points(M.s, level, idx, np.array(vals, dtype=complex), tau=t0)
+    idx, vals = _samples([(gamma, lam)], M, tau, level, window)
+    return GridData.from_points(M.s, level, idx, vals[0], tau=tau)
+
+
+def sampled_step(mask: LaurentSymbol, M: DilationMatrix, pairs, tau, level: int, window):
+    """One step of `mask` on a (P, *box) stack of the pairs' samples on the window.
+
+    Returns the sorted valid interior, (N, s), and the refined values there, (P, N).
+    """
+    idx, stack = _samples(pairs, M, tau, level, window)
+    taps = _taps(mask, M)
+    valid = _interior(taps, M, idx)
+    if not len(valid):
+        raise EngineError("empty valid interior; enlarge the window")
+    out = _pack(*_step(taps, M, *_pack(idx, stack)))
+    return valid, _values_at(*out, valid)
 
 
 def limit_sample_arrays(scheme: SchemeSpec, rounds: int, start_level: int = 0):
@@ -369,9 +423,14 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
     this is the erosion of the window by the coset's taps.
     """
     win_idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
+    return list(map(tuple, _interior(_taps(mask, M), M, win_idx).tolist()))
+
+
+def _interior(taps, M: DilationMatrix, win_idx: np.ndarray) -> np.ndarray:
+    """`valid_interior` of the window `win_idx` as a sorted (N, s) array."""
     w0, win, _ = _pack(win_idx)
     found = [np.zeros((0, M.s), dtype=np.int64)]
-    for e, ns, _ in _taps(mask, M):
+    for e, ns, _ in taps:
         hi = ns.max(axis=0)
         box = np.array(win.shape) - (hi - ns.min(axis=0))
         if (box <= 0).any():
@@ -381,8 +440,7 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
             ok &= win[tuple(slice(o, o + d) for o, d in zip(off, box.tolist()))]
         found.append(_fine_points(M, e, w0 + hi, np.nonzero(ok)))
     pts = np.concatenate(found)
-    pts = pts[np.lexsort(pts.T[::-1])]
-    return list(map(tuple, pts.tolist()))
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 # -- serialization ---------------------------------------------------------------

@@ -125,8 +125,11 @@ def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params)
     """SchemeFile JSON object naming a catalog entry with its parameters.
 
     Parameters may be Python values (`lam=1 + 0j`, `lam=(0.5, 0.3)`) or
-    file-form values (`**{"lambda": [1, 0]}`).  The object is loaded back
-    before it is returned, so a file written from it always loads.
+    file-form values (`**{"lambda": [1, 0]}`).  A tuple is a Python value and
+    a list is file form, so `lam=(0.5, 0.25)` is the 2-D frequency while
+    `lam=[0.5, 0.25]` is the one complex number 0.5+0.25i (a 1-D scheme), as
+    `catalog emit --params` reads it.  The object is loaded back before it is
+    returned, so a file written from it always loads.
     """
     entry = _catalog_entry(entry_id)
     parameters = {}

@@ -102,6 +102,16 @@ def test_frequency_tuples_are_vectors(entry_id, params):
     assert spec.space.lambdas() == [(0.5 + 0j, 0.25 + 0j)]
 
 
+def test_frequency_list_is_file_form_and_tuple_is_a_vector():
+    # The same two reals: a list is one complex number, a tuple a 2-D vector.
+    as_list = scheme_file_for_catalog("exp_box_spline", n_dil=2, lam=[0.5, 0.25])
+    as_tuple = scheme_file_for_catalog("exp_box_spline", n_dil=2, lam=(0.5, 0.25))
+    assert (as_list["dimension"], as_list["parameters"]["lambda"]) == (1, [0.5, 0.25])
+    assert load_scheme_obj(as_list).space.lambdas() == [(0.5 + 0.25j,)]
+    assert (as_tuple["dimension"], as_tuple["parameters"]["lambda"]) == (2, [[0.5, 0.0], [0.25, 0.0]])
+    assert load_scheme_obj(as_tuple).space.lambdas() == [(0.5 + 0j, 0.25 + 0j)]
+
+
 def test_frequency_bare_real_lists_other_than_pairs_are_rejected():
     obj = scheme_file_for_catalog("butterfly", lam=(0.5, 0.25))
     for bad in ([0.5, 0.25, 0.1], [0.5], []):
