@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import exp_poly_values, sampled_step
-from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_sets
-from .symbols import ExpPolySpace, SchemeSpec
+from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_sets, v_stack
+from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
 __all__ = [
     "DEFAULT_TOL",
@@ -45,6 +45,11 @@ __all__ = [
 # Double precision with symbol sizes well below 1e3; relative residuals are
 # used whenever |rhs| exceeds 1.
 DEFAULT_TOL = 1e-9
+
+# Levels per evaluator call in a condition check.  The call's work arrays
+# grow with the block, so a long level range takes no more than a block's
+# worth beside its records.
+_LEVEL_BLOCK = 16
 
 
 class CheckError(ValueError):
@@ -108,7 +113,8 @@ class ConditionReport:
         return all(r.residual <= self.tol for r in self.records)
 
     def failures(self) -> list[ConditionRecord]:
-        return [r for r in self.records if r.residual > self.tol]
+        """The records that fail the verdict's test, NaN residuals included."""
+        return [r for r in self.records if not r.residual <= self.tol]
 
     def to_json_obj(self) -> dict:
         return {
@@ -198,7 +204,7 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float) -> ConditionReport:
-    """The one condition loop over V_k.
+    """The one condition loop over V_k, for every level of the range at once.
 
     Every right-hand side is zero except m v^(M tau - tau) q_gamma(M tau - tau)
     at the all-ones point; without a tau that point is left out, which leaves
@@ -209,26 +215,41 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = None if tau is None else as_tau(tau, M.s)
+    levels = _levels(k_range)
     lams = space.lambdas()
     gammas = sorted({g for g, _ in space.pairs})
-    rows = []  # the fields of each record but its residual
-    for k in _levels(k_range):
-        full, _ = v_sets(M, lams, k)
-        # One evaluation per level: a row per gamma, a column per point of V_k.
-        values = scheme.symbol(k).weighted_derivatives(gammas, [p.v for p in full]).tolist()
-        for i, lam in enumerate(lams):
-            points = full[i * M.m : (i + 1) * M.m]
-            if t is not None:
-                x, v_pow_x = displacement(M, t, points[0].w)
-            for gamma in space.gammas_for(lam):
-                row = values[gammas.index(gamma)]
-                for j, p in enumerate(points, start=i * M.m):
-                    if t is None and p.eps_is_one:
-                        continue
-                    rhs = M.m * v_pow_x * q_eval(gamma, x) if p.eps_is_one else 0j
-                    rows.append((mode, k, gamma, lam, p.eps, p.v, row[j], rhs))
-    lhs, rhs = np.array([r[6:] for r in rows], dtype=complex).reshape(-1, 2).T
-    records = [ConditionRecord(*r, e) for r, e in zip(rows, _residuals(lhs, rhs).tolist())]
+    # One level's records: (frequency, gamma, dual point), the all-ones point first.
+    order = [
+        (i, gamma, j)
+        for i, lam in enumerate(lams)
+        for gamma in space.gammas_for(lam)
+        for j in range(M.m)
+        if t is not None or j
+    ]
+    w, v = v_stack(M, lams, levels)
+    lhs = np.empty((len(levels), len(order)), dtype=complex)
+    rows = [gammas.index(gamma) for _, gamma, _ in order]
+    cols = [i * M.m + j for i, _, j in order]
+    for start in range(0, len(levels), _LEVEL_BLOCK):
+        # One evaluation per block: a row per gamma, a column per point of V_k.
+        block = slice(start, start + _LEVEL_BLOCK)
+        syms = [scheme.symbol(k) for k in levels[block]]
+        values = stacked_weighted_derivatives(syms, gammas, v[block].reshape(len(syms), -1, M.s))
+        lhs[block] = values[:, rows, cols]
+    rhs = np.zeros_like(lhs)
+    if t is not None:
+        x, v_x = displacement(M, t, w)
+        q = {gamma: q_eval(gamma, x) for gamma in gammas}
+        ones = [(r, i, gamma) for r, (i, gamma, j) in enumerate(order) if not j]
+        at = [r for r, _, _ in ones]
+        for row, vl in zip(rhs, v_x.tolist()):
+            row[at] = [M.m * vl[i] * q[gamma] for _, i, gamma in ones]
+    eps = M.dual_points()
+    records = [
+        ConditionRecord(mode, k, gamma, lams[i], eps[j], tuple(vk[i][j]), *fields)
+        for k, vk, *level in zip(levels, v.tolist(), lhs.tolist(), rhs.tolist(), _residuals(lhs, rhs).tolist())
+        for (i, gamma, j), *fields in zip(order, *level)
+    ]
     return ConditionReport(mode=mode, scheme=scheme.name, tol=tol, records=records, tau=t)
 
 

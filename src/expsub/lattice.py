@@ -37,6 +37,7 @@ __all__ = [
     "dual_coset_points",
     "q_eval",
     "v_sets",
+    "v_stack",
     "VPoint",
     "displacement",
     "param_array",
@@ -380,6 +381,38 @@ def q_eval(gamma, z) -> complex:
     return out
 
 
+def _exp(z: np.ndarray) -> np.ndarray:
+    """`cmath.exp` elementwise.  np.exp has its bits where Re z <= 708 and Im z
+    is finite; elsewhere `cmath.exp` itself runs, raising where it raises."""
+    with np.errstate(all="ignore"):
+        out = np.exp(z)
+    odd = ~((z.real <= 708.0) & np.isfinite(z.imag))
+    if odd.any():
+        out[odd] = [cmath.exp(c) for c in z[odd].tolist()]
+    return out
+
+
+def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents w = lambda^T M^{-(k+1)} and points v = eps * exp(-w) of several levels.
+
+    Returns w as an (L, n, s) and v as an (L, n, m, s) complex array, for the
+    L levels, the n frequencies in input order and the m dual points eps in
+    `M.dual_points()` order.  Each w row is the one-row product lambda @
+    M^{-(k+1)}, and eps * exp(-w) is formed from parts as CPython multiplies.
+    """
+    if any(k < 0 for k in levels):
+        raise LatticeError("level k must be nonnegative")
+    lam = np.array([as_complex_vector(l, M.s) for l in lambdas], dtype=complex).reshape(-1, 1, M.s)
+    W = np.array([M.inv_power(k + 1) for k in levels]).reshape(-1, 1, M.s, M.s)
+    w = (lam @ W)[:, :, 0]
+    b = _exp(-w)[:, :, None]
+    e = np.array(M.dual_points())
+    v = np.empty(b.shape[:2] + e.shape, dtype=complex)
+    v.real = e.real * b.real - e.imag * b.imag
+    v.imag = e.real * b.imag + e.imag * b.real
+    return w, v
+
+
 class VPoint(NamedTuple):
     """One evaluation point v_j = eps_j * exp(-w_j), w = lambda^T M^{-(k+1)}."""
 
@@ -394,35 +427,37 @@ def v_sets(M: DilationMatrix, lambdas, k: int):
     """The evaluation sets (V_k, V'_k) for the frequencies in `lambdas`.
 
     V'_k drops the points built from the all-ones dual element.  Points are
-    ordered by lambda (input order) and then by the dual-point order.
+    ordered by lambda (input order) and then by the dual-point order.  The
+    one-level view of `v_stack`.
     """
-    if k < 0:
-        raise LatticeError("level k must be nonnegative")
-    W = M.inv_power(k + 1)
-    xi_pts = M.dual_points()
-    full = []
-    for lam in lambdas:
-        lamv = as_complex_vector(lam, M.s)
-        w = tuple(np.array(lamv) @ W)
-        base = tuple(cmath.exp(-w[j]) for j in range(M.s))
-        for i, eps in enumerate(xi_pts):
-            v = tuple(e * b for e, b in zip(eps, base))
-            full.append(VPoint(v, eps, lamv, i == 0, w))
+    lams = [as_complex_vector(lam, M.s) for lam in lambdas]
+    w, v = v_stack(M, lams, [k])
+    full = [
+        VPoint(tuple(pt), eps, lam, i == 0, tuple(wl))
+        for lam, wl, pts in zip(lams, w[0], v[0].tolist())
+        for i, (eps, pt) in enumerate(zip(M.dual_points(), pts))
+    ]
     prime = [p for p in full if not p.eps_is_one]
     return full, prime
 
 
-def displacement(M: DilationMatrix, tau, w) -> tuple[tuple[float, ...], complex]:
-    """x = M tau - tau and v^x = exp(-w . x) for a point with exponents w.
+def displacement(M: DilationMatrix, tau, w):
+    """x = M tau - tau and v^x = exp(-w . x) for points with exponents w.
 
-    `w` is a point's `VPoint.w`.  v^x is formed from the defining exponents,
-    so no logarithm branch is involved.
+    `w` is a point's `VPoint.w`, which gives v^x as a complex, or an (..., s)
+    array of them, which gives an array.  v^x is formed from the defining
+    exponents, so no logarithm branch is involved.
     """
     t = as_tau(tau, M.s)
     x = tuple(
         float(sum(M.mat[i][j] * t[j] for j in range(M.s)) - t[i]) for i in range(M.s)
     )
-    return x, cmath.exp(-complex(sum(w[j] * x[j] for j in range(M.s))))
+    w = np.asarray(w, dtype=complex)
+    wx = 0  # `sum` adds the first term to 0; slices keep arrays, never scalars
+    for j in range(M.s):
+        wx = wx + w[..., j : j + 1] * x[j]
+    v_x = _exp(-wx)[..., 0]
+    return x, (v_x if w.ndim > 1 else complex(v_x))
 
 
 def param_array(M: DilationMatrix, tau, k: int, alphas) -> np.ndarray:

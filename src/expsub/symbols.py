@@ -30,6 +30,7 @@ __all__ = [
     "LaurentSymbol",
     "SchemeSpec",
     "ExpPolySpace",
+    "stacked_weighted_derivatives",
 ]
 
 
@@ -41,17 +42,19 @@ class SymbolDomainError(SymbolError):
     """Evaluation outside the domain (C \\ {0})^s."""
 
 
-_ZERO_PAIR = np.array([-0.0, 0.0]).reshape(2, 1, 1, 1)
-_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)
+_ZERO_PAIR = np.array([-0.0, 0.0]).reshape(2, 1, 1, 1, 1)
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1, 1)
 
 
 def _falling_weights(exps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Exact weights q_gamma(alpha) = prod_l alpha_l (alpha_l - 1) ... (alpha_l - gamma_l + 1).
 
-    `exps` is a (T, s) object array of exponents and `gammas` a (G, s) int
-    array of multi-indices; the result is a (G, T) object array of Python ints.
+    `exps` is a (T, s) array of exponents and `gammas` a (G, s) int array of
+    multi-indices; the result is a (G, T) array of exps' dtype.  An object
+    array of Python ints gives exact weights of any size; a float array gives
+    the same values while every partial product stays below 2^53.
     """
-    out = np.ones((len(gammas), len(exps)), dtype=object)
+    out = np.ones((len(gammas), len(exps)), dtype=exps.dtype)
     for l, top in enumerate(gammas.max(axis=0).tolist()):
         for d in range(top):
             out = out * np.where(gammas[:, l : l + 1] > d, exps[:, l] - d, 1)
@@ -204,39 +207,11 @@ class LaurentSymbol:
     def weighted_derivatives(self, gammas, points) -> np.ndarray:
         """z^gamma D^gamma a(z) for every gamma and point, as a (G, P) complex array.
 
-        Each value has the bits of the term-by-term loop over `sorted_items`
-        from +0.0: terms of weight q_gamma(alpha) = 0 are skipped, c * q is
-        formed as CPython multiplies a complex by an int, powers are Python's
-        `**`, and complex products are split into parts, as numpy's may fuse.
+        The one-level view of `stacked_weighted_derivatives`, whose bit
+        contract it keeps.
         """
-        gs = [as_multi_index(g, self.s) for g in gammas]
         zs = [as_complex_vector(z, self.s) for z in points]
-        if any(c == 0 for z in zs for c in z):
-            raise SymbolDomainError("symbol evaluation requires nonzero components")
-        out = np.zeros((len(gs), len(zs)), dtype=complex)
-        if not self._terms or not gs:
-            return out
-        exps, coeffs = zip(*self.sorted_items())
-        w = _falling_weights(np.array(exps, dtype=object), np.array(gs)).astype(float).T
-        used = w != 0  # (T, G)
-        needed = [e for e, u in zip(exps, used.any(axis=1)) if u]
-        powers = []  # (s, T, P), each power taken once and only where a term needs it
-        for l, column in enumerate(zip(*exps)):
-            table = {e: [z[l] ** e for z in zs] for e in {n[l] for n in needed}}
-            powers.append([table.get(e, [0j] * len(zs)) for e in column])
-        p = np.array(powers, dtype=complex)[:, :, None, :]
-        c = np.array(coeffs).view(float).reshape(-1, 2).T[:, :, None, None]  # (re, im) rows
-        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python's complex
-            # Values are (2, T, G, P) arrays of (re, im) parts; x times r + ij
-            # is x * r + x[::-1] * (-j, j) = (re r - im j, im r + re j).
-            x = c * w[:, :, None] + c[::-1] * _ZERO_PAIR  # CPython's c * w
-            for r, j in zip(p.real, _SIGNS * p.imag[:, None]):
-                x = x * r + x[::-1] * j
-            # Sequential sums; the + 0.0 gives the loop's +0.0 where every
-            # term is -0.0, and a skipped term's +0.0 changes no running sum.
-            total = np.add.accumulate(np.where(used[:, :, None], x, 0.0), axis=1)[:, -1] + 0.0
-        out.real, out.imag = total
-        return out
+        return stacked_weighted_derivatives([self], gammas, np.array(zs, dtype=complex).reshape(1, -1, self.s))[0]
 
     def eval(self, z) -> complex:
         """a(z) = sum a_alpha z^alpha; negative exponents via reciprocals."""
@@ -312,6 +287,70 @@ class LaurentSymbol:
         if s is None:
             raise SymbolError("cannot infer dimension of an empty symbol")
         return cls(s, terms)
+
+
+def stacked_weighted_derivatives(symbols, gammas, points) -> np.ndarray:
+    """z^gamma D^gamma a(z) for each level symbol a, gamma and point, as an (L, G, P) array.
+
+    `symbols` are L symbols of one dimension s and `points` an (L, P, s)
+    array: row l holds the points at which symbol l is evaluated.  Each value
+    has the bits of the term-by-term loop over that symbol's `sorted_items`
+    from +0.0: terms of weight q_gamma(alpha) = 0 are skipped, c * q is formed
+    as CPython multiplies a complex by an int, powers are Python's `**`, and
+    complex products are split into parts, as numpy's may fuse.  Levels with
+    fewer terms are padded at the end with skipped terms.
+    """
+    if not symbols or len({sym.s for sym in symbols}) != 1:
+        raise SymbolError("need one or more symbols of one dimension")
+    s = symbols[0].s
+    gs = np.array([as_multi_index(g, s) for g in gammas], dtype=int).reshape(-1, s)
+    z = np.asarray(points, dtype=complex)
+    if z.ndim != 3 or z.shape[::2] != (len(symbols), s):
+        raise SymbolError(f"points must be an array of shape ({len(symbols)}, P, {s})")
+    if (z == 0).any():
+        raise SymbolDomainError("symbol evaluation requires nonzero components")
+    items = [sym.sorted_items() for sym in symbols]
+    out = np.zeros((len(symbols), len(gs), z.shape[1]), dtype=complex)
+    T = max(map(len, items))
+    if not T or not len(gs):
+        return out
+    level = np.repeat(np.arange(len(items)), [len(it) for it in items])
+    slot = np.concatenate([np.arange(len(it)) for it in items])
+    exps, coeffs = zip(*(term for it in items for term in it))
+    w = np.zeros((len(items), T, len(gs)))  # padded terms have weight 0
+    # A weight is a product of at most max |gamma| factors, each smaller than
+    # max |alpha| + max gamma in modulus; below 2^53 floats hold it exactly.
+    top = max(abs(a) for e in exps for a in e) + int(gs.max())
+    exact = top ** max(int(gs.sum(axis=1).max()), 1) < 2**53
+    e = np.array(exps, dtype=float if exact else object)
+    w[level, slot] = _falling_weights(e, gs).astype(float).T
+    used = w != 0  # (L, T, G)
+    c = np.zeros((len(items), T), dtype=complex)
+    c[level, slot] = coeffs
+    # Each power is taken once per level, coordinate and exponent, and only
+    # where a term needs it: rows of `table`, picked out by `pick`.
+    table = [[0j] * z.shape[1]]  # the row of a power no term needs
+    pick = []  # (L, s, T) row numbers
+    for it, zk, need in zip(items, z.transpose(0, 2, 1).tolist(), used.any(axis=2).tolist()):
+        needed = [e for (e, _), u in zip(it, need) if u]
+        pick.append([])
+        for l, zl in enumerate(zk):
+            rows = {e: len(table) + n for n, e in enumerate(dict.fromkeys(e[l] for e in needed))}
+            table.extend([x**e for x in zl] for e in rows)
+            pick[-1].append([rows[e[l]] if u else 0 for (e, _), u in zip(it, need)] + [0] * (T - len(it)))
+    p = np.array(table, dtype=complex)[np.array(pick).transpose(1, 0, 2)][:, :, :, None, :]  # (s, L, T, 1, P)
+    c = c.view(float).reshape(len(items), T, 2).transpose(2, 0, 1)[:, :, :, None, None]  # (re, im) rows
+    with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python's complex
+        # Values are (2, L, T, G, P) arrays of (re, im) parts; x times r + ij
+        # is x * r + x[::-1] * (-j, j) = (re r - im j, im r + re j).
+        x = c * w[:, :, :, None] + c[::-1] * _ZERO_PAIR  # CPython's c * w
+        for r, j in zip(p.real, _SIGNS * p.imag[:, None]):
+            x = x * r + x[::-1] * j
+        # Sequential sums; the + 0.0 gives the loop's +0.0 where every
+        # term is -0.0, and a skipped term's +0.0 changes no running sum.
+        total = np.add.accumulate(np.where(used[:, :, :, None], x, 0.0), axis=2)[:, :, -1] + 0.0
+    out.real, out.imag = total
+    return out
 
 
 class SchemeSpec:
@@ -402,6 +441,7 @@ class ExpPolySpace:
 
     The gamma set is completed downward per lambda (with a warning) because
     the derivative conditions for gamma involve all smaller multi-indices.
+    Attributes cannot be set after construction.
     """
 
     def __init__(self, pairs: Iterable):
@@ -417,7 +457,7 @@ class ExpPolySpace:
             norm.add((g, lv))
         if s is None:
             raise SymbolError("space needs at least one (gamma, lambda) pair")
-        self.s = s
+        object.__setattr__(self, "s", s)
         closed = set(norm)
         for g, lv in norm:
             for smaller in product(*(range(x + 1) for x in g)):
@@ -427,9 +467,12 @@ class ExpPolySpace:
                 f"space was not downward closed; {len(closed) - len(norm)} pair(s) added",
                 stacklevel=2,
             )
-        self.pairs = tuple(
+        object.__setattr__(self, "pairs", tuple(
             sorted(closed, key=lambda p: (_lambda_key(p[1]), sum(p[0]), p[0]))
-        )
+        ))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExpPolySpace is immutable")
 
     def lambdas(self) -> list[tuple[complex, ...]]:
         seen = []

@@ -401,6 +401,26 @@ def test_nan_records_reach_the_reported_maximum():
     assert "nan" in clipped.table(max_rows=2)
 
 
+def test_failures_lists_every_record_the_verdict_fails_on():
+    # An infinite coefficient gives NaN condition values; failures() must
+    # name the records the verdict fails on, NaN residuals included.
+    bad = SchemeSpec.stationary("bad", DilationMatrix(2), LaurentSymbol(1, {0: math.inf, 1: 1.0}))
+    rep = check_generation(bad, ExpPolySpace.exponentials([0.5]), (0, 1))
+    assert not rep.verdict and cmath.isnan(rep.max_residual)
+    assert rep.failures() == [r for r in rep.records if not r.residual <= rep.tol]
+    assert rep.failures() and all(cmath.isnan(r.residual) for r in rep.failures())
+
+
+def test_space_rejects_writes_so_a_check_cannot_pass_on_no_conditions():
+    space = dual4_binary(0.9).space
+    with pytest.raises(AttributeError):
+        space.pairs = ()
+    with pytest.raises(AttributeError):
+        space.s = 2
+    rep = check_reproduction(dual4_binary(0.9), space, (0.3,), (0, 2))
+    assert rep.records and not rep.verdict
+
+
 @pytest.mark.parametrize(
     "scheme",
     [

@@ -1,8 +1,9 @@
 """Bit identity of the array symbol evaluator against the term-by-term loops.
 
-`eval_oracle` and `weighted_oracle` are the scalar loops that
-`LaurentSymbol.weighted_derivatives` replaced: one Python term at a time, in
-`sorted_items` order, skipping terms of weight zero.  Values are compared as
+`eval_oracle` and `weighted_oracle` are the scalar loops that the evaluator
+replaced: one Python term at a time, in `sorted_items` order, skipping terms
+of weight zero.  Both `LaurentSymbol.weighted_derivatives` and its stacked
+form `stacked_weighted_derivatives` are held to them.  Values are compared as
 hex strings, so a signed zero or a last-bit change fails.
 """
 
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsub import LaurentSymbol, SymbolDomainError
+from expsub import LaurentSymbol, SymbolDomainError, SymbolError
+from expsub.symbols import stacked_weighted_derivatives
 
 
 def _falling(a: int, g: int) -> int:
@@ -115,6 +117,68 @@ def test_evaluator_matches_the_scalar_loops(case):
 @given(cases(coeffs=st.one_of(COEFF, NONFINITE)))
 def test_evaluator_matches_the_weighted_loop_on_nonfinite_coefficients(case):
     check_against_oracle(*case)
+
+
+@st.composite
+def stacks(draw):
+    """1-6 level symbols of different supports and term counts, at least one
+    of them empty, with signed-zero and non-finite coefficients."""
+    s = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-6, 6)] * s)
+    coeffs = st.one_of(COEFF, NONFINITE, st.sampled_from([complex(-0.0, 1.0), complex(2.0, -0.0)]))
+    levels = draw(st.lists(st.dictionaries(exps, coeffs, max_size=9), min_size=1, max_size=6))
+    levels.insert(draw(st.integers(0, len(levels))), {})
+    gammas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * s), min_size=1, max_size=4))
+    n_points = draw(st.integers(1, 4))
+    points = [draw(st.lists(st.tuples(*[COMPONENT] * s), min_size=n_points, max_size=n_points)) for _ in levels]
+    return [LaurentSymbol(s, t) for t in levels], gammas, points
+
+
+@settings(max_examples=150)
+@given(stacks())
+def test_stacked_evaluator_slices_match_the_scalar_loop(case):
+    syms, gammas, points = case
+    want = [[[outcome(weighted_oracle, sym, g, z) for z in pts] for g in gammas] for sym, pts in zip(syms, points)]
+    if any(isinstance(v, type) for level in want for row in level for v in row):
+        with pytest.raises((OverflowError, ZeroDivisionError)):
+            stacked_weighted_derivatives(syms, gammas, points)
+        return
+    got = stacked_weighted_derivatives(syms, gammas, points)
+    assert got.shape == (len(syms), len(gammas), len(points[0]))
+    assert [[[hx(v) for v in row] for row in level] for level in got.tolist()] == want
+
+
+def test_weights_near_and_past_float_precision_round_once():
+    # q_5(1000) ~ 9.9e14 is exact in floats; q_3(2^40) needs 120 bits and
+    # q_5(2^20 + 3) 100, so those weights take the exact-integer route.
+    syms = [
+        LaurentSymbol(1, {(1000,): 1.0, (-3,): 0.5}),
+        LaurentSymbol(1, {(2**40,): 1.0, (2**20 + 3,): 1.5, (-3,): 2.0}),
+    ]
+    gammas = [(0,), (3,), (5,)]
+    points = [[(1 + 0j,), (-1 + 0j,), (1j,)]] * 2
+    got = stacked_weighted_derivatives(syms, gammas, points)
+    for sym, level in zip(syms, got.tolist()):
+        assert [[hx(v) for v in row] for row in level] == [
+            [hx(weighted_oracle(sym, g, z)) for z in points[0]] for g in gammas
+        ]
+
+
+def test_stacked_evaluator_checks_its_inputs():
+    one, two = LaurentSymbol(1, {(1,): 1.0}), LaurentSymbol(2, {(1, 0): 1.0})
+    with pytest.raises(SymbolError):
+        stacked_weighted_derivatives([], [(0,)], np.ones((0, 1, 1)))
+    with pytest.raises(SymbolError):
+        stacked_weighted_derivatives([one, two], [(0,)], np.ones((2, 1, 1)))
+    with pytest.raises(SymbolError):
+        stacked_weighted_derivatives([one, one], [(0,)], np.ones((1, 2, 1)))
+    with pytest.raises(SymbolError):
+        stacked_weighted_derivatives([two], [(0, 0)], np.ones((1, 2)))
+    with pytest.raises(SymbolDomainError):
+        stacked_weighted_derivatives([one, one], [(0,)], [[(1.0,)], [(0.0,)]])
+    with pytest.raises(ValueError):
+        stacked_weighted_derivatives([one], [(-1,)], np.ones((1, 1, 1)))
+    assert stacked_weighted_derivatives([one, one], [(0,), (1,)], np.ones((2, 0, 1))).shape == (2, 2, 0)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

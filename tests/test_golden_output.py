@@ -168,3 +168,72 @@ def check_digests(tmp_path, capsys, name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(CHECK_CASES))
 def test_check_and_solve_tau_match_golden_digests(tmp_path, capsys, name):
     assert check_digests(tmp_path, capsys, name) == CHECK_GOLDEN[name]
+
+
+def _explicit_scheme_obj() -> dict:
+    """A 2I explicit-kind scheme whose levels differ in support and term count.
+
+    Level 0 is butterfly's mask, level 1 an exponential box-spline mask (4
+    taps on [0, 1]^2), level 2 butterfly's mask shifted by z^(1, 0), and the
+    stationary tail butterfly's level-3 mask.  Against butterfly's space the
+    check mixes passing and failing records at every level.
+    """
+    lam = (0.5 + 0j, 0.3 + 0j)
+    fly = load_scheme_obj(scheme_file_for_catalog("butterfly", lam=lam))
+    box = load_scheme_obj(scheme_file_for_catalog("exp_box_spline", n_dil=2, lam=lam))
+    levels = [fly.symbol(0), box.symbol(1), fly.symbol(2).shift((1, 0))]
+    return {
+        "name": "explicit mixed",
+        "dimension": 2,
+        "dilation": [2, 0, 0, 2],
+        "kind": "explicit",
+        "tau": [0.0, 0.0],
+        "levels": [sym.to_json_obj() for sym in levels],
+        "tail": fly.symbol(3).to_json_obj(),
+    }, fly.space
+
+
+# name -> (scheme file object and space, check arguments, expected exit code)
+EDGE_CASES = {
+    "explicit_mixed_levels": (
+        _explicit_scheme_obj,
+        ["--mode", "all", "--kmin", "0", "--kmax", "5", "--window", "4"],
+        1,
+    ),
+    "deep_wrong_tau": (
+        lambda: (scheme_file_for_catalog("dual4_binary", lam=0.9),
+                 load_scheme_obj(scheme_file_for_catalog("dual4_binary", lam=0.9)).space),
+        ["--mode", "reproduction", "--tau", "0.3", "--kmin", "40", "--kmax", "62"],
+        1,
+    ),
+}
+
+EDGE_GOLDEN = {
+    "deep_wrong_tau": {
+        "check.report": "a32c97a759e8321ee8fcd0b2ab4d388107c92c6dc304956f5c9e7584ffb3f0b7",
+        "check.stdout": "0b8167f126ad76a9099361a44951699fb6fd0a102daf82f850b8b64c1557f2b9",
+    },
+    "explicit_mixed_levels": {
+        "check.report": "e31f6bbfeaab2545b2e6cdb077bb10a7e38310485208957ef8f0dee05ea6dc4e",
+        "check.stdout": "831e32798400591087d2ffa95888c8c7b7e2bd4a12251c45585f1f03a71b8ccb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_check_edge_cases_match_golden_digests(tmp_path, capsys, name):
+    build, argv, code = EDGE_CASES[name]
+    obj, space_obj = build()
+    scheme = tmp_path / f"{name}.json"
+    scheme.write_text(json.dumps(obj))
+    space = tmp_path / f"{name}_space.json"
+    space.write_text(json.dumps(space_obj.to_json_obj()))
+    report = tmp_path / f"{name}_report.json"
+    capsys.readouterr()
+    assert main(["check", "--scheme", str(scheme), "--space", str(space), *argv,
+                 "--report", str(report)]) == code
+    got = {
+        "check.report": hashlib.sha256(report.read_bytes()).hexdigest(),
+        "check.stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert got == EDGE_GOLDEN[name]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from expsub import (
     DilationMatrix,
     LatticeError,
+    VPoint,
     coset_reps,
     dual_coset_points,
     param_points,
@@ -23,6 +24,7 @@ from expsub import (
     transversals_equivalent,
     v_sets,
 )
+from expsub.lattice import as_complex_vector, displacement, v_stack
 
 SHEAR = [[2, 1], [0, 2]]
 SQRT3 = [[1, 2], [-2, -1]]
@@ -240,6 +242,87 @@ def test_v_sets_lambda_zero_exactness():
     full, _ = v_sets(M, [(0.0, 0.0)], k=5)
     for p in full:
         assert p.v == p.eps
+
+
+def v_sets_oracle(M, lambdas, k):
+    """The per-level loop that `v_stack` replaced: one `@` per frequency,
+    `cmath.exp` and Python's complex products."""
+    W = M.inv_power(k + 1)
+    full = []
+    for lam in lambdas:
+        lamv = as_complex_vector(lam, M.s)
+        w = tuple(np.array(lamv) @ W)
+        base = tuple(cmath.exp(-w[j]) for j in range(M.s))
+        for i, eps in enumerate(M.dual_points()):
+            full.append(VPoint(tuple(e * b for e, b in zip(eps, base)), eps, lamv, i == 0, w))
+    return full
+
+
+def v_x_oracle(M, tau, w):
+    x = [sum(M.mat[i][j] * tau[j] for j in range(M.s)) - tau[i] for i in range(M.s)]
+    return cmath.exp(-complex(sum(w[j] * x[j] for j in range(M.s))))
+
+
+def hx(z) -> str:
+    z = complex(z)
+    return f"{z.real.hex()} {z.imag.hex()}"
+
+
+# The five geometries of the catalog, each with zero, real, imaginary,
+# complex and large frequencies.
+GEOMETRIES = [
+    (2, [0.0, 0.9, -0.9, 1.3j, 0.4 - 2.5j, 37.5 + 2j]),
+    (3, [0.0, 1.1j, -0.7, 0.6 + 0.6j, -60.0j]),
+    ([[2, 0], [0, 2]], [(0.0, 0.0), (0.5, 0.3), (0.5j, -0.3j), (1 + 1j, -2.0), (40.0, -25.5j)]),
+    (SHEAR, [(0.0, 0.0), (0.6j, 0.9j), (0.6, 0.9), (-3 + 0.1j, 7.0)]),
+    (SQRT3, [(0.0, 0.0), (0.2, -0.4), (0.2j, 0.4 + 1j), (12.0, -9.0j)]),
+]
+
+
+@pytest.mark.parametrize("entries, lams", GEOMETRIES)
+def test_stacked_points_are_the_per_level_points_bit_for_bit(entries, lams):
+    M = DilationMatrix(entries)
+    levels = list(range(71))
+    w, v = v_stack(M, lams, levels)
+    assert w.shape == (71, len(lams), M.s) and v.shape == (71, len(lams), M.m, M.s)
+    tau = (0.25,) * M.s if M.s == 1 else (0.25, -0.75)
+    _, v_x = displacement(M, tau, w)
+    for k in levels:
+        want = v_sets_oracle(M, lams, k)
+        full, prime = v_sets(M, lams, k)
+        assert prime == [p for p in full if not p.eps_is_one]
+        assert len(full) == len(want) == len(lams) * M.m
+        for got, ref in zip(full, want):
+            assert [hx(z) for z in got.v] == [hx(z) for z in ref.v]
+            assert [hx(z) for z in got.w] == [hx(z) for z in ref.w]
+            assert all(type(z) is np.complex128 for z in got.w)
+            assert (got.eps, got.lam, got.eps_is_one) == (ref.eps, ref.lam, ref.eps_is_one)
+        stacked = [tuple(p) for lam_points in v[k].tolist() for p in lam_points]
+        assert [[hx(z) for z in p] for p in stacked] == [[hx(z) for z in p.v] for p in want]
+        for i, ref in enumerate(want[:: M.m]):
+            assert hx(v_x[k, i]) == hx(v_x_oracle(M, tau, ref.w))
+            assert hx(displacement(M, tau, ref.w)[1]) == hx(v_x_oracle(M, tau, ref.w))
+
+
+def test_stacked_points_keep_cmath_errors_and_values_past_the_numpy_range():
+    # Re(-w) above 708 is where np.exp and cmath.exp part; v_stack keeps
+    # cmath.exp's value there, and its OverflowError past the double range.
+    M = DilationMatrix(2)
+    for lam in (-1417.0, -1418.5 + 1j, complex(-1419.0, 3e300)):
+        want = v_sets_oracle(M, [lam], 0)
+        assert [hx(p.v[0]) for p in v_sets(M, [lam], 0)[0]] == [hx(p.v[0]) for p in want]
+    with pytest.raises(OverflowError):
+        v_sets_oracle(M, [-1500.0], 0)
+    with pytest.raises(OverflowError):
+        v_stack(M, [0.5, -1500.0], [3, 0])
+    with pytest.raises(LatticeError):
+        v_stack(M, [0.5], [1, -1])
+    # v^x past Re 708 for a single point and for an array of them
+    w = (complex(-1.7725, 0.25),)
+    assert hx(displacement(M, (400.0,), w)[1]) == hx(v_x_oracle(M, (400.0,), w))
+    assert hx(displacement(M, (400.0,), np.array([w]))[1][0]) == hx(v_x_oracle(M, (400.0,), w))
+    with pytest.raises(OverflowError):
+        displacement(M, (500.0,), w)
 
 
 def test_param_points():
