@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .lattice import DilationMatrix, as_complex_vector, displacement, v_sets
+from .lattice import DilationMatrix, as_complex_vector, displacement, v_stack
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -411,7 +411,7 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
     lamv = _axis_lambda(lam, 2)
 
     def rule(k: int) -> LaurentSymbol:
-        w = v_sets(M, [lamv], k)[0][0].w
+        w = v_stack(M, [lamv], [k])[0][0, 0]
         b = LaurentSymbol(
             2,
             {

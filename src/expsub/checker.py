@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import exp_poly_values, sampled_step
-from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_sets, v_stack
+from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_stack
 from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
 __all__ = [
@@ -288,11 +288,12 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
             "solve_tau needs lambda = 0 with all first-order gammas, "
             "or a lambda with every component nonzero"
         )
-    # the all-ones point of V_k for each frequency
-    anchors = [p for p in v_sets(M, lams, k)[0] if p.eps_is_one]
-    for lam, p in zip(lams, anchors):
+    # (w, v) of the all-ones point of V_k for each frequency
+    w, v = v_stack(M, lams, [k])
+    anchors = list(zip(w[0], v[0, :, 0]))
+    for lam, (_, v_one) in zip(lams, anchors):
         if all(u in space.gammas_for(lam) for u in units):
-            av, *grad = a.weighted_derivatives([(0,) * s] + units, [p.v])[:, 0].tolist()
+            av, *grad = a.weighted_derivatives([(0,) * s] + units, [v_one])[:, 0].tolist()
             if poly and abs(av - M.m) > tol * M.m:
                 raise NoAdmissibleTauError(
                     f"a(1) = {av:.12g} differs from m = {M.m}; polynomial route needs a(1) = m"
@@ -303,16 +304,16 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
 
     rows = []
     rhs = []
-    for p in anchors:
-        if np.max(np.abs(p.w)) >= cmath.pi:
+    for w_one, v_one in anchors:
+        if np.max(np.abs(w_one)) >= cmath.pi:
             raise BranchAmbiguityError(
                 f"|lambda^T M^-(k+1)| reaches pi at probe level {k}; increase k_probe"
             )
-        av = a.eval(p.v)
+        av = a.eval(v_one)
         if abs(av) < 1e-14:
             raise NoAdmissibleTauError(f"a(v) vanishes at the probe point, level {k}")
         val = -cmath.log(av / M.m)
-        rows.append(p.w)
+        rows.append(w_one)
         rhs.append(val)
     A = np.vstack([np.real(rows), np.imag(rows)])
     b = np.concatenate([np.real(rhs), np.imag(rhs)])
@@ -362,13 +363,13 @@ def normalize(scheme: SchemeSpec, anchor_lambda, tau) -> SchemeSpec:
     t = as_tau(tau, M.s)
 
     def factor(k: int) -> complex:
-        one = v_sets(M, [lam], k)[0][0]  # V_k starts at the all-ones point
-        av = scheme.symbol(k).eval(one.v)
+        w, v = v_stack(M, [lam], [k])  # the all-ones point comes first
+        av = scheme.symbol(k).eval(v[0, 0, 0])
         if av == 0:
             raise NormalizationError(
                 f"symbol at level {k} vanishes at the normalization anchor"
             )
-        return M.m * displacement(M, t, one.w)[1] / av
+        return M.m * displacement(M, t, w[0, 0])[1] / av
 
     return scheme.scaled(factor, suffix="normalized", tau=t)
 

@@ -28,6 +28,7 @@ from .lattice import (
     as_complex_vector,
     as_multi_index,
     as_tau,
+    cexp,
     param_array,
 )
 from .symbols import LaurentSymbol, SchemeSpec
@@ -334,7 +335,8 @@ def exp_poly_values(gamma, lam, t) -> np.ndarray:
     """x^gamma exp(lambda . x) at the rows of an (N, s) float array t (0^0 = 1).
 
     The bits of `p *= t_l ** gamma_l; p * cmath.exp(sum(lambda_l * t_l))`: Python's
-    `**`, and complex products formed from parts as CPython forms them.
+    `**`, `lattice.cexp`, and complex products formed from parts as CPython
+    forms them.  Where cmath.exp overflows, the value is non-finite instead.
     """
     t = np.asarray(t, dtype=float).reshape(-1, len(gamma))
     p = np.ones(len(t))
@@ -346,8 +348,8 @@ def exp_poly_values(gamma, lam, t) -> np.ndarray:
         im = im + (l.real * 0.0 + l.imag * col)
     z = np.empty(len(t), complex)
     z.real, z.imag = re, im
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are rejected later
-        e = np.exp(z)  # the bits of cmath.exp
+    e = cexp(z, quiet=True)  # non-finite samples are rejected later
+    with np.errstate(over="ignore", invalid="ignore"):
         z.real, z.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
     return z
 

@@ -38,6 +38,7 @@ __all__ = [
     "q_eval",
     "v_sets",
     "v_stack",
+    "cexp",
     "VPoint",
     "displacement",
     "param_array",
@@ -381,14 +382,26 @@ def q_eval(gamma, z) -> complex:
     return out
 
 
-def _exp(z: np.ndarray) -> np.ndarray:
-    """`cmath.exp` elementwise.  np.exp has its bits where Re z <= 708 and Im z
-    is finite; elsewhere `cmath.exp` itself runs, raising where it raises."""
+def cexp(z: np.ndarray, quiet: bool = False) -> np.ndarray:
+    """`cmath.exp` elementwise on a complex array.
+
+    np.exp has its bits where Re z <= 708 and Im z is finite; elsewhere
+    `cmath.exp` itself runs.  Where it raises (OverflowError past the double
+    range, ValueError for an infinite Im z), so does this, or, with `quiet`,
+    np.exp's non-finite value stays.
+    """
+    # A NaN fails either test; an overflowing sum only sends z the slow way.
+    if not z.size or (z.real.max() <= 708.0 and math.isfinite(z.imag.sum())):
+        return np.exp(z)
     with np.errstate(all="ignore"):
         out = np.exp(z)
-    odd = ~((z.real <= 708.0) & np.isfinite(z.imag))
-    if odd.any():
-        out[odd] = [cmath.exp(c) for c in z[odd].tolist()]
+        odd = np.flatnonzero(~(z.real + 0.0 * z.imag <= 708.0))  # 0 * inf is NaN
+    for i in odd.tolist():
+        try:
+            out.flat[i] = cmath.exp(z.flat[i])
+        except (OverflowError, ValueError):
+            if not quiet:
+                raise
     return out
 
 
@@ -405,7 +418,7 @@ def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]
     lam = np.array([as_complex_vector(l, M.s) for l in lambdas], dtype=complex).reshape(-1, 1, M.s)
     W = np.array([M.inv_power(k + 1) for k in levels]).reshape(-1, 1, M.s, M.s)
     w = (lam @ W)[:, :, 0]
-    b = _exp(-w)[:, :, None]
+    b = cexp(-w)[:, :, None]
     e = np.array(M.dual_points())
     v = np.empty(b.shape[:2] + e.shape, dtype=complex)
     v.real = e.real * b.real - e.imag * b.imag
@@ -456,7 +469,7 @@ def displacement(M: DilationMatrix, tau, w):
     wx = 0  # `sum` adds the first term to 0; slices keep arrays, never scalars
     for j in range(M.s):
         wx = wx + w[..., j : j + 1] * x[j]
-    v_x = _exp(-wx)[..., 0]
+    v_x = cexp(-wx)[..., 0]
     return x, (v_x if w.ndim > 1 else complex(v_x))
 
 

@@ -49,12 +49,10 @@ _SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1, 1)
 def _falling_weights(exps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Exact weights q_gamma(alpha) = prod_l alpha_l (alpha_l - 1) ... (alpha_l - gamma_l + 1).
 
-    `exps` is a (T, s) array of exponents and `gammas` a (G, s) int array of
-    multi-indices; the result is a (G, T) array of exps' dtype.  An object
-    array of Python ints gives exact weights of any size; a float array gives
-    the same values while every partial product stays below 2^53.
+    `exps` is a (T, s) object array of exponents and `gammas` a (G, s) int
+    array of multi-indices; the result is a (G, T) object array of Python ints.
     """
-    out = np.ones((len(gammas), len(exps)), dtype=exps.dtype)
+    out = np.ones((len(gammas), len(exps)), dtype=object)
     for l, top in enumerate(gammas.max(axis=0).tolist()):
         for d in range(top):
             out = out * np.where(gammas[:, l : l + 1] > d, exps[:, l] - d, 1)
@@ -318,12 +316,7 @@ def stacked_weighted_derivatives(symbols, gammas, points) -> np.ndarray:
     slot = np.concatenate([np.arange(len(it)) for it in items])
     exps, coeffs = zip(*(term for it in items for term in it))
     w = np.zeros((len(items), T, len(gs)))  # padded terms have weight 0
-    # A weight is a product of at most max |gamma| factors, each smaller than
-    # max |alpha| + max gamma in modulus; below 2^53 floats hold it exactly.
-    top = max(abs(a) for e in exps for a in e) + int(gs.max())
-    exact = top ** max(int(gs.sum(axis=1).max()), 1) < 2**53
-    e = np.array(exps, dtype=float if exact else object)
-    w[level, slot] = _falling_weights(e, gs).astype(float).T
+    w[level, slot] = _falling_weights(np.array(exps, dtype=object), gs).astype(float).T
     used = w != 0  # (L, T, G)
     c = np.zeros((len(items), T), dtype=complex)
     c[level, slot] = coeffs

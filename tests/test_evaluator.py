@@ -148,12 +148,12 @@ def test_stacked_evaluator_slices_match_the_scalar_loop(case):
     assert [[[hx(v) for v in row] for row in level] for level in got.tolist()] == want
 
 
-def test_weights_near_and_past_float_precision_round_once():
-    # q_5(1000) ~ 9.9e14 is exact in floats; q_3(2^40) needs 120 bits and
-    # q_5(2^20 + 3) 100, so those weights take the exact-integer route.
+def test_weights_past_float_precision_round_once():
+    # q_3(2^40) needs 120 bits and q_5(2^20 + 3) 100; each weight is formed
+    # exactly and rounded once, as the loop's c * q rounds it.
     syms = [
-        LaurentSymbol(1, {(1000,): 1.0, (-3,): 0.5}),
         LaurentSymbol(1, {(2**40,): 1.0, (2**20 + 3,): 1.5, (-3,): 2.0}),
+        LaurentSymbol(1, {(7,): 0.5}),
     ]
     gammas = [(0,), (3,), (5,)]
     points = [[(1 + 0j,), (-1 + 0j,), (1j,)]] * 2

@@ -24,7 +24,7 @@ from expsub import (
     transversals_equivalent,
     v_sets,
 )
-from expsub.lattice import as_complex_vector, displacement, v_stack
+from expsub.lattice import as_complex_vector, cexp, displacement, v_stack
 
 SHEAR = [[2, 1], [0, 2]]
 SQRT3 = [[1, 2], [-2, -1]]
@@ -323,6 +323,20 @@ def test_stacked_points_keep_cmath_errors_and_values_past_the_numpy_range():
     assert hx(displacement(M, (400.0,), np.array([w]))[1][0]) == hx(v_x_oracle(M, (400.0,), w))
     with pytest.raises(OverflowError):
         displacement(M, (500.0,), w)
+
+
+def test_cexp_quiet_leaves_a_non_finite_value_where_cmath_raises():
+    z = np.array([0.5 - 1j, 709.5, complex(708.5, 2.0), 800.0, complex(0.0, float("inf"))])
+    with pytest.raises(OverflowError):
+        cexp(z)
+    with pytest.raises(ValueError):
+        cexp(z[4:])
+    got = cexp(z, quiet=True)
+    for zi, gi in zip(z.tolist(), got.tolist()):
+        try:
+            assert hx(gi) == hx(cmath.exp(zi))
+        except (OverflowError, ValueError):
+            assert not cmath.isfinite(gi)
 
 
 def test_param_points():

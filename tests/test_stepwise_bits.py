@@ -67,6 +67,8 @@ def exp_poly_cases(draw):
 @example(((2,), (0j,), [[POWER_TRAP]]))
 @example(((2, 3), (1j, -0.5 + 2j), [[POWER_TRAP, -POWER_TRAP], [-3.5, 0.0]]))
 @example(((0,), (0j,), [[ABS_TRAP.real], [ABS_TRAP.imag]]))
+@example(((1,), (709.5,), [[1.0], [-1.0], [0.5]]))  # past Re 708 np.exp and cmath.exp part
+@example(((0,), (complex(354.75, 2.0),), [[2.0]]))
 def test_exp_poly_values_match_the_scalar_loop(case):
     gamma, lam, t = case
     got = exp_poly_values(gamma, lam, np.array(t)).tolist()
