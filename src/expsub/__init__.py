@@ -7,14 +7,12 @@ scheme generates or reproduces spaces spanned by x^gamma exp(lambda . x).
 from .lattice import (
     DilationMatrix,
     LatticeError,
-    VPoint,
     coset_reps,
     dual_coset_points,
     param_points,
     q_eval,
     same_coset,
     transversals_equivalent,
-    v_sets,
 )
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec, SymbolDomainError, SymbolError
 from .engine import (

@@ -17,7 +17,8 @@ reports carry it as a flag, it is never verified here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -94,23 +95,81 @@ class ConditionRecord:
         }
 
 
-@dataclass
+class ConditionRecords(Sequence):
+    """A report's records: `len()` builds none, the first index or iteration
+    builds them all, once."""
+
+    def __init__(self, report: "ConditionReport", built: tuple | None):
+        self._report, self._built = report, built
+
+    def __len__(self):
+        return self._report.residual.size
+
+    def __getitem__(self, i):
+        if self._built is None:
+            self._built = tuple(self._report._rows(np.arange(len(self))))
+        return self._built[i]
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
+    """One check's conditions as columns: the `levels`, the condition order
+    `(i, gamma, j)` of every level (frequency `lams[i]`, dual point `eps[j]`),
+    the `v_stack` points `v`, and (level, condition) arrays `lhs`, `rhs` and
+    `residual`.  A report built from a list of records keeps that list and a
+    flat `residual`; its other columns are None.  Attributes cannot be set
+    and the arrays are read-only.
+    """
+
     mode: str
     scheme: str
     tol: float
-    records: list[ConditionRecord]
+    records: Sequence[ConditionRecord] | None
     tau: tuple[float, ...] | None = None
     nonsingularity_assumed: bool = True
+    _: KW_ONLY
+    levels: tuple[int, ...] | None = None
+    order: tuple[tuple[int, tuple[int, ...], int], ...] | None = None
+    lams: tuple[tuple[complex, ...], ...] | None = None
+    eps: tuple[tuple[complex, ...], ...] | None = None
+    v: np.ndarray | None = None
+    lhs: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+    residual: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        built = None if self.records is None else tuple(self.records)
+        if built is None:
+            residual = _residuals(self.lhs, self.rhs)
+        else:
+            residual = np.array([r.residual for r in built], dtype=float)
+        for a in (self.v, self.lhs, self.rhs, residual):
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "records", ConditionRecords(self, built))
+
+    def _rows(self, idx: np.ndarray) -> list[ConditionRecord]:
+        """The records at flat indices `idx`: those of `records` once built, else new ones."""
+        if self.records._built is not None:
+            return [self.records._built[n] for n in idx.tolist()]
+        level, col = np.divmod(idx, len(self.order))
+        conds = [self.order[c] for c in col.tolist()]
+        points = self.v[level, [i for i, _, _ in conds], [j for _, _, j in conds]].tolist()
+        values = (a.reshape(-1)[idx].tolist() for a in (self.lhs, self.rhs, self.residual))
+        return [
+            ConditionRecord(self.mode, self.levels[l], gamma, self.lams[i], self.eps[j], tuple(pt), *fields)
+            for l, (i, gamma, j), pt, *fields in zip(level.tolist(), conds, points, *values)
+        ]
 
     @property
     def max_residual(self) -> float:
         """Largest residual; NaN when any residual is NaN."""
-        return _nan_max([r.residual for r in self.records])
+        return _nan_max(self.residual)
 
     @property
     def verdict(self) -> bool:
-        return all(r.residual <= self.tol for r in self.records)
+        return bool((self.residual <= self.tol).all())
 
     def failures(self) -> list[ConditionRecord]:
         """The records that fail the verdict's test, NaN residuals included."""
@@ -134,15 +193,11 @@ class ConditionReport:
             + (f", tau={tuple(self.tau)}" if self.tau is not None else ""),
             f"{'k':>3} {'gamma':>10} {'lambda':>24} {'eps':>20} {'residual':>12} status",
         ]
-        shown = self.records
-        clipped = 0
-        if len(shown) > max_rows:
-            # Rank by the printed residual, ties in record order, so a
-            # last-bit change never swaps rows of equal printed value; NaN
-            # residuals sort first, so a NaN record is never clipped.
-            worst = sorted(shown, key=_printed_rank)[:max_rows]
-            clipped = len(shown) - max_rows
-            shown = sorted(worst, key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
+        residual = self.residual.reshape(-1)
+        clipped = max(residual.size - max_rows, 0)
+        shown = self._rows(_worst(residual, max_rows) if clipped else np.arange(residual.size))
+        if clipped:
+            shown.sort(key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
         for r in shown:
             lam = ",".join(_fmt_c(z) for z in r.lam)
             eps = ",".join(_fmt_c(z) for z in r.eps)
@@ -160,11 +215,17 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _printed_rank(r: ConditionRecord) -> tuple[bool, float]:
-    """Sort key, worst first, on the residual as the table prints it."""
-    if cmath.isnan(r.residual):
-        return (False, 0.0)
-    return (True, -float(f"{r.residual:.3e}"))
+def _worst(residual: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n worst residuals as printed: NaN first, then the `%.3e`
+    value, largest first, ties in record order.  Only NaN and residuals of at
+    least p * (1 - 1e-3) are formatted, p the printed n-th largest (NaN as
+    inf): `%.3e` moves a nonnegative value by at most 5e-4 of itself."""
+    top = np.where(np.isnan(residual), np.inf, residual)
+    kth = top.size - max(n, 1)
+    p = float(f"{np.partition(top, kth)[kth]:.3e}")
+    cand = np.flatnonzero(~(residual < p * (1 - 1e-3)))
+    keys = [(False, 0.0) if x != x else (True, -float(f"{x:.3e}")) for x in residual[cand].tolist()]
+    return cand[sorted(range(cand.size), key=keys.__getitem__)[:n]]
 
 
 def _fmt_c(z: complex) -> str:
@@ -191,8 +252,8 @@ def _check_tol(tol) -> None:
         raise CheckError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
-def _nan_max(values: list[float]) -> float:
-    return float(np.max(values)) if values else 0.0
+def _nan_max(values) -> float:
+    return float(np.max(values)) if np.size(values) else 0.0
 
 
 def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -218,7 +279,7 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
     levels = _levels(k_range)
     lams = space.lambdas()
     gammas = sorted({g for g, _ in space.pairs})
-    # One level's records: (frequency, gamma, dual point), the all-ones point first.
+    # One level's conditions: (frequency, gamma, dual point), the all-ones point first.
     order = [
         (i, gamma, j)
         for i, lam in enumerate(lams)
@@ -244,13 +305,10 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
         at = [r for r, _, _ in ones]
         for row, vl in zip(rhs, v_x.tolist()):
             row[at] = [M.m * vl[i] * q[gamma] for _, i, gamma in ones]
-    eps = M.dual_points()
-    records = [
-        ConditionRecord(mode, k, gamma, lams[i], eps[j], tuple(vk[i][j]), *fields)
-        for k, vk, *level in zip(levels, v.tolist(), lhs.tolist(), rhs.tolist(), _residuals(lhs, rhs).tolist())
-        for (i, gamma, j), *fields in zip(order, *level)
-    ]
-    return ConditionReport(mode=mode, scheme=scheme.name, tol=tol, records=records, tau=t)
+    return ConditionReport(
+        mode, scheme.name, tol, None, t, levels=tuple(levels), order=tuple(order),
+        lams=tuple(lams), eps=tuple(M.dual_points()), v=v, lhs=lhs, rhs=rhs,
+    )
 
 
 def check_generation(scheme: SchemeSpec, space: ExpPolySpace, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -390,13 +448,16 @@ class StepwiseRecord:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepwiseReport:
     scheme: str
     k: int
     tol: float
     tau: tuple[float, ...]
-    records: list[StepwiseRecord] = field(default_factory=list)
+    records: tuple[StepwiseRecord, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
 
     @property
     def max_err(self) -> float:

@@ -26,7 +26,7 @@ import cmath
 import itertools
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +36,8 @@ __all__ = [
     "coset_reps",
     "dual_coset_points",
     "q_eval",
-    "v_sets",
     "v_stack",
     "cexp",
-    "VPoint",
     "displacement",
     "param_array",
     "param_points",
@@ -426,40 +424,12 @@ def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]
     return w, v
 
 
-class VPoint(NamedTuple):
-    """One evaluation point v_j = eps_j * exp(-w_j), w = lambda^T M^{-(k+1)}."""
-
-    v: tuple[complex, ...]
-    eps: tuple[complex, ...]
-    lam: tuple[complex, ...]
-    eps_is_one: bool
-    w: tuple[complex, ...]
-
-
-def v_sets(M: DilationMatrix, lambdas, k: int):
-    """The evaluation sets (V_k, V'_k) for the frequencies in `lambdas`.
-
-    V'_k drops the points built from the all-ones dual element.  Points are
-    ordered by lambda (input order) and then by the dual-point order.  The
-    one-level view of `v_stack`.
-    """
-    lams = [as_complex_vector(lam, M.s) for lam in lambdas]
-    w, v = v_stack(M, lams, [k])
-    full = [
-        VPoint(tuple(pt), eps, lam, i == 0, tuple(wl))
-        for lam, wl, pts in zip(lams, w[0], v[0].tolist())
-        for i, (eps, pt) in enumerate(zip(M.dual_points(), pts))
-    ]
-    prime = [p for p in full if not p.eps_is_one]
-    return full, prime
-
-
 def displacement(M: DilationMatrix, tau, w):
     """x = M tau - tau and v^x = exp(-w . x) for points with exponents w.
 
-    `w` is a point's `VPoint.w`, which gives v^x as a complex, or an (..., s)
-    array of them, which gives an array.  v^x is formed from the defining
-    exponents, so no logarithm branch is involved.
+    `w` is one point's exponent row of `v_stack`, which gives v^x as a
+    complex, or an (..., s) array of them, which gives an array.  v^x is
+    formed from the defining exponents, so no logarithm branch is involved.
     """
     t = as_tau(tau, M.s)
     x = tuple(

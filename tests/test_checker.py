@@ -7,6 +7,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from expsub import (
     sqrt3_schemes,
     stepwise_test,
 )
+from expsub import checker
 from expsub.checker import StepwiseRecord
 
 
@@ -616,3 +618,156 @@ def test_solve_tau_recovers_tau_through_normalize(geometry, r, scale, anchor):
     normed = normalize(spoiled, lams[anchor % len(lams)], base.tau)
     got = solve_tau(normed, base.space)
     assert max(abs(g - t) for g, t in zip(got, base.tau)) <= 1e-12
+
+
+# -- the column-held report against the record-list form -------------------------
+
+
+def eager_records(rep):
+    """Every record of a column report, built level by level as checks did
+    before reports held columns."""
+    return [
+        ConditionRecord(rep.mode, k, gamma, rep.lams[i], rep.eps[j], tuple(vk[i][j]), *fields)
+        for k, vk, *level in zip(
+            rep.levels, rep.v.tolist(), rep.lhs.tolist(), rep.rhs.tolist(), rep.residual.tolist()
+        )
+        for (i, gamma, j), *fields in zip(rep.order, *level)
+    ]
+
+
+def oracle_printed_rank(r):
+    """Sort key, worst first, on the residual as the table prints it."""
+    if cmath.isnan(r.residual):
+        return (False, 0.0)
+    return (True, -float(f"{r.residual:.3e}"))
+
+
+def oracle_table(rep, records, max_rows):
+    """The table as it was computed from a full list of records."""
+    verdict = all(r.residual <= rep.tol for r in records)
+    max_residual = float(np.max([r.residual for r in records])) if records else 0.0
+    lines = [
+        f"{rep.mode} check for {rep.scheme}" + (f", tau={tuple(rep.tau)}" if rep.tau is not None else ""),
+        f"{'k':>3} {'gamma':>10} {'lambda':>24} {'eps':>20} {'residual':>12} status",
+    ]
+    shown = records
+    clipped = 0
+    if len(shown) > max_rows:
+        worst = sorted(shown, key=oracle_printed_rank)[:max_rows]
+        clipped = len(shown) - max_rows
+        shown = sorted(worst, key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
+    for r in shown:
+        lam = ",".join(checker._fmt_c(z) for z in r.lam)
+        eps = ",".join(checker._fmt_c(z) for z in r.eps)
+        ok = "ok" if r.residual <= rep.tol else "FAIL"
+        lines.append(f"{r.k:>3} {str(r.gamma):>10} {lam:>24} {eps:>20} {r.residual:>12.3e} {ok}")
+    if clipped:
+        lines.append(f"... {clipped} more record(s) not shown")
+    lines.append(
+        f"verdict: {'pass' if verdict else 'fail'}"
+        f" (max residual {max_residual:.3e}, tol {rep.tol:.1e}, non-singularity assumed)"
+    )
+    return "\n".join(lines)
+
+
+# Residuals that stress the ranking: non-finite values, zero, and last-bit
+# neighbours of a printed value and of a rounding boundary (2.5005e-12 sits
+# between the printed 2.500e-12 and 2.501e-12).
+TIE_RESIDUALS = [math.nan, math.inf, 0.0, 1e-9, 1.0000000001e-9] + [
+    f(x) for x in (2.5e-12, 2.5005e-12, 9.9995e-13) for f in (
+        lambda x: x, lambda x: math.nextafter(x, 0.0), lambda x: math.nextafter(x, math.inf)
+    )
+]
+# (levels, conditions per level) for 0, 1, 39, 40, 41 and 500 records
+REPORT_SHAPES = [(1, 0), (1, 1), (3, 13), (4, 10), (41, 1), (20, 25)]
+
+
+def column_report(residuals, shape, tau):
+    """An (L, R) column report whose residuals are exactly `residuals` (lhs = r, rhs = 0)."""
+    L, R = shape
+    lams = ((0.5 + 0j,), (-0.25 + 1j,))
+    order = tuple((c % 2, ((c // 4) % 3,), (c // 2) % 2) for c in range(R))
+    v = np.arange(L * 4, dtype=complex).reshape(L, 2, 2, 1) * (0.1 + 0.3j)
+    lhs = np.array(residuals, dtype=complex).reshape(L, R)
+    return ConditionReport(
+        "reproduction", "drawn", 1e-9, None, tau, levels=tuple(range(7, 7 + L)), order=order,
+        lams=lams, eps=((1 + 0j,), (-1 + 0j,)), v=v, lhs=lhs, rhs=np.zeros_like(lhs),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REPORT_SHAPES), st.data(), st.integers(0, 45), st.sampled_from([None, (0.25,)]))
+def test_column_report_shows_what_the_record_list_shows(shape, data, max_rows, tau):
+    n = shape[0] * shape[1]
+    values = st.one_of(st.sampled_from(TIE_RESIDUALS), st.floats(0.0, 1e-6))
+    residuals = data.draw(st.lists(values, min_size=n, max_size=n))
+    col = column_report(residuals, shape, tau)
+    # read the columns before any record is built
+    got = [col.table(max_rows), col.table(), col.verdict, col.max_residual.hex()]
+    records = eager_records(col)
+    assert [r.residual.hex() for r in records] == [x.hex() for x in residuals]
+    listed = ConditionReport(col.mode, col.scheme, col.tol, records, tau=col.tau)
+    want = [oracle_table(col, records, max_rows), oracle_table(col, records, 40)]
+    assert got[:2] == want
+    assert [listed.table(max_rows), listed.table()] == want
+    assert got[2:] == [listed.verdict, listed.max_residual.hex()]
+    assert listed.verdict == all(r.residual <= col.tol for r in records)
+
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True)
+
+    assert dump([r.to_json_obj() for r in col.failures()]) == dump([r.to_json_obj() for r in listed.failures()])
+    assert dump(col.to_json_obj()) == dump(listed.to_json_obj())
+    assert col.failures() == [r for r in col.records if not r.residual <= col.tol]
+
+
+def test_len_of_records_builds_no_record(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ConditionRecord(*args)
+
+    monkeypatch.setattr(checker, "ConditionRecord", counting)
+    scheme = dual4_binary(0.9)
+    rep = check_reproduction(scheme, scheme.space, (0.0,), (0, 40))
+    assert len(rep.records) == rep.residual.size > 40 and not built
+    assert not rep.verdict and rep.max_residual > 0 and not built
+    rows = rep.table().splitlines()[2:-2]
+    assert len(rows) == 40 and len(built) == 40  # only the rows printed
+    records = list(rep.records)
+    assert len(built) == 40 + len(records) and list(rep.records) == records
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_records_built_on_demand_are_the_eager_records(geometry):
+    def bits(z):
+        return (z.real.hex(), z.imag.hex())
+
+    scheme = GEOMETRIES[geometry](0.7)
+    for rep in (
+        check_generation(scheme, scheme.space, (0, 3)),
+        check_reproduction(scheme, scheme.space, scheme.tau, [0, 2, 20, 64]),
+    ):
+        want = eager_records(rep)
+        assert len(rep.records) == len(want) > 0
+        for got, ref in zip(rep.records, want):
+            assert (got.kind, got.k, got.gamma, got.lam, got.eps) == (ref.kind, ref.k, ref.gamma, ref.lam, ref.eps)
+            assert [bits(z) for z in got.v] == [bits(z) for z in ref.v]
+            assert (bits(got.lhs), bits(got.rhs), got.residual.hex()) == (bits(ref.lhs), bits(ref.rhs), ref.residual.hex())
+            assert type(got.k) is int and all(type(z) is complex for z in got.v + (got.lhs, got.rhs))
+
+
+def test_reports_reject_writes_and_keep_their_arrays():
+    scheme = dual4_binary(0.9)
+    rep = check_reproduction(scheme, scheme.space, scheme.tau, (0, 2))
+    for name in ("tol", "records", "residual", "levels"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+    for a in (rep.v, rep.lhs, rep.rhs, rep.residual):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    sw = stepwise_test(scheme, scheme.space, scheme.tau, 0, 3)
+    with pytest.raises(AttributeError):
+        sw.tol = 1.0
+    assert type(sw.records) is tuple and type(rep.records[:]) is tuple

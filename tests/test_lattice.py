@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from expsub import (
     DilationMatrix,
     LatticeError,
-    VPoint,
     coset_reps,
     dual_coset_points,
     param_points,
     q_eval,
     same_coset,
     transversals_equivalent,
-    v_sets,
 )
 from expsub.lattice import as_complex_vector, cexp, displacement, v_stack
 
@@ -202,23 +200,30 @@ def test_q_eval_total_degree():
     assert abs(lead - want) / abs(want) < 1e-4
 
 
+def one_level(M, lambdas, k):
+    """(V_k, V'_k) of level k from `v_stack`: points by frequency, then by dual
+    point; V'_k drops the points of the all-ones dual point, which comes first."""
+    v = v_stack(M, lambdas, [k])[1][0].tolist()
+    return [tuple(p) for pts in v for p in pts], [tuple(p) for pts in v for p in pts[1:]]
+
+
 def test_v_sets_trivial_and_conic():
     M = DilationMatrix(2)
-    full, prime = v_sets(M, [(0.0,)], k=0)
-    assert close_sets([p.v for p in full], [(1,), (-1,)], tol=1e-12)
-    assert close_sets([p.v for p in prime], [(-1,)], tol=1e-12)
-    assert full[0].v == ((1 + 0j),)
-    assert full[0].eps_is_one and not full[1].eps_is_one
+    full, prime = one_level(M, [(0.0,)], k=0)
+    assert close_sets(full, [(1,), (-1,)], tol=1e-12)
+    assert close_sets(prime, [(-1,)], tol=1e-12)
+    assert full[0] == ((1 + 0j),)
+    assert M.dual_points()[0] == (1 + 0j,) and M.dual_points()[1] != (1 + 0j,)
 
     lam = 0.8
     k = 2
-    _, prime = v_sets(M, [(0.0,), (lam,), (-lam,)], k=k)
+    _, prime = one_level(M, [(0.0,), (lam,), (-lam,)], k=k)
     want = [
         (-1.0,),
         (-cmath.exp(-lam * 2 ** -(k + 1)),),
         (-cmath.exp(lam * 2 ** -(k + 1)),),
     ]
-    assert close_sets([p.v for p in prime], want, tol=1e-14)
+    assert close_sets(prime, want, tol=1e-14)
 
 
 def test_v_sets_butterfly_points():
@@ -226,35 +231,34 @@ def test_v_sets_butterfly_points():
     lam = (0.3, 1.1)
     k = 1
     r = [cmath.exp(z * 2 ** -(k + 1)) for z in lam]
-    _, prime = v_sets(M, [lam], k=k)
+    _, prime = one_level(M, [lam], k=k)
     want = [
         (-1 / r[0], 1 / r[1]),
         (1 / r[0], -1 / r[1]),
         (-1 / r[0], -1 / r[1]),
     ]
-    assert close_sets([p.v for p in prime], want, tol=1e-14)
+    assert close_sets(prime, want, tol=1e-14)
     for p in prime:
-        assert all(z != 0 for z in p.v)
+        assert all(z != 0 for z in p)
 
 
 def test_v_sets_lambda_zero_exactness():
     M = DilationMatrix(SQRT3)
-    full, _ = v_sets(M, [(0.0, 0.0)], k=5)
-    for p in full:
-        assert p.v == p.eps
+    full, _ = one_level(M, [(0.0, 0.0)], k=5)
+    assert full == list(M.dual_points())
 
 
 def v_sets_oracle(M, lambdas, k):
     """The per-level loop that `v_stack` replaced: one `@` per frequency,
-    `cmath.exp` and Python's complex products."""
+    `cmath.exp` and Python's complex products.  One (v, w) pair per point of
+    V_k, by frequency and then by dual point."""
     W = M.inv_power(k + 1)
     full = []
     for lam in lambdas:
-        lamv = as_complex_vector(lam, M.s)
-        w = tuple(np.array(lamv) @ W)
+        w = tuple(np.array(as_complex_vector(lam, M.s)) @ W)
         base = tuple(cmath.exp(-w[j]) for j in range(M.s))
-        for i, eps in enumerate(M.dual_points()):
-            full.append(VPoint(tuple(e * b for e, b in zip(eps, base)), eps, lamv, i == 0, w))
+        for eps in M.dual_points():
+            full.append((tuple(e * b for e, b in zip(eps, base)), w))
     return full
 
 
@@ -289,19 +293,13 @@ def test_stacked_points_are_the_per_level_points_bit_for_bit(entries, lams):
     _, v_x = displacement(M, tau, w)
     for k in levels:
         want = v_sets_oracle(M, lams, k)
-        full, prime = v_sets(M, lams, k)
-        assert prime == [p for p in full if not p.eps_is_one]
-        assert len(full) == len(want) == len(lams) * M.m
-        for got, ref in zip(full, want):
-            assert [hx(z) for z in got.v] == [hx(z) for z in ref.v]
-            assert [hx(z) for z in got.w] == [hx(z) for z in ref.w]
-            assert all(type(z) is np.complex128 for z in got.w)
-            assert (got.eps, got.lam, got.eps_is_one) == (ref.eps, ref.lam, ref.eps_is_one)
+        assert len(want) == len(lams) * M.m
         stacked = [tuple(p) for lam_points in v[k].tolist() for p in lam_points]
-        assert [[hx(z) for z in p] for p in stacked] == [[hx(z) for z in p.v] for p in want]
-        for i, ref in enumerate(want[:: M.m]):
-            assert hx(v_x[k, i]) == hx(v_x_oracle(M, tau, ref.w))
-            assert hx(displacement(M, tau, ref.w)[1]) == hx(v_x_oracle(M, tau, ref.w))
+        assert [[hx(z) for z in p] for p in stacked] == [[hx(z) for z in p] for p, _ in want]
+        for i, (_, ref_w) in enumerate(want[:: M.m]):
+            assert [hx(z) for z in w[k, i]] == [hx(z) for z in ref_w]
+            assert hx(v_x[k, i]) == hx(v_x_oracle(M, tau, ref_w))
+            assert hx(displacement(M, tau, ref_w)[1]) == hx(v_x_oracle(M, tau, ref_w))
 
 
 def test_stacked_points_keep_cmath_errors_and_values_past_the_numpy_range():
@@ -310,7 +308,7 @@ def test_stacked_points_keep_cmath_errors_and_values_past_the_numpy_range():
     M = DilationMatrix(2)
     for lam in (-1417.0, -1418.5 + 1j, complex(-1419.0, 3e300)):
         want = v_sets_oracle(M, [lam], 0)
-        assert [hx(p.v[0]) for p in v_sets(M, [lam], 0)[0]] == [hx(p.v[0]) for p in want]
+        assert [hx(p[0]) for p in v_stack(M, [lam], [0])[1][0, 0]] == [hx(p[0]) for p, _ in want]
     with pytest.raises(OverflowError):
         v_sets_oracle(M, [-1500.0], 0)
     with pytest.raises(OverflowError):
