@@ -11,8 +11,6 @@ from .lattice import (
     dual_coset_points,
     param_points,
     q_eval,
-    same_coset,
-    transversals_equivalent,
 )
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec, SymbolDomainError, SymbolError
 from .engine import (

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -96,18 +97,18 @@ class ConditionRecord:
 
 
 class ConditionRecords(Sequence):
-    """A report's records: `len()` builds none, the first index or iteration
-    builds them all, once."""
+    """A report's records: `len()` builds none; the first index or iteration
+    builds them all, once, with `rows`, which maps flat indices to records."""
 
-    def __init__(self, report: "ConditionReport", built: tuple | None):
-        self._report, self._built = report, built
+    def __init__(self, size: int, rows):
+        self._size, self.rows, self._built = size, rows, None
 
     def __len__(self):
-        return self._report.residual.size
+        return self._size
 
     def __getitem__(self, i):
         if self._built is None:
-            self._built = tuple(self._report._rows(np.arange(len(self))))
+            self._built = tuple(self.rows(np.arange(self._size)))
         return self._built[i]
 
 
@@ -115,10 +116,9 @@ class ConditionRecords(Sequence):
 class ConditionReport:
     """One check's conditions as columns: the `levels`, the condition order
     `(i, gamma, j)` of every level (frequency `lams[i]`, dual point `eps[j]`),
-    the `v_stack` points `v`, and (level, condition) arrays `lhs`, `rhs` and
-    `residual`.  A report built from a list of records keeps that list and a
-    flat `residual`; its other columns are None.  Attributes cannot be set
-    and the arrays are read-only.
+    the `v_stack` points `v`, and read-only (level, condition) arrays `lhs`,
+    `rhs` and `residual`.  A report built from a list of records keeps those
+    records and a flat `residual`; its other columns are None.
     """
 
     mode: str
@@ -138,29 +138,19 @@ class ConditionReport:
     residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        built = None if self.records is None else tuple(self.records)
-        if built is None:
+        if self.records is None:
             residual = _residuals(self.lhs, self.rhs)
+            cols = (self.mode, self.levels, self.order, self.lams, self.eps, self.v, self.lhs, self.rhs, residual)
+            records = ConditionRecords(residual.size, partial(_records, *cols))
         else:
+            built = tuple(self.records)
             residual = np.array([r.residual for r in built], dtype=float)
+            records = ConditionRecords(len(built), lambda idx: [built[n] for n in idx.tolist()])
         for a in (self.v, self.lhs, self.rhs, residual):
             if a is not None:
                 a.flags.writeable = False
         object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "records", ConditionRecords(self, built))
-
-    def _rows(self, idx: np.ndarray) -> list[ConditionRecord]:
-        """The records at flat indices `idx`: those of `records` once built, else new ones."""
-        if self.records._built is not None:
-            return [self.records._built[n] for n in idx.tolist()]
-        level, col = np.divmod(idx, len(self.order))
-        conds = [self.order[c] for c in col.tolist()]
-        points = self.v[level, [i for i, _, _ in conds], [j for _, _, j in conds]].tolist()
-        values = (a.reshape(-1)[idx].tolist() for a in (self.lhs, self.rhs, self.residual))
-        return [
-            ConditionRecord(self.mode, self.levels[l], gamma, self.lams[i], self.eps[j], tuple(pt), *fields)
-            for l, (i, gamma, j), pt, *fields in zip(level.tolist(), conds, points, *values)
-        ]
+        object.__setattr__(self, "records", records)
 
     @property
     def max_residual(self) -> float:
@@ -195,15 +185,21 @@ class ConditionReport:
         ]
         residual = self.residual.reshape(-1)
         clipped = max(residual.size - max_rows, 0)
-        shown = self._rows(_worst(residual, max_rows) if clipped else np.arange(residual.size))
+        idx = range(residual.size)
+        if clipped:
+            # Rank by the printed residual, ties in record order, so a
+            # last-bit change never swaps rows of equal printed value; NaN
+            # residuals sort first, so a NaN record is never clipped.
+            keys = [(False, 0.0) if x != x else (True, -float(f"{x:.3e}")) for x in residual.tolist()]
+            idx = sorted(idx, key=keys.__getitem__)[:max_rows]
+        shown = self.records.rows(np.array(idx, dtype=np.intp))
         if clipped:
             shown.sort(key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
+        fmt = cache(lambda zs: ",".join(_fmt_c(z) for z in zs))
         for r in shown:
-            lam = ",".join(_fmt_c(z) for z in r.lam)
-            eps = ",".join(_fmt_c(z) for z in r.eps)
             ok = "ok" if r.residual <= self.tol else "FAIL"
             lines.append(
-                f"{r.k:>3} {str(r.gamma):>10} {lam:>24} {eps:>20} {r.residual:>12.3e} {ok}"
+                f"{r.k:>3} {str(r.gamma):>10} {fmt(r.lam):>24} {fmt(r.eps):>20} {r.residual:>12.3e} {ok}"
             )
         if clipped:
             lines.append(f"... {clipped} more record(s) not shown")
@@ -215,17 +211,16 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _worst(residual: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n worst residuals as printed: NaN first, then the `%.3e`
-    value, largest first, ties in record order.  Only NaN and residuals of at
-    least p * (1 - 1e-3) are formatted, p the printed n-th largest (NaN as
-    inf): `%.3e` moves a nonnegative value by at most 5e-4 of itself."""
-    top = np.where(np.isnan(residual), np.inf, residual)
-    kth = top.size - max(n, 1)
-    p = float(f"{np.partition(top, kth)[kth]:.3e}")
-    cand = np.flatnonzero(~(residual < p * (1 - 1e-3)))
-    keys = [(False, 0.0) if x != x else (True, -float(f"{x:.3e}")) for x in residual[cand].tolist()]
-    return cand[sorted(range(cand.size), key=keys.__getitem__)[:n]]
+def _records(mode, levels, order, lams, eps, v, lhs, rhs, residual, idx) -> list[ConditionRecord]:
+    """The records of a column report at flat indices `idx`."""
+    level, col = np.divmod(idx, len(order))
+    conds = [order[c] for c in col.tolist()]
+    points = v[level, [i for i, _, _ in conds], [j for _, _, j in conds]].tolist()
+    values = (a.reshape(-1)[idx].tolist() for a in (lhs, rhs, residual))
+    return [
+        ConditionRecord(mode, levels[l], gamma, lams[i], eps[j], tuple(pt), *fields)
+        for l, (i, gamma, j), pt, *fields in zip(level.tolist(), conds, points, *values)
+    ]
 
 
 def _fmt_c(z: complex) -> str:
@@ -456,9 +451,6 @@ class StepwiseReport:
     tau: tuple[float, ...]
     records: tuple[StepwiseRecord, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-
     @property
     def max_err(self) -> float:
         """Largest error; NaN when any error is NaN."""
@@ -512,5 +504,5 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
     pts = param_array(M, t, k + 1, valid)
     exact = np.array([exp_poly_values(gamma, lam, pts) for gamma, lam in space.pairs])
     errs = _residuals(got, exact).max(axis=1).tolist()  # np.max keeps a NaN
-    records = [StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, errs)]
+    records = tuple(StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, errs))
     return StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)

@@ -39,7 +39,6 @@ __all__ = [
     "apply_operator",
     "refine",
     "sample_exp_poly",
-    "exp_poly_value",
     "exp_poly_values",
     "sampled_step",
     "basic_limit_samples",
@@ -352,11 +351,6 @@ def exp_poly_values(gamma, lam, t) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         z.real, z.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
     return z
-
-
-def exp_poly_value(gamma, lam, t) -> complex:
-    """x^gamma exp(lambda . x) at the real point t (0^0 = 1)."""
-    return complex(exp_poly_values(gamma, lam, [t])[0])
 
 
 def _samples(pairs, M: DilationMatrix, tau, level: int, window):

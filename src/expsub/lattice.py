@@ -41,8 +41,6 @@ __all__ = [
     "displacement",
     "param_array",
     "param_points",
-    "same_coset",
-    "transversals_equivalent",
     "as_tau",
     "as_multi_index",
     "as_complex_vector",
@@ -319,22 +317,6 @@ def coset_reps(M: DilationMatrix) -> list[tuple[int, ...]]:
 def dual_coset_points(M: DilationMatrix) -> list[tuple[complex, ...]]:
     """Unimodular evaluation set Xi; entry 0 is the all-ones vector exactly."""
     return M.dual_points()
-
-
-def same_coset(M: DilationMatrix, a: Sequence[int], b: Sequence[int]) -> bool:
-    """Exact test for a = b mod M Z^s."""
-    return M.solve_integer(tuple(int(x) - int(y) for x, y in zip(a, b))) is not None
-
-
-def transversals_equivalent(M: DilationMatrix, reps_a, reps_b) -> bool:
-    """Do two lists represent the same cosets of Z^s / M Z^s, bijectively?"""
-    canon_a = sorted(M.coset_of(r) for r in reps_a)
-    canon_b = sorted(M.coset_of(r) for r in reps_b)
-    return (
-        len(reps_a) == len(reps_b)
-        and len(set(canon_a)) == len(canon_a)
-        and canon_a == canon_b
-    )
 
 
 def as_multi_index(gamma, s: int | None = None) -> tuple[int, ...]:

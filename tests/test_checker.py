@@ -2,9 +2,11 @@
 
 import cmath
 import functools
+import gc
 import json
 import math
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -771,3 +773,16 @@ def test_reports_reject_writes_and_keep_their_arrays():
     with pytest.raises(AttributeError):
         sw.tol = 1.0
     assert type(sw.records) is tuple and type(rep.records[:]) is tuple
+
+
+def test_a_report_is_freed_without_the_cycle_collector():
+    scheme = dual4_binary(0.9)
+    rep = check_reproduction(scheme, scheme.space, scheme.tau, (0, 2))
+    records, gone = rep.records, weakref.ref(rep)
+    gc.disable()
+    try:
+        del rep
+        assert gone() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+    assert len(list(records)) == len(records) > 0  # the records outlive their report

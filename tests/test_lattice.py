@@ -19,8 +19,6 @@ from expsub import (
     dual_coset_points,
     param_points,
     q_eval,
-    same_coset,
-    transversals_equivalent,
 )
 from expsub.lattice import as_complex_vector, cexp, displacement, v_stack
 
@@ -47,6 +45,18 @@ def adj2_solve(mat, vec):
     y0 = d * vec[0] - b * vec[1]
     y1 = -c * vec[0] + a * vec[1]
     return y0 % det == 0 and y1 % det == 0
+
+
+def same_coset(M, a, b):
+    """Exact test for a = b mod M Z^s."""
+    return M.solve_integer(tuple(int(x) - int(y) for x, y in zip(a, b))) is not None
+
+
+def transversals_equivalent(M, reps_a, reps_b):
+    """Do two lists represent the same cosets of Z^s / M Z^s, bijectively?"""
+    canon_a = sorted(M.coset_of(r) for r in reps_a)
+    canon_b = sorted(M.coset_of(r) for r in reps_b)
+    return len(reps_a) == len(reps_b) and len(set(canon_a)) == len(canon_a) and canon_a == canon_b
 
 
 def test_rejects_bad_matrices():
