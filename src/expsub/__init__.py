@@ -7,9 +7,6 @@ scheme generates or reproduces spaces spanned by x^gamma exp(lambda . x).
 from .lattice import (
     DilationMatrix,
     LatticeError,
-    coset_reps,
-    dual_coset_points,
-    param_points,
     q_eval,
 )
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec, SymbolDomainError, SymbolError
@@ -52,7 +49,6 @@ from .catalog import (
     dual4_binary_limit_mask,
     dual4_ternary,
     dual4_ternary_limit_mask,
-    dual4_ternary_limit_symbol,
     exp_box_spline,
     exp_bspline,
     exp_product,

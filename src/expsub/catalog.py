@@ -28,7 +28,6 @@ __all__ = [
     "dual4_binary_limit_mask",
     "dual4_ternary",
     "dual4_ternary_limit_mask",
-    "dual4_ternary_limit_symbol",
     "butterfly",
     "sheared_convolution",
     "SHEAR_DIGITS",
@@ -188,11 +187,6 @@ def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
 # -- dual four-point schemes ---------------------------------------------------
 
 
-def _poly1(coeffs) -> LaurentSymbol:
-    """Univariate polynomial from a coefficient list starting at z^0."""
-    return LaurentSymbol(1, {(i,): c for i, c in enumerate(coeffs)})
-
-
 def _dual4_w(lam: complex, M: DilationMatrix, k: int) -> complex:
     h = _level_scale(M, k) * lam / 2
     return (cmath.exp(h) + cmath.exp(-h)) / 2
@@ -310,12 +304,6 @@ def dual4_ternary_limit_mask() -> LaurentSymbol:
         Fraction(-35, 1296),
     ]
     return LaurentSymbol(1, {(e,): float(c) for e, c in zip(range(-6, 6), lim)})
-
-
-def dual4_ternary_limit_symbol() -> LaurentSymbol:
-    """-z^-6 (1/1296) (z^2+z+1)^4 (z+1) (35 z^2 - 94 z + 35), expanded exactly."""
-    prod = _poly1([1, 1, 1]) ** 4 * _poly1([1, 1]) * _poly1([35, -94, 35])
-    return prod.shift(-6) * (-1 / 1296)
 
 
 # -- butterfly -----------------------------------------------------------------

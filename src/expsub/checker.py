@@ -20,6 +20,7 @@ import cmath
 from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cache, partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -117,40 +118,31 @@ class ConditionReport:
     """One check's conditions as columns: the `levels`, the condition order
     `(i, gamma, j)` of every level (frequency `lams[i]`, dual point `eps[j]`),
     the `v_stack` points `v`, and read-only (level, condition) arrays `lhs`,
-    `rhs` and `residual`.  A report built from a list of records keeps those
-    records and a flat `residual`; its other columns are None.
-    """
+    `rhs` and `residual`, from which `records` are built on demand."""
 
+    nonsingularity_assumed: ClassVar[bool] = True
     mode: str
     scheme: str
     tol: float
-    records: Sequence[ConditionRecord] | None
-    tau: tuple[float, ...] | None = None
-    nonsingularity_assumed: bool = True
+    tau: tuple[float, ...] | None
     _: KW_ONLY
-    levels: tuple[int, ...] | None = None
-    order: tuple[tuple[int, tuple[int, ...], int], ...] | None = None
-    lams: tuple[tuple[complex, ...], ...] | None = None
-    eps: tuple[tuple[complex, ...], ...] | None = None
-    v: np.ndarray | None = None
-    lhs: np.ndarray | None = None
-    rhs: np.ndarray | None = None
+    levels: tuple[int, ...]
+    order: tuple[tuple[int, tuple[int, ...], int], ...]
+    lams: tuple[tuple[complex, ...], ...]
+    eps: tuple[tuple[complex, ...], ...]
+    v: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     residual: np.ndarray = field(init=False)
+    records: Sequence[ConditionRecord] = field(init=False)
 
     def __post_init__(self):
-        if self.records is None:
-            residual = _residuals(self.lhs, self.rhs)
-            cols = (self.mode, self.levels, self.order, self.lams, self.eps, self.v, self.lhs, self.rhs, residual)
-            records = ConditionRecords(residual.size, partial(_records, *cols))
-        else:
-            built = tuple(self.records)
-            residual = np.array([r.residual for r in built], dtype=float)
-            records = ConditionRecords(len(built), lambda idx: [built[n] for n in idx.tolist()])
+        residual = _residuals(self.lhs, self.rhs)
         for a in (self.v, self.lhs, self.rhs, residual):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
+        cols = (self.mode, self.levels, self.order, self.lams, self.eps, self.v, self.lhs, self.rhs, residual)
         object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "records", ConditionRecords(residual.size, partial(_records, *cols)))
 
     @property
     def max_residual(self) -> float:
@@ -301,7 +293,7 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
         for row, vl in zip(rhs, v_x.tolist()):
             row[at] = [M.m * vl[i] * q[gamma] for _, i, gamma in ones]
     return ConditionReport(
-        mode, scheme.name, tol, None, t, levels=tuple(levels), order=tuple(order),
+        mode, scheme.name, tol, t, levels=tuple(levels), order=tuple(order),
         lams=tuple(lams), eps=tuple(M.dual_points()), v=v, lhs=lhs, rhs=rhs,
     )
 

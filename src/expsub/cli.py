@@ -170,13 +170,11 @@ def cmd_catalog(args) -> int:
     if not isinstance(params, dict) or "name" in params:
         raise FileFormatError("--params must be a JSON object of catalog parameters")
     obj = scheme_file_for_catalog(args.id, **params)
-    text = json.dumps(obj, indent=2)
     if args.out:
-        with open(Path(args.out), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(args.out, obj)
         print(f"wrote {args.out}")
     else:
-        print(text)
+        print(json.dumps(obj, indent=2))
     return 0
 
 

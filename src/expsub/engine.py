@@ -501,15 +501,19 @@ def grid_to_json(g: GridData, fh) -> None:
 
 
 def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
-    values = []
-    for rec in obj["values"]:
-        idx = tuple(int(x) for x in rec["idx"])
-        values.append((idx, complex(float(rec["re"]), float(rec.get("im", 0.0)))))
-        if s is None:
-            s = len(idx)
+    try:
+        values = []
+        for rec in obj["values"]:
+            idx = tuple(int(x) for x in rec["idx"])
+            values.append((idx, complex(float(rec["re"]), float(rec.get("im", 0.0)))))
+            if s is None:
+                s = len(idx)
+        level = int(obj["level"])
+    except (KeyError, TypeError) as exc:
+        raise EngineError(f"bad grid data: {exc!r}") from exc
     if s is None:
         raise EngineError("cannot infer dimension of empty grid data")
-    return GridData(s, int(obj["level"]), values, tau=obj.get("tau"))
+    return GridData(s, level, values, tau=obj.get("tau"))
 
 
 def grid_to_csv(g: GridData, fh) -> None:

@@ -175,11 +175,13 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
         )
 
     if kind == "explicit":
-        levels_obj = obj.get("levels", [])
         if "tail" not in obj:
             raise FileFormatError("explicit scheme needs a stationary tail symbol")
-        levels = [LaurentSymbol.from_json_obj(lv, s) for lv in levels_obj]
-        tail = LaurentSymbol.from_json_obj(obj["tail"], s)
+        try:
+            levels = [LaurentSymbol.from_json_obj(lv, s) for lv in obj.get("levels", [])]
+            tail = LaurentSymbol.from_json_obj(obj["tail"], s)
+        except (KeyError, TypeError) as exc:
+            raise FileFormatError(f"bad explicit scheme symbol: {exc!r}") from exc
         for sym in levels + [tail]:
             if not all(cmath.isfinite(c) for c in sym.terms().values()):
                 raise FileFormatError("explicit scheme coefficients must be finite")
@@ -190,18 +192,21 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
     raise FileFormatError(f"unknown scheme kind {kind!r}")
 
 
-def load_scheme(path) -> SchemeSpec:
+def _read_json(path):
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return load_scheme_obj(obj)
+
+
+def load_scheme(path) -> SchemeSpec:
+    return load_scheme_obj(_read_json(path))
 
 
 def load_space_obj(obj: dict) -> ExpPolySpace:
     try:
-        pairs = obj["pairs"]
+        pairs = list(obj["pairs"])
     except (KeyError, TypeError) as exc:
         raise FileFormatError("space file needs a 'pairs' list") from exc
     decoded = []
@@ -218,9 +223,4 @@ def load_space_obj(obj: dict) -> ExpPolySpace:
 
 
 def load_space(path) -> ExpPolySpace:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return load_space_obj(obj)
+    return load_space_obj(_read_json(path))

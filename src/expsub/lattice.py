@@ -33,14 +33,11 @@ import numpy as np
 __all__ = [
     "LatticeError",
     "DilationMatrix",
-    "coset_reps",
-    "dual_coset_points",
     "q_eval",
     "v_stack",
     "cexp",
     "displacement",
     "param_array",
-    "param_points",
     "as_tau",
     "as_multi_index",
     "as_complex_vector",
@@ -256,7 +253,8 @@ class DilationMatrix:
     # -- cosets ------------------------------------------------------------------
 
     def coset_reps(self) -> list[tuple[int, ...]]:
-        """Canonical transversal E of Z^s / M Z^s, from the HNF digit box."""
+        """Canonical transversal E of Z^s / M Z^s, from the HNF digit box; it
+        holds the origin and is sorted lexicographically."""
         if self._coset_reps is None:
             object.__setattr__(self, "_coset_reps", sorted(_digit_box(self._H, self._V)))
         return list(self._coset_reps)
@@ -298,7 +296,7 @@ class DilationMatrix:
         return list(self._dual_reps)
 
     def dual_points(self) -> list[tuple[complex, ...]]:
-        """The set Xi = {exp(2 pi i M^{-T} xi)}; the all-ones point comes first."""
+        """The set Xi = {exp(2 pi i M^{-T} xi)}; the all-ones point comes first, with exact ones."""
         if self._dual is None:
             phases = _int_matmul(self.dual_reps(), self._A)  # rows (A^T xi)^T = m (M^{-T} xi)^T
             pts = [tuple(cmath.exp(2j * cmath.pi * ((y % self.m) / self.m)) for y in row) for row in phases]
@@ -307,16 +305,6 @@ class DilationMatrix:
 
 
 # -- module-level operation surface -------------------------------------------
-
-
-def coset_reps(M: DilationMatrix) -> list[tuple[int, ...]]:
-    """Transversal of Z^s / M Z^s containing the origin, lexicographically sorted."""
-    return M.coset_reps()
-
-
-def dual_coset_points(M: DilationMatrix) -> list[tuple[complex, ...]]:
-    """Unimodular evaluation set Xi; entry 0 is the all-ones vector exactly."""
-    return M.dual_points()
 
 
 def as_multi_index(gamma, s: int | None = None) -> tuple[int, ...]:
@@ -441,8 +429,3 @@ def param_array(M: DilationMatrix, tau, k: int, alphas) -> np.ndarray:
         for j in range(M.s):
             out[:, i] = out[:, i] + Mk[i, j] * shifted[:, j]
     return out
-
-
-def param_points(M: DilationMatrix, tau, k: int, alphas) -> list[tuple[float, ...]]:
-    """`param_array` as a list with one coordinate tuple per index."""
-    return list(map(tuple, param_array(M, tau, k, alphas).tolist()))

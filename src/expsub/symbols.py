@@ -114,9 +114,6 @@ class LaurentSymbol:
     def sorted_items(self):
         return sorted(self._terms.items())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __len__(self):
         return len(self._terms)
 
@@ -222,18 +219,6 @@ class LaurentSymbol:
         differentiating through negative exponents symbolically.
         """
         return complex(self.weighted_derivatives([gamma], [z])[0, 0])
-
-    def partial_derivative(self, gamma) -> "LaurentSymbol":
-        """The mixed partial D^gamma a as a new symbol."""
-        g = as_multi_index(gamma, self.s)
-        exps = np.array(list(self._terms), dtype=object).reshape(-1, self.s)
-        weights = _falling_weights(exps, np.array([g]))
-        out: dict[tuple[int, ...], complex] = {}
-        for (exp, c), w in zip(self._terms.items(), weights[0].tolist()):
-            if w:
-                e = tuple(a - gl for a, gl in zip(exp, g))
-                out[e] = out.get(e, 0) + c * w
-        return LaurentSymbol(self.s, out)
 
     def polyphase(self, M: DilationMatrix) -> dict[tuple[int, ...], list]:
         """The sub-symbols a_e as coarse-lattice taps: {e: [(n, c), ...]}.

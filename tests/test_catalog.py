@@ -14,7 +14,6 @@ from expsub import (
     dual4_binary_limit_mask,
     dual4_ternary,
     dual4_ternary_limit_mask,
-    dual4_ternary_limit_symbol,
     exp_box_spline,
     exp_bspline,
     exp_product,
@@ -117,6 +116,16 @@ def test_dual4_ternary_mask_properties():
         for e in range(-6, 6):
             assert abs(sym.coeff((e,)) - sym.coeff((-1 - e,))) < 1e-15
         assert abs(sym.eval((1,)) - 3) < 1e-12
+
+
+def dual4_ternary_limit_symbol() -> LaurentSymbol:
+    """-z^-6 (1/1296) (z^2+z+1)^4 (z+1) (35 z^2 - 94 z + 35), expanded exactly."""
+
+    def poly(coeffs):
+        return LaurentSymbol(1, {(i,): c for i, c in enumerate(coeffs)})
+
+    prod = poly([1, 1, 1]) ** 4 * poly([1, 1]) * poly([35, -94, 35])
+    return prod.shift(-6) * (-1 / 1296)
 
 
 def test_dual4_ternary_limits():

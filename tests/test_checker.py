@@ -292,7 +292,7 @@ def test_report_json_shape_and_q_property():
     rep = check_reproduction(scheme, scheme.space, (-0.5,), (0, 1))
     obj = json.loads(json.dumps(rep.to_json_obj()))
     assert obj["verdict"] == "pass"
-    assert obj["nonsingularity_assumed"] is True
+    assert obj["nonsingularity_assumed"] is True and rep.nonsingularity_assumed is True
     assert {"kind", "k", "gamma", "lambda", "eps", "v", "lhs", "rhs", "residual"} <= set(
         obj["records"][0]
     )
@@ -395,13 +395,10 @@ def test_nan_records_reach_the_reported_maximum():
     assert cmath.isnan(sw.max_err) and not sw.verdict
     assert "nan" in sw.table()
 
-    def record(residual):
-        return ConditionRecord("generation", 0, (0,), (0j,), (1 + 0j,), (1 + 0j,), 0j, 0j, residual)
-
-    rep = ConditionReport("generation", "x", 1e-9, [record(1e-15), record(nan)])
+    rep = column_report([1e-15, nan], (1, 2), None)
     assert cmath.isnan(rep.max_residual) and not rep.verdict
     assert json.loads(json.dumps(rep.to_json_obj()))["verdict"] == "fail"
-    clipped = ConditionReport("generation", "x", 1e-9, [record(1e-15)] * 5 + [record(nan)])
+    clipped = column_report([1e-15] * 5 + [nan], (1, 6), None)
     assert "nan" in clipped.table(max_rows=2)
 
 
@@ -549,11 +546,7 @@ def test_table_rows_follow_the_printed_residual():
     """A last-bit change among equal printed residuals leaves the table as it was."""
 
     def report(residuals):
-        records = [
-            ConditionRecord("generation", k, (0,), (1j,), (1,), (1,), 0j, 0j, r)
-            for k, r in enumerate(residuals)
-        ]
-        return ConditionReport("generation", "ties", 1e-9, records)
+        return column_report(residuals, (len(residuals), 1), None)  # one record per level
 
     base = [2.5e-12] * 50 + [1e-13] * 5
     table = report(base).table()
@@ -566,8 +559,8 @@ def test_table_rows_follow_the_printed_residual():
             moved[i] = math.nextafter(base[i], direction)
             assert f"{moved[i]:.3e}" == "2.500e-12"
             assert report(moved).table() == table
-    # records shown are the first 40 in record order
-    assert [int(row.split()[0]) for row in rows] == list(range(40))
+    # records shown are the first 40 in record order (levels 7, 8, ...)
+    assert [int(row.split()[0]) for row in rows] == list(range(7, 47))
 
 
 # One scheme per geometry (M = 2, M = 3, 2I, the shear and sqrt3), built from
@@ -622,7 +615,7 @@ def test_solve_tau_recovers_tau_through_normalize(geometry, r, scale, anchor):
     assert max(abs(g - t) for g, t in zip(got, base.tau)) <= 1e-12
 
 
-# -- the column-held report against the record-list form -------------------------
+# -- the column-held report against a full list of records -----------------------
 
 
 def eager_records(rep):
@@ -644,10 +637,15 @@ def oracle_printed_rank(r):
     return (True, -float(f"{r.residual:.3e}"))
 
 
+def oracle_summary(rep, records):
+    """Verdict and maximum residual (NaN when any is NaN) of a full list of records."""
+    verdict = all(r.residual <= rep.tol for r in records)
+    return verdict, float(np.max([r.residual for r in records])) if records else 0.0
+
+
 def oracle_table(rep, records, max_rows):
     """The table as it was computed from a full list of records."""
-    verdict = all(r.residual <= rep.tol for r in records)
-    max_residual = float(np.max([r.residual for r in records])) if records else 0.0
+    verdict, max_residual = oracle_summary(rep, records)
     lines = [
         f"{rep.mode} check for {rep.scheme}" + (f", tau={tuple(rep.tau)}" if rep.tau is not None else ""),
         f"{'k':>3} {'gamma':>10} {'lambda':>24} {'eps':>20} {'residual':>12} status",
@@ -692,7 +690,7 @@ def column_report(residuals, shape, tau):
     v = np.arange(L * 4, dtype=complex).reshape(L, 2, 2, 1) * (0.1 + 0.3j)
     lhs = np.array(residuals, dtype=complex).reshape(L, R)
     return ConditionReport(
-        "reproduction", "drawn", 1e-9, None, tau, levels=tuple(range(7, 7 + L)), order=order,
+        "reproduction", "drawn", 1e-9, tau, levels=tuple(range(7, 7 + L)), order=order,
         lams=lams, eps=((1 + 0j,), (-1 + 0j,)), v=v, lhs=lhs, rhs=np.zeros_like(lhs),
     )
 
@@ -708,18 +706,20 @@ def test_column_report_shows_what_the_record_list_shows(shape, data, max_rows, t
     got = [col.table(max_rows), col.table(), col.verdict, col.max_residual.hex()]
     records = eager_records(col)
     assert [r.residual.hex() for r in records] == [x.hex() for x in residuals]
-    listed = ConditionReport(col.mode, col.scheme, col.tol, records, tau=col.tau)
-    want = [oracle_table(col, records, max_rows), oracle_table(col, records, 40)]
-    assert got[:2] == want
-    assert [listed.table(max_rows), listed.table()] == want
-    assert got[2:] == [listed.verdict, listed.max_residual.hex()]
-    assert listed.verdict == all(r.residual <= col.tol for r in records)
+    verdict, max_residual = oracle_summary(col, records)
+    assert got == [oracle_table(col, records, max_rows), oracle_table(col, records, 40), verdict, max_residual.hex()]
 
     def dump(obj):
         return json.dumps(obj, sort_keys=True)
 
-    assert dump([r.to_json_obj() for r in col.failures()]) == dump([r.to_json_obj() for r in listed.failures()])
-    assert dump(col.to_json_obj()) == dump(listed.to_json_obj())
+    failing = [r for r in records if not r.residual <= col.tol]
+    assert dump([r.to_json_obj() for r in col.failures()]) == dump([r.to_json_obj() for r in failing])
+    assert dump(col.to_json_obj()) == dump({
+        "mode": col.mode, "scheme": col.scheme, "tol": col.tol,
+        "tau": None if tau is None else list(tau), "verdict": "pass" if verdict else "fail",
+        "max_residual": max_residual, "nonsingularity_assumed": True,
+        "records": [r.to_json_obj() for r in records],
+    })
     assert col.failures() == [r for r in col.records if not r.residual <= col.tol]
 
 

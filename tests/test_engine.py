@@ -28,13 +28,13 @@ from expsub import (
     grid_to_csv,
     grid_to_json_obj,
     is_interpolatory,
-    param_points,
     refine,
     sample_exp_poly,
     sheared_convolution,
     sqrt3_schemes,
     valid_interior,
 )
+from expsub.lattice import param_array
 
 MATRIX_POOL = [2, 3, -2, [[2, 0], [0, 2]], [[2, 1], [0, 2]], [[1, 2], [-2, -1]]]
 
@@ -292,8 +292,8 @@ def test_limit_samples_attach_to_parameter_points():
     scheme = dual4_binary(1.0)  # tau = -1/2 travels into the samples
     samples = basic_limit_samples(scheme, 3)
     f = refine(scheme, GridData.delta(1, tau=scheme.tau), 3)
-    pts = param_points(scheme.M, scheme.tau, 3, f.support())
-    assert [t for t, _ in samples] == pts
+    pts = param_array(scheme.M, scheme.tau, 3, f.support()).tolist()
+    assert [list(t) for t, _ in samples] == pts
 
 
 def test_bspline_refinement_digit_product():
@@ -457,7 +457,7 @@ def test_param_points_match_limit_samples_on_all_geometries():
         rounds = 4 if scheme.M.s == 2 else 7
         tau = scheme.tau if scheme.tau is not None else (0.0,) * scheme.M.s
         support = refine(scheme, GridData.delta(scheme.M.s, tau=tau), rounds).support()
-        got = param_points(scheme.M, tau, rounds, support)
+        got = list(map(tuple, param_array(scheme.M, tau, rounds, support).tolist()))
         assert got == [t for t, _ in basic_limit_samples(scheme, rounds)]
         Mk = scheme.M.inv_power(rounds)
         for alpha, t in zip(support, got):
@@ -470,7 +470,7 @@ def test_param_points_match_limit_samples_on_all_geometries():
 def test_param_points_never_give_negative_zero(mat):
     M = DilationMatrix(mat)
     for k in (1, 2, 3):
-        (t,) = param_points(M, (0.0,) * M.s, k, [(0,) * M.s])
+        (t,) = param_array(M, (0.0,) * M.s, k, [(0,) * M.s]).tolist()
         assert all(math.copysign(1.0, x) == 1.0 for x in t)
 
 

@@ -366,7 +366,8 @@ def test_grid_json_matches_sampled_data(tmp_path):
 def test_cli_refine_exponential_interior(tmp_path):
     import cmath
 
-    from expsub import box_indices, param_points, valid_interior
+    from expsub import box_indices, valid_interior
+    from expsub.lattice import param_array
 
     scheme_path = write_json(
         tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0})
@@ -380,9 +381,46 @@ def test_cli_refine_exponential_interior(tmp_path):
     win = box_indices(10, 1)
     for k in range(3):
         win = valid_interior(direct.symbol(k), direct.M, win)
-    pts = param_points(direct.M, (-0.5,), 3, win)
+    pts = param_array(direct.M, (-0.5,), 3, win).tolist()
     err = max(abs(g.values[a] - cmath.exp(t[0])) for a, t in zip(win, pts))
     assert win and err < 1e-9
+
+
+HAT = {
+    "name": "hat",
+    "dimension": 1,
+    "dilation": [2],
+    "kind": "explicit",
+    "tail": [{"exp": [0], "re": 0.5}, {"exp": [1], "re": 1.0}, {"exp": [2], "re": 0.5}],
+}
+
+
+@pytest.mark.parametrize(
+    "scheme_edit, space, grid",
+    [
+        ({"tail": [{"re": 1.0}]}, CONIC_SPACE, None),
+        ({"tail": [{"exp": 0, "re": 1.0}]}, CONIC_SPACE, None),
+        ({"levels": 5}, CONIC_SPACE, None),
+        ({}, {"pairs": 5}, None),
+        ({}, None, {"level": 0, "values": [{"re": 1.0}]}),
+        ({}, None, [{"idx": [0], "re": 1.0}]),
+    ],
+    ids=[
+        "tail-record-without-exp", "exp-not-a-list", "levels-not-a-list", "space-pairs-not-a-list",
+        "grid-record-without-idx", "grid-a-list",
+    ],
+)
+def test_cli_malformed_scheme_space_and_grid_records_exit_2(tmp_path, capsys, scheme_edit, space, grid):
+    # exit 1 means "a condition fails", so a bad record must not end there
+    scheme = write_json(tmp_path / "hat.json", {**HAT, **scheme_edit})
+    if grid is None:
+        space = write_json(tmp_path / "space.json", space)
+        argv = ["check", "--mode", "generation", "--scheme", scheme, "--space", space]
+    else:
+        data = write_json(tmp_path / "grid.json", grid)
+        argv = ["refine", "--scheme", scheme, "--input", data, "--levels", "1", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_check_explicit_scheme_file(tmp_path):

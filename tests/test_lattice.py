@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 from expsub import (
     DilationMatrix,
     LatticeError,
-    coset_reps,
-    dual_coset_points,
-    param_points,
     q_eval,
 )
-from expsub.lattice import as_complex_vector, cexp, displacement, v_stack
+from expsub.lattice import as_complex_vector, cexp, displacement, param_array, v_stack
 
 SHEAR = [[2, 1], [0, 2]]
 SQRT3 = [[1, 2], [-2, -1]]
@@ -73,15 +70,15 @@ def test_rejects_bad_matrices():
 
 
 def test_coset_reps_univariate():
-    assert coset_reps(DilationMatrix(2)) == [(0,), (1,)]
-    assert coset_reps(DilationMatrix(3)) == [(0,), (1,), (2,)]
+    assert DilationMatrix(2).coset_reps() == [(0,), (1,)]
+    assert DilationMatrix(3).coset_reps() == [(0,), (1,), (2,)]
 
 
 def test_coset_reps_twodim_examples():
     M = DilationMatrix([[2, 0], [0, 2]])
-    assert coset_reps(M) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert M.coset_reps() == [(0, 0), (0, 1), (1, 0), (1, 1)]
     Ms = DilationMatrix(SHEAR)
-    got = coset_reps(Ms)
+    got = Ms.coset_reps()
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert transversals_equivalent(Ms, got, [(0, 0), (1, 0), (0, 1), (1, 1)])
     # the staircase transversal used by the sheared scheme is equivalent too
@@ -92,7 +89,7 @@ def test_coset_reps_twodim_examples():
 def test_coset_reps_pairwise_inequivalent_bruteforce():
     for mat in (SHEAR, SQRT3, [[2, 0], [0, 2]], [[1, 1], [-1, 1]]):
         M = DilationMatrix(mat)
-        reps = coset_reps(M)
+        reps = M.coset_reps()
         assert len(reps) == M.m
         for i, a in enumerate(reps):
             for b in reps[i + 1 :]:
@@ -107,14 +104,14 @@ def test_coset_of_consistency():
     M = DilationMatrix(SQRT3)
     for alpha in [(0, 0), (5, -3), (-7, 2), (1, 1)]:
         rep = M.coset_of(alpha)
-        assert rep in coset_reps(M)
+        assert rep in M.coset_reps()
         assert same_coset(M, alpha, rep)
 
 
 @pytest.mark.parametrize("mat", [2, -2, 3, [[2, 0], [0, 2]], SHEAR, SQRT3])
 def test_split_gives_coset_rep_and_coarse_index(mat):
     M = DilationMatrix(mat)
-    reps = coset_reps(M)
+    reps = M.coset_reps()
     for a in range(-7, 8):
         alpha = (a,) if M.s == 1 else (a, 3 - 2 * a)
         e, n = M.split(alpha)
@@ -123,10 +120,10 @@ def test_split_gives_coset_rep_and_coarse_index(mat):
 
 
 def test_dual_points_univariate_roots_of_unity():
-    xi = dual_coset_points(DilationMatrix(2))
+    xi = DilationMatrix(2).dual_points()
     assert xi[0] == ((1 + 0j),)
     assert abs(xi[1][0] + 1) < 1e-12
-    xi3 = dual_coset_points(DilationMatrix(3))
+    xi3 = DilationMatrix(3).dual_points()
     vals = sorted((z[0].real, z[0].imag) for z in xi3)
     want = sorted(
         (cmath.exp(2j * cmath.pi * e / 3).real, cmath.exp(2j * cmath.pi * e / 3).imag)
@@ -153,21 +150,21 @@ def close_sets(got, want, tol=1e-10):
 def test_dual_points_twodim_examples():
     M = DilationMatrix([[2, 0], [0, 2]])
     assert close_sets(
-        dual_coset_points(M), [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+        M.dual_points(), [(1, 1), (-1, 1), (1, -1), (-1, -1)]
     )
     Ms = DilationMatrix(SHEAR)
     assert close_sets(
-        dual_coset_points(Ms), [(1, 1), (1, -1), (-1, 1j), (-1, -1j)]
+        Ms.dual_points(), [(1, 1), (1, -1), (-1, 1j), (-1, -1j)]
     )
-    assert dual_coset_points(Ms)[0] == (1 + 0j, 1 + 0j)
+    assert Ms.dual_points()[0] == (1 + 0j, 1 + 0j)
 
 
 def test_dual_points_character_sum_identity():
     # sum over E of eps^e is m at the all-ones point and 0 elsewhere
     for mat in (2, 3, [[2, 0], [0, 2]], SHEAR, SQRT3):
         M = DilationMatrix(mat)
-        E = coset_reps(M)
-        for i, eps in enumerate(dual_coset_points(M)):
+        E = M.coset_reps()
+        for i, eps in enumerate(M.dual_points()):
             total = 0j
             for e in E:
                 term = 1 + 0j
@@ -181,7 +178,7 @@ def test_dual_points_character_sum_identity():
 def test_dual_points_power_identity():
     for mat in (3, SHEAR, SQRT3):
         M = DilationMatrix(mat)
-        for eps in dual_coset_points(M):
+        for eps in M.dual_points():
             for beta in [(1,) * M.s, (0,) * (M.s - 1) + (2,), (-1,) + (1,) * (M.s - 1)]:
                 mb = M.apply(beta)
                 val = 1 + 0j
@@ -349,11 +346,11 @@ def test_cexp_quiet_leaves_a_non_finite_value_where_cmath_raises():
 
 def test_param_points():
     M1 = DilationMatrix(2)
-    assert param_points(M1, (0.0,), 0, [(3,)]) == [(3.0,)]
-    assert param_points(M1, (-0.5,), 1, [(3,)]) == [(1.25,)]
+    assert param_array(M1, (0.0,), 0, [(3,)]).tolist() == [[3.0]]
+    assert param_array(M1, (-0.5,), 1, [(3,)]).tolist() == [[1.25]]
     M2 = DilationMatrix([[2, 0], [0, 2]])
-    (pt,) = param_points(M2, (1.0, 1.0), 2, [(3, 7)])
-    assert pt == (1.0, 2.0)
+    (pt,) = param_array(M2, (1.0, 1.0), 2, [(3, 7)]).tolist()
+    assert pt == [1.0, 2.0]
 
 
 def test_inv_power_cap():
@@ -440,6 +437,6 @@ def test_dilation_matrix_rejects_attribute_writes():
         with pytest.raises(AttributeError):
             setattr(M, name, value)
     # the lazy caches still fill
-    assert coset_reps(M) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(dual_coset_points(M)) == 4
+    assert M.coset_reps() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(M.dual_points()) == 4
     assert M.mat == ((2, 0), (0, 2)) and M.det == 4 and M.s == 2

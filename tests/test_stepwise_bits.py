@@ -21,13 +21,13 @@ from expsub import (
     butterfly,
     dual4_binary,
     dual4_ternary,
-    param_points,
     sheared_convolution,
     sqrt3_schemes,
     stepwise_test,
     valid_interior,
 )
 from expsub.engine import exp_poly_values
+from expsub.lattice import param_array
 
 
 def scalar_exp_poly(gamma, lam, t) -> complex:
@@ -94,10 +94,10 @@ def loop_stepwise_errs(scheme, space, tau, k, window) -> list[float]:
     valid = valid_interior(a, M, window)
     errs = []
     for gamma, lam in space.pairs:
-        samples = [scalar_exp_poly(gamma, lam, t) for t in param_points(M, tau, k, win)]
+        samples = [scalar_exp_poly(gamma, lam, t) for t in param_array(M, tau, k, win).tolist()]
         refined = apply_operator(a, M, GridData(M.s, k, dict(zip(win, samples)), tau=tau)).values
         pair = []
-        for idx, t in zip(valid, param_points(M, tau, k + 1, valid)):
+        for idx, t in zip(valid, param_array(M, tau, k + 1, valid).tolist()):
             exact = scalar_exp_poly(gamma, lam, t)
             err, scale = abs(refined[idx] - exact), abs(exact)
             pair.append(err / scale if scale > 1.0 else err)
