@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import exp_poly_values, sampled_step
+from .engine import _exp_poly_stack, sampled_step
 from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_stack
 from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
@@ -493,8 +493,7 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
         raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
     valid, got = sampled_step(scheme.symbol(k), M, space.pairs, t, k, window)
-    pts = param_array(M, t, k + 1, valid)
-    exact = np.array([exp_poly_values(gamma, lam, pts) for gamma, lam in space.pairs])
+    exact = _exp_poly_stack(space.pairs, param_array(M, t, k + 1, valid))
     errs = _residuals(got, exact).max(axis=1).tolist()  # np.max keeps a NaN
     records = tuple(StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, errs))
     return StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)

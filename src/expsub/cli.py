@@ -53,9 +53,9 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path: str, obj) -> None:
+    text = json.dumps(obj, indent=2) + "\n"  # json.dump writes each small chunk on its own
     with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_check(args) -> int:

@@ -9,8 +9,9 @@ support mask).  A step computes each output coset e of Z^s / M Z^s as the
 coarse convolution out[e + M g] = sum_n a_(e + M n) f[g - n], with the taps
 in descending-lexicographic n, i.e. ascending beta = g - n: every output is
 summed in the order of the pointwise gather over sorted beta, so results are
-reproducible bit for bit.  Complex products are formed from real and
-imaginary parts as Python forms them (numpy's complex multiply may fuse
+reproducible bit for bit; the stepwise check (`sampled_step`) sums in that
+order over each coset's erosion of the window only.  Complex products are
+formed from parts as Python forms them (numpy's complex multiply may fuse
 them).  Non-finite values are rejected: a dense tap also multiplies the zero
 padding, so a NaN or inf would reach points the support never touches.
 """
@@ -72,14 +73,14 @@ def _check_box(points: int) -> None:
         )
 
 
-def _pack(points: np.ndarray, values: np.ndarray | None = None):
+def _pack(points: np.ndarray, values: np.ndarray):
     """Dense (origin, support mask, values) over the bounding box of `points`.
 
     `values` may be a (B, N) stack, giving data of shape (B, *box).
     """
     s = points.shape[1]
-    lead = () if values is None else np.shape(values)[:-1]
-    if values is not None and not np.isfinite(values).all():
+    lead = np.shape(values)[:-1]
+    if not np.isfinite(values).all():
         raise EngineError("grid values must be finite")
     if not len(points):
         shape = (0,) * s
@@ -93,18 +94,8 @@ def _pack(points: np.ndarray, values: np.ndarray | None = None):
     mask = np.zeros(shape, bool)
     mask[loc] = True
     data = np.zeros(lead + shape, complex)
-    if values is not None:
-        data[(Ellipsis, *loc)] = values
+    data[(Ellipsis, *loc)] = values
     return lo, mask, data
-
-
-def _values_at(origin, in_support, data, indices) -> np.ndarray:
-    """`data[..., alpha - origin]` at an (N, s) array of support indices alpha."""
-    rel = np.asarray(indices, dtype=np.int64).reshape(-1, in_support.ndim) - np.asarray(origin)
-    loc = tuple(rel.T)
-    if not (((rel >= 0) & (rel < in_support.shape)).all() and in_support[loc].all()):
-        raise EngineError("index outside the support of the grid")
-    return data[(Ellipsis, *loc)]
 
 
 class GridValues(Mapping):
@@ -216,13 +207,38 @@ class GridData:
 
     def values_at(self, indices) -> np.ndarray:
         """Values at an (N, s) array of support indices; any other index raises."""
-        return _values_at(self.origin, self.in_support, self.data, indices)
+        rel = np.asarray(indices, dtype=np.int64).reshape(-1, self.s) - np.array(self.origin)
+        loc = tuple(rel.T)
+        if not (((rel >= 0) & (rel < self.in_support.shape)).all() and self.in_support[loc].all()):
+            raise EngineError("index outside the support of the grid")
+        return self.data[loc]
 
     def support(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.points()[0].tolist()))
 
     def __len__(self):
         return int(np.count_nonzero(self.in_support))
+
+
+def _window(window, s: int) -> np.ndarray:
+    """`box_indices` as an (N, s) int64 array; a box is checked before it is built."""
+    if isinstance(window, int):
+        window = (-window, window)
+    if isinstance(window, tuple) and len(window) == 2 and all(isinstance(x, int) for x in window):
+        lo, hi = window
+        if lo > hi:
+            raise EngineError("empty window range")
+        _check_box((hi - lo + 1) ** s)
+        return np.indices((hi - lo + 1,) * s, dtype=np.int64).reshape(s, -1).T + lo
+    out = set()
+    for idx in window:
+        if isinstance(idx, int):
+            idx = (idx,)
+        key = tuple(int(x) for x in idx)
+        if len(key) != s:
+            raise EngineError("window index of wrong dimension")
+        out.add(key)
+    return np.array(sorted(out), dtype=np.int64).reshape(-1, s)
 
 
 def box_indices(window, s: int) -> list[tuple[int, ...]]:
@@ -232,31 +248,7 @@ def box_indices(window, s: int) -> list[tuple[int, ...]]:
     applied to every axis, or any other iterable (a list or a set, say) of
     indices, read as points; a bare int point is a 1-D index.
     """
-    if isinstance(window, int):
-        ranges = [(-window, window)] * s
-    elif (
-        isinstance(window, tuple)
-        and len(window) == 2
-        and all(isinstance(x, int) for x in window)
-    ):
-        ranges = [tuple(window)] * s
-    else:
-        out = set()
-        for idx in window:
-            if isinstance(idx, int):
-                idx = (idx,)
-            key = tuple(int(x) for x in idx)
-            if len(key) != s:
-                raise EngineError("window index of wrong dimension")
-            out.add(key)
-        return sorted(out)
-    for lo, hi in ranges:
-        if lo > hi:
-            raise EngineError("empty window range")
-    idxs = [()]
-    for lo, hi in ranges:
-        idxs = [t + (i,) for t in idxs for i in range(lo, hi + 1)]
-    return idxs
+    return list(map(tuple, _window(window, s).tolist()))
 
 
 def _taps(mask: LaurentSymbol, M: DilationMatrix):
@@ -337,30 +329,40 @@ def exp_poly_values(gamma, lam, t) -> np.ndarray:
     `**`, `lattice.cexp`, and complex products formed from parts as CPython
     forms them.  Where cmath.exp overflows, the value is non-finite instead.
     """
-    t = np.asarray(t, dtype=float).reshape(-1, len(gamma))
-    p = np.ones(len(t))
-    re = im = 0.0  # `sum` adds the first term to 0
-    for col, g, l in zip(t.T, gamma, map(complex, lam)):
-        if g:
-            p = p * (col if g == 1 else np.array([x**g for x in col.tolist()]))
-        re = re + (l.real * col - l.imag * 0.0)
-        im = im + (l.real * 0.0 + l.imag * col)
-    z = np.empty(len(t), complex)
-    z.real, z.imag = re, im
-    e = cexp(z, quiet=True)  # non-finite samples are rejected later
-    with np.errstate(over="ignore", invalid="ignore"):
-        z.real, z.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
-    return z
+    return _exp_poly_stack([(gamma, lam)], np.asarray(t, dtype=float).reshape(-1, len(gamma)))[0]
+
+
+def _exp_poly_stack(pairs, t: np.ndarray) -> np.ndarray:
+    """`exp_poly_values` of each (gamma, lambda) pair at t, (P, N); one cexp per lambda."""
+    exps = {}
+    out = np.empty((len(pairs), len(t)), complex)
+    for row, (gamma, lam) in zip(out, pairs):
+        p = np.ones(len(t))
+        for i, g in enumerate(gamma):
+            if g:
+                p = p * (t[:, i] if g == 1 else np.array([x**g for x in t[:, i].tolist()]))
+        key = np.array(lam, dtype=complex).tobytes()  # tells -0.0 from 0.0
+        if key not in exps:
+            re = im = 0.0  # `sum` adds the first term to 0
+            for col, l in zip(t.T, map(complex, lam)):
+                re = re + (l.real * col - l.imag * 0.0)
+                im = im + (l.real * 0.0 + l.imag * col)
+            z = np.empty(len(t), complex)
+            z.real, z.imag = re, im
+            exps[key] = cexp(z, quiet=True)  # non-finite samples are rejected later
+        e = exps[key]
+        with np.errstate(over="ignore", invalid="ignore"):
+            row.real, row.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
+    return out
 
 
 def _samples(pairs, M: DilationMatrix, tau, level: int, window):
     """The window's (N, s) indices and a (P, N) stack of each pair's samples."""
     if level < 0:
         raise EngineError("level must be nonnegative")
-    idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
-    t = param_array(M, tau, level, idx)
-    vals = [exp_poly_values(as_multi_index(g, M.s), as_complex_vector(lam, M.s), t) for g, lam in pairs]
-    return idx, np.array(vals).reshape(-1, len(t))
+    idx = _window(window, M.s)
+    pairs = [(as_multi_index(g, M.s), as_complex_vector(lam, M.s)) for g, lam in pairs]
+    return idx, _exp_poly_stack(pairs, param_array(M, tau, level, idx))
 
 
 def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> GridData:
@@ -370,17 +372,14 @@ def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> G
 
 
 def sampled_step(mask: LaurentSymbol, M: DilationMatrix, pairs, tau, level: int, window):
-    """One step of `mask` on a (P, *box) stack of the pairs' samples on the window.
+    """One step of `mask` on the pairs' samples on the window, at its valid interior only.
 
     Returns the sorted valid interior, (N, s), and the refined values there, (P, N).
     """
-    idx, stack = _samples(pairs, M, tau, level, window)
-    taps = _taps(mask, M)
-    valid = _interior(taps, M, idx)
+    valid, values = _interior(_taps(mask, M), M, *_samples(pairs, M, tau, level, window))
     if not len(valid):
         raise EngineError("empty valid interior; enlarge the window")
-    out = _pack(*_step(taps, M, *_pack(idx, stack)))
-    return valid, _values_at(*out, valid)
+    return valid, values
 
 
 def limit_sample_arrays(scheme: SchemeSpec, rounds: int, start_level: int = 0):
@@ -418,25 +417,40 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
     agrees with the step applied to data known on all of Z^s.  Per coset
     this is the erosion of the window by the coset's taps.
     """
-    win_idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
-    return list(map(tuple, _interior(_taps(mask, M), M, win_idx).tolist()))
+    win_idx = _window(window, M.s)
+    return list(map(tuple, _interior(_taps(mask, M), M, win_idx, np.zeros((0, len(win_idx))))[0].tolist()))
 
 
-def _interior(taps, M: DilationMatrix, win_idx: np.ndarray) -> np.ndarray:
-    """`valid_interior` of the window `win_idx` as a sorted (N, s) array."""
-    w0, win, _ = _pack(win_idx)
-    found = [np.zeros((0, M.s), dtype=np.int64)]
-    for e, ns, _ in taps:
+def _interior(taps, M: DilationMatrix, win_idx: np.ndarray, stack: np.ndarray):
+    """The window's valid interior, sorted (N, s), and `_step` of its (P, len(win_idx))
+    `stack` there, (P, N): per coset, the sums of the window eroded by the taps only.
+
+    Coarse point w0 + hi + p reads window position p + hi - n.  Parts are summed
+    as one (2, P, ...) array, as c.imag * -im is -(c.imag * im) bit for bit.
+    """
+    w0, win, data = _pack(win_idx, stack)
+    parts = np.stack([data.real, data.imag])
+    turned = np.stack([-data.imag, data.real])
+    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros((2, len(data), 0))]
+    for e, ns, coeffs in taps:
         hi = ns.max(axis=0)
-        box = np.array(win.shape) - (hi - ns.min(axis=0))
-        if (box <= 0).any():
+        box = tuple((np.array(win.shape) - (hi - ns.min(axis=0))).tolist())
+        if min(box) <= 0:
             continue
-        ok = np.ones(tuple(box.tolist()), bool)
-        for off in (hi - ns).tolist():
-            ok &= win[tuple(slice(o, o + d) for o, d in zip(off, box.tolist()))]
-        found.append(_fine_points(M, e, w0 + hi, np.nonzero(ok)))
-    pts = np.concatenate(found)
-    return pts[np.lexsort(pts.T[::-1])]
+        ok = np.ones(box, bool)
+        acc = np.zeros((2, len(data), *box))
+        for off, c in zip((hi - ns).tolist(), coeffs):
+            view = tuple(slice(o, o + d) for o, d in zip(off, box))
+            ok &= win[view]
+            acc += c.real * parts[(Ellipsis, *view)] + c.imag * turned[(Ellipsis, *view)]
+        loc = np.nonzero(ok)
+        points.append(_fine_points(M, e, w0 + hi, loc))
+        values.append(acc[(Ellipsis, *loc)])
+    pts = np.concatenate(points)
+    order = np.lexsort(pts.T[::-1])
+    out = np.empty((len(data), len(pts)), complex)
+    out.real, out.imag = np.concatenate(values, axis=-1)[..., order]
+    return pts[order], out
 
 
 # -- serialization ---------------------------------------------------------------
@@ -528,12 +542,14 @@ def grid_from_csv(fh, level: int = 0, tau=None) -> GridData:
         raise EngineError("empty CSV")
     header = rows[0]
     s = sum(1 for h in header if h.startswith("idx"))
-    if s == 0 or header[s] != "re":
+    if s == 0 or header[s:s + 1] != ["re"]:
         raise EngineError("CSV header must be idx0..idx{s-1},re,im")
     values = []
     for row in rows[1:]:
         if not row:
             continue
+        if len(row) < s + 2:
+            raise EngineError(f"CSV row {row!r} has fewer fields than idx0..idx{s - 1},re,im")
         idx = tuple(int(x) for x in row[:s])
         values.append((idx, complex(float(row[s]), float(row[s + 1]))))
     return GridData(s, level, values, tau=tau)

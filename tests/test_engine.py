@@ -288,6 +288,12 @@ def test_repeated_index_in_grid_csv_is_rejected():
         GridData(1, 0, {0: 1.0, (0,): 2.0})
 
 
+@pytest.mark.parametrize("text", ["idx0\n", "idx0,re,im\n1,2\n"])
+def test_short_csv_header_or_row_is_an_engine_error(text):
+    with pytest.raises(EngineError, match="CSV"):
+        grid_from_csv(io.StringIO(text))
+
+
 def test_limit_samples_attach_to_parameter_points():
     scheme = dual4_binary(1.0)  # tau = -1/2 travels into the samples
     samples = basic_limit_samples(scheme, 3)
