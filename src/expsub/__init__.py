@@ -39,6 +39,7 @@ from .checker import (
     normalize,
     solve_tau,
     stepwise_test,
+    stepwise_tests,
 )
 from .catalog import (
     CATALOG,

@@ -440,47 +440,24 @@ def sqrt3_schemes() -> dict[str, SchemeSpec]:
     interpolatory and reproduces quadratics, both with shift (0, 0).
     """
     M = _sqrt3_matrix()
-    sixth, third = 1 / 6, 1 / 3
-    approx = LaurentSymbol(
-        2,
-        {
-            (1, 1): sixth,
-            (-1, -1): sixth,
-            (-1, 2): sixth,
-            (-2, 1): sixth,
-            (1, -2): sixth,
-            (2, -1): sixth,
-            (-1, 0): third,
-            (0, 1): third,
-            (1, -1): third,
-            (0, -1): third,
-            (1, 0): third,
-            (-1, 1): third,
-        },
+    return {variant: _sqrt3_scheme(variant, M) for variant in _SQRT3_VARIANTS}
+
+
+_SQRT3_VARIANTS = ("approximating", "interpolatory")
+
+
+def _sqrt3_scheme(variant: str, M: DilationMatrix) -> SchemeSpec:
+    """One of `sqrt3_schemes`, built alone."""
+    if variant == "approximating":
+        terms = dict.fromkeys([(1, 1), (-1, -1), (-1, 2), (-2, 1), (1, -2), (2, -1)], 1 / 6)
+        terms.update(dict.fromkeys([(-1, 0), (0, 1), (1, -1), (0, -1), (1, 0), (-1, 1)], 1 / 3))
+    else:
+        terms = {(0, 0): 1.0, **dict.fromkeys([(-2, 0), (-2, 2), (0, 2), (2, 0), (2, -2), (0, -2)], -(1 / 9))}
+        terms.update(dict.fromkeys([(-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)], 4 * (1 / 9)))
+    degree = 1 if variant == "approximating" else 2
+    return SchemeSpec.stationary(
+        f"sqrt3:{variant}", M, LaurentSymbol(2, terms), tau=(0.0, 0.0), space=ExpPolySpace.polynomials(2, degree)
     )
-    ninth = 1 / 9
-    interp_terms = {(0, 0): 1.0}
-    for e in [(-2, 0), (-2, 2), (0, 2), (2, 0), (2, -2), (0, -2)]:
-        interp_terms[e] = -ninth
-    for e in [(-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)]:
-        interp_terms[e] = 4 * ninth
-    interp = LaurentSymbol(2, interp_terms)
-    return {
-        "approximating": SchemeSpec.stationary(
-            "sqrt3:approximating",
-            M,
-            approx,
-            tau=(0.0, 0.0),
-            space=ExpPolySpace.polynomials(2, 1),
-        ),
-        "interpolatory": SchemeSpec.stationary(
-            "sqrt3:interpolatory",
-            M,
-            interp,
-            tau=(0.0, 0.0),
-            space=ExpPolySpace.polynomials(2, 2),
-        ),
-    }
 
 
 # -- registry ---------------------------------------------------------------------
@@ -513,10 +490,9 @@ class CatalogEntry:
 
 
 def _sqrt3_factory(variant: str = "approximating") -> SchemeSpec:
-    schemes = sqrt3_schemes()
-    if variant not in schemes:
+    if variant not in _SQRT3_VARIANTS:
         raise CatalogParameterError("sqrt3 variant must be 'approximating' or 'interpolatory'")
-    return schemes[variant]
+    return _sqrt3_scheme(variant, _sqrt3_matrix())
 
 
 CATALOG: dict[str, CatalogEntry] = {

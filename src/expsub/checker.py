@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import _exp_poly_stack, sampled_step
+from .engine import _exp_poly_stack, _sampled_steps
 from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_stack
 from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
@@ -43,6 +43,7 @@ __all__ = [
     "solve_tau",
     "normalize",
     "stepwise_test",
+    "stepwise_tests",
 ]
 
 # Double precision with symbol sizes well below 1e3; relative residuals are
@@ -487,13 +488,26 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
     own samples at level k + 1.  Errors follow the condition residual rule:
     relative where the exact sample exceeds 1 in modulus, else absolute.
     """
+    return next(stepwise_tests(scheme, space, tau, [k], window, tol))
+
+
+def stepwise_tests(scheme: SchemeSpec, space: ExpPolySpace, tau, levels, window, tol: float = DEFAULT_TOL):
+    """`stepwise_test` at each of `levels` in turn, from one engine pass per taps layout and one
+    evaluator call per sample set; a failing level raises after the reports of those before it."""
     _check_tol(tol)
     M = scheme.M
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
-    valid, got = sampled_step(scheme.symbol(k), M, space.pairs, t, k, window)
-    exact = _exp_poly_stack(space.pairs, param_array(M, t, k + 1, valid))
-    errs = _residuals(got, exact).max(axis=1).tolist()  # np.max keeps a NaN
-    records = tuple(StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, errs))
-    return StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)
+    levels = list(levels)
+    steps, error = _sampled_steps(map(scheme.symbol, levels), M, space.pairs, t, levels, window)
+    if steps:
+        got = np.concatenate([values for _, values in steps], axis=1)
+        exact = _exp_poly_stack(space.pairs, np.concatenate([param_array(M, t, k + 1, v) for k, (v, _) in zip(levels, steps)]))
+        starts = np.cumsum([0] + [len(v) for v, _ in steps[:-1]])
+        errs = np.maximum.reduceat(_residuals(got, exact), starts, axis=1)  # keeps a NaN, as np.max does
+        for k, (valid, _), row in zip(levels, steps, errs.T.tolist()):
+            records = tuple(StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, row))
+            yield StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)
+    if error is not None:
+        raise error

@@ -24,7 +24,7 @@ from .checker import (
     check_generation,
     check_reproduction,
     solve_tau,
-    stepwise_test,
+    stepwise_tests,
 )
 from .engine import (
     EngineError,
@@ -86,10 +86,7 @@ def cmd_check(args) -> int:
         elif mode == "reproduction":
             batch = [check_reproduction(scheme, space, tau, k_range, tol=args.tol)]
         else:
-            batch = (
-                stepwise_test(scheme, space, tau, k, args.window, tol=args.tol)
-                for k in range(args.kmin, args.kmax + 1)
-            )
+            batch = stepwise_tests(scheme, space, tau, range(args.kmin, args.kmax + 1), args.window, tol=args.tol)
         for rep in batch:
             print(rep.table())
             reports.append(rep)

@@ -9,11 +9,11 @@ support mask).  A step computes each output coset e of Z^s / M Z^s as the
 coarse convolution out[e + M g] = sum_n a_(e + M n) f[g - n], with the taps
 in descending-lexicographic n, i.e. ascending beta = g - n: every output is
 summed in the order of the pointwise gather over sorted beta, so results are
-reproducible bit for bit; the stepwise check (`sampled_step`) sums in that
-order over each coset's erosion of the window only.  Complex products are
-formed from parts as Python forms them (numpy's complex multiply may fuse
-them).  Non-finite values are rejected: a dense tap also multiplies the zero
-padding, so a NaN or inf would reach points the support never touches.
+reproducible bit for bit; the stepwise check sums in that order over each
+coset's erosion of the window only, for a stack of levels at once.  Complex
+products are formed from parts as Python forms them (numpy's complex multiply
+may fuse them).  Non-finite values are rejected: a dense tap also multiplies
+the zero padding, so a NaN or inf would reach points the support never touches.
 """
 
 from __future__ import annotations
@@ -252,16 +252,13 @@ def box_indices(window, s: int) -> list[tuple[int, ...]]:
 
 
 def _taps(mask: LaurentSymbol, M: DilationMatrix):
-    """`mask.polyphase(M)` as arrays: [(e, n, c)] with a_(e + M n[i]) = c[i]."""
+    """`mask.polyphase_arrays(M)`: [(e, n, c)] with a_(e + M n[i]) = c[i], all finite."""
     if mask.s != M.s:
         raise EngineError("dimension mismatch between mask and matrix")
-    out = []
-    for e, taps in mask.polyphase(M).items():
-        coeffs = [c for _, c in taps]
-        if not np.isfinite(np.array(coeffs)).all():
-            raise EngineError("mask has a non-finite coefficient")
-        out.append((e, np.array([n for n, _ in taps], dtype=np.int64), coeffs))
-    return out
+    taps = mask.polyphase_arrays(M)
+    if taps and not np.isfinite(np.concatenate([c for _, _, c in taps])).all():
+        raise EngineError("mask has a non-finite coefficient")
+    return [(e, ns.astype(np.int64, copy=False), c) for e, ns, c in taps]
 
 
 def _fine_points(M: DilationMatrix, e, g0, loc) -> np.ndarray:
@@ -284,7 +281,7 @@ def _step(taps, M: DilationMatrix, origin, in_support: np.ndarray, data: np.ndar
         _check_box(allocated)
         re, im = np.zeros((2, len(data), *box))
         present = np.zeros(box, bool)
-        for off, c in zip((ns - lo).tolist(), coeffs):
+        for off, c in zip((ns - lo).tolist(), coeffs.tolist()):
             view = tuple(slice(o, o + d) for o, d in zip(off, shape))
             re[(Ellipsis, *view)] += c.real * fr - c.imag * fi
             im[(Ellipsis, *view)] += c.real * fi + c.imag * fr
@@ -325,50 +322,56 @@ def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | Non
 def exp_poly_values(gamma, lam, t) -> np.ndarray:
     """x^gamma exp(lambda . x) at the rows of an (N, s) float array t (0^0 = 1).
 
-    The bits of `p *= t_l ** gamma_l; p * cmath.exp(sum(lambda_l * t_l))`: Python's
-    `**`, `lattice.cexp`, and complex products formed from parts as CPython
-    forms them.  Where cmath.exp overflows, the value is non-finite instead.
+    The bits of `p *= t_l ** gamma_l; p * cmath.exp(sum(lambda_l * t_l))`: libm's
+    pow as Python's `**` calls it, `lattice.cexp`, and complex products formed
+    from parts as CPython forms them.  Where `**` or cmath.exp overflows, the
+    value is non-finite instead.
     """
     return _exp_poly_stack([(gamma, lam)], np.asarray(t, dtype=float).reshape(-1, len(gamma)))[0]
 
 
 def _exp_poly_stack(pairs, t: np.ndarray) -> np.ndarray:
-    """`exp_poly_values` of each (gamma, lambda) pair at t, (P, N); one cexp per lambda."""
-    exps = {}
-    out = np.empty((len(pairs), len(t)), complex)
-    for row, (gamma, lam) in zip(out, pairs):
-        p = np.ones(len(t))
-        for i, g in enumerate(gamma):
-            if g:
-                p = p * (t[:, i] if g == 1 else np.array([x**g for x in t[:, i].tolist()]))
-        key = np.array(lam, dtype=complex).tobytes()  # tells -0.0 from 0.0
-        if key not in exps:
+    """`exp_poly_values` of each (gamma, lambda) pair at t, (P, N); one cexp over the distinct lambdas."""
+    n, s = t.shape
+    powers = {}
+    lams = np.array([lam for _, lam in pairs], dtype=complex).reshape(len(pairs), s)
+    distinct = {}  # tells -0.0 from 0.0
+    which = [distinct.setdefault(row.tobytes(), len(distinct)) for row in lams]
+    out = np.empty((len(pairs), n), complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are rejected later
+        p = np.ones((len(pairs), n))
+        for row, (gamma, _) in zip(p, pairs):
+            for i, g in enumerate(gamma):
+                if g:
+                    if (i, g) not in powers:  # np.float_power is libm's pow, not numpy's own
+                        powers[i, g] = np.float_power(t[:, i], g)
+                    row *= powers[i, g]
+        z = np.empty((len(distinct), n), complex)
+        for row, lam in zip(z, lams[[which.index(j) for j in range(len(distinct))]].tolist()):
             re = im = 0.0  # `sum` adds the first term to 0
-            for col, l in zip(t.T, map(complex, lam)):
+            for col, l in zip(t.T, lam):
                 re = re + (l.real * col - l.imag * 0.0)
                 im = im + (l.real * 0.0 + l.imag * col)
-            z = np.empty(len(t), complex)
-            z.real, z.imag = re, im
-            exps[key] = cexp(z, quiet=True)  # non-finite samples are rejected later
-        e = exps[key]
-        with np.errstate(over="ignore", invalid="ignore"):
-            row.real, row.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
+            row.real, row.imag = re, im
+        e = cexp(z, quiet=True)[which]
+        out.real, out.imag = p * e.real - 0.0 * e.imag, p * e.imag + 0.0 * e.real
     return out
 
 
-def _samples(pairs, M: DilationMatrix, tau, level: int, window):
-    """The window's (N, s) indices and a (P, N) stack of each pair's samples."""
-    if level < 0:
+def _samples(pairs, M: DilationMatrix, tau, levels, window):
+    """The window's (N, s) indices and an (L, P, N) stack of each pair's samples at each level."""
+    if min(levels) < 0:
         raise EngineError("level must be nonnegative")
     idx = _window(window, M.s)
     pairs = [(as_multi_index(g, M.s), as_complex_vector(lam, M.s)) for g, lam in pairs]
-    return idx, _exp_poly_stack(pairs, param_array(M, tau, level, idx))
+    t = np.concatenate([param_array(M, tau, k, idx) for k in levels])
+    return idx, _exp_poly_stack(pairs, t).reshape(len(pairs), len(levels), len(idx)).swapaxes(0, 1)
 
 
 def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> GridData:
     """Samples of x^gamma exp(lambda . x) at t = M^{-level}(alpha + tau)."""
-    idx, vals = _samples([(gamma, lam)], M, tau, level, window)
-    return GridData.from_points(M.s, level, idx, vals[0], tau=tau)
+    idx, vals = _samples([(gamma, lam)], M, tau, [level], window)
+    return GridData.from_points(M.s, level, idx, vals[0, 0], tau=tau)
 
 
 def sampled_step(mask: LaurentSymbol, M: DilationMatrix, pairs, tau, level: int, window):
@@ -376,10 +379,38 @@ def sampled_step(mask: LaurentSymbol, M: DilationMatrix, pairs, tau, level: int,
 
     Returns the sorted valid interior, (N, s), and the refined values there, (P, N).
     """
-    valid, values = _interior(_taps(mask, M), M, *_samples(pairs, M, tau, level, window))
-    if not len(valid):
-        raise EngineError("empty valid interior; enlarge the window")
-    return valid, values
+    steps, error = _sampled_steps([mask], M, pairs, tau, [level], window)
+    if error is not None:
+        raise error
+    return steps[0]
+
+
+def _sampled_steps(masks, M: DilationMatrix, pairs, tau, levels, window):
+    """`sampled_step` at each level, one `_interior` pass per taps layout (cosets and n):
+    the (valid, values) of the levels before the first that fails, and its error or None."""
+    taps, error = [], None
+    try:
+        for mask in masks:
+            taps.append(_taps(mask, M))
+    except Exception as exc:  # the caller raises it after the levels before it
+        error = exc
+    if not taps:
+        return [], error
+    idx, samples = _samples(pairs, M, tau, levels[: len(taps)], window)
+    if not np.isfinite(samples).all():
+        taps, error = taps[: int(np.isfinite(samples).all(axis=(1, 2)).argmin())], EngineError("grid values must be finite")
+    groups = {}
+    for i, level_taps in enumerate(taps):
+        groups.setdefault(tuple((e, ns.tobytes()) for e, ns, _ in level_taps), []).append(i)
+    steps = [None] * len(taps)
+    for rows in groups.values():
+        cols = [(e, ns, np.array([taps[i][j][2] for i in rows]).T) for j, (e, ns, _) in enumerate(taps[rows[0]])]
+        valid, values = _interior(cols, M, idx, samples[rows])
+        if not len(valid):
+            return steps[: rows[0]], EngineError("empty valid interior; enlarge the window")
+        for i, v in zip(rows, values):
+            steps[i] = (valid, v)
+    return steps, error
 
 
 def limit_sample_arrays(scheme: SchemeSpec, rounds: int, start_level: int = 0):
@@ -418,37 +449,41 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
     this is the erosion of the window by the coset's taps.
     """
     win_idx = _window(window, M.s)
-    return list(map(tuple, _interior(_taps(mask, M), M, win_idx, np.zeros((0, len(win_idx))))[0].tolist()))
+    return list(map(tuple, _interior(_taps(mask, M), M, win_idx, np.zeros((1, 0, len(win_idx))))[0].tolist()))
 
 
 def _interior(taps, M: DilationMatrix, win_idx: np.ndarray, stack: np.ndarray):
-    """The window's valid interior, sorted (N, s), and `_step` of its (P, len(win_idx))
-    `stack` there, (P, N): per coset, the sums of the window eroded by the taps only.
+    """The window's valid interior, sorted (N, s), and `_step` there of an (L, P, len(win_idx))
+    `stack`, level l with column l of the (T, L) coefficients, (L, P, N): per coset, the sums
+    of the window eroded by the taps only.
 
     Coarse point w0 + hi + p reads window position p + hi - n.  Parts are summed
-    as one (2, P, ...) array, as c.imag * -im is -(c.imag * im) bit for bit.
+    as one (2, L, P, ...) array, as c.imag * -im is -(c.imag * im) bit for bit.
     """
     w0, win, data = _pack(win_idx, stack)
     parts = np.stack([data.real, data.imag])
     turned = np.stack([-data.imag, data.real])
-    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros((2, len(data), 0))]
+    box_window = win.all()  # erodes to the whole box
+    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros((*parts.shape[:3], 0))]
     for e, ns, coeffs in taps:
         hi = ns.max(axis=0)
         box = tuple((np.array(win.shape) - (hi - ns.min(axis=0))).tolist())
         if min(box) <= 0:
             continue
         ok = np.ones(box, bool)
-        acc = np.zeros((2, len(data), *box))
-        for off, c in zip((hi - ns).tolist(), coeffs):
+        acc = np.zeros((*parts.shape[:3], *box))
+        cols = coeffs.reshape(len(ns), len(data), *(1,) * (1 + M.s))
+        for off, cr, ci in zip((hi - ns).tolist(), cols.real, cols.imag):
             view = tuple(slice(o, o + d) for o, d in zip(off, box))
-            ok &= win[view]
-            acc += c.real * parts[(Ellipsis, *view)] + c.imag * turned[(Ellipsis, *view)]
+            if not box_window:
+                ok &= win[view]
+            acc += cr * parts[(Ellipsis, *view)] + ci * turned[(Ellipsis, *view)]
         loc = np.nonzero(ok)
         points.append(_fine_points(M, e, w0 + hi, loc))
         values.append(acc[(Ellipsis, *loc)])
     pts = np.concatenate(points)
     order = np.lexsort(pts.T[::-1])
-    out = np.empty((len(data), len(pts)), complex)
+    out = np.empty((*data.shape[:2], len(pts)), complex)
     out.real, out.imag = np.concatenate(values, axis=-1)[..., order]
     return pts[order], out
 

@@ -159,11 +159,10 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
         raise FileFormatError(f"bad scheme file: {exc}") from exc
     if len(flat) != s * s:
         raise FileFormatError("dilation list length must be dimension squared")
-    M = DilationMatrix([flat[i * s : (i + 1) * s] for i in range(s)])
 
     if isinstance(kind, str) and kind.startswith("catalog:"):
         spec = _catalog_spec(_catalog_entry(kind.split(":", 1)[1]), obj.get("parameters", {}))
-        if spec.M != M:
+        if flat != [x for row in spec.M.mat for x in row]:
             raise FileFormatError("dilation in file disagrees with the catalog entry")
         tau = obj.get("tau", None)
         return SchemeSpec(
@@ -174,6 +173,7 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
             space=spec.space,
         )
 
+    M = DilationMatrix([flat[i * s : (i + 1) * s] for i in range(s)])
     if kind == "explicit":
         if "tail" not in obj:
             raise FileFormatError("explicit scheme needs a stationary tail symbol")

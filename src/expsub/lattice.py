@@ -6,9 +6,9 @@ a digit set E, and pairs them with m unimodular evaluation points
 Xi = {exp(2 pi i M^{-T} xi)} generalizing the m-th roots of unity.
 
 One decomposition serves all of it: the row Hermite normal form H = U M
-computed at construction.  det M = det U * prod(H_ii).  `split(alpha)`
-reduces U alpha into the digit box 0 <= d_i < H_ii, which gives
-alpha = e + M n; it is the coset map (`coset_of`) and the membership test
+computed at construction.  det M = det U * prod(H_ii).  `split_all` reduces
+U alpha into the digit box 0 <= d_i < H_ii, which gives alpha = e + M n; one
+row is `split`, the coset map (`coset_of`) and the membership test
 (`solve_integer`, e = 0).  The digit box mapped back through U^{-1} is the
 transversal E, and the same construction on M^T gives the dual
 representatives.  Back-substitution in H X = m I, m = |det M| = prod(H_ii),
@@ -161,15 +161,16 @@ class DilationMatrix:
             raise LatticeError(
                 "all eigenvalues of a dilation matrix must exceed 1 in modulus"
             )
+        # |alpha| up to `cap` keeps every value of `split_all` within int64
+        cap = 2**62 // (s * max(abs(x) for row in U + V for x in row) * (1 + max(max(row) for row in H)) ** s)
         for name, value in (
             ("s", s),
             ("mat", mat),
             ("det", det),
             ("m", abs(det)),
-            ("_H", H),
-            ("_U", U),
-            ("_V", V),
             ("_A", _scaled_inverse(H, U, abs(det))),
+            ("_split_cap", cap),
+            ("_uhv", (U, H, V)),
             ("_inv_powers", {}),
             ("_int_power", (0, np.eye(s, dtype=int).tolist())),
             ("_coset_reps", None),
@@ -256,7 +257,7 @@ class DilationMatrix:
         """Canonical transversal E of Z^s / M Z^s, from the HNF digit box; it
         holds the origin and is sorted lexicographically."""
         if self._coset_reps is None:
-            object.__setattr__(self, "_coset_reps", sorted(_digit_box(self._H, self._V)))
+            object.__setattr__(self, "_coset_reps", sorted(_digit_box(*self._uhv[1:])))
         return list(self._coset_reps)
 
     def coset_of(self, alpha: Sequence[int]) -> tuple[int, ...]:
@@ -264,26 +265,26 @@ class DilationMatrix:
         return self.split(alpha)[0]
 
     def split(self, alpha: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(e, n) with alpha = e + M n and e the representative in coset_reps().
+        """(e, n) with alpha = e + M n and e the representative in coset_reps()."""
+        e, n = self.split_all([alpha])
+        return tuple(e[0].tolist()), tuple(n[0].tolist())
 
-        Reduces y = U alpha into the HNF digit box of H = U M; the quotients
-        taken out along the way are n, because V H = M.
+    def split_all(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """`split` of every row of an (N, s) integer array: arrays e, n with alpha = e + M n.
+
+        Reduces y = U alpha into the HNF digit box of H = U M, last column first;
+        the quotients are n, because V H = M.  Python ints where int64 could overflow.
         """
-        y = [
-            sum(self._U[i][j] * int(alpha[j]) for j in range(self.s))
-            for i in range(self.s)
-        ]
-        n = [0] * self.s
+        a = np.array(alphas, dtype=object).reshape(-1, self.s)
+        if a.size and np.abs(a).max() < self._split_cap:
+            a = a.astype(np.int64)
+        U, H, V = (np.array(x, dtype=a.dtype) for x in self._uhv)
+        y = a @ U.T
+        n = np.zeros_like(y)
         for ell in range(self.s - 1, -1, -1):
-            q = y[ell] // self._H[ell][ell]
-            if q:
-                n[ell] = q
-                for r in range(ell + 1):
-                    y[r] -= q * self._H[r][ell]
-        e = tuple(
-            sum(self._V[i][j] * y[j] for j in range(self.s)) for i in range(self.s)
-        )
-        return e, tuple(n)
+            n[:, ell] = q = y[:, ell] // H[ell, ell]
+            y[:, : ell + 1] -= q[:, None] * H[: ell + 1, ell]
+        return y @ V.T, n
 
     def dual_reps(self) -> list[tuple[int, ...]]:
         """Transversal of Z^s / M^T Z^s used to build the dual points."""
@@ -310,8 +311,8 @@ class DilationMatrix:
 def as_multi_index(gamma, s: int | None = None) -> tuple[int, ...]:
     if isinstance(gamma, (int, np.integer)):
         gamma = (int(gamma),)
-    g = tuple(int(x) for x in gamma)
-    if any(x < 0 for x in g):
+    g = tuple(map(int, gamma))
+    if g and min(g) < 0:
         raise LatticeError("multi-index entries must be nonnegative")
     if s is not None and len(g) != s:
         raise LatticeError(f"multi-index has length {len(g)}, expected {s}")
@@ -321,7 +322,7 @@ def as_multi_index(gamma, s: int | None = None) -> tuple[int, ...]:
 def as_complex_vector(lam, s: int | None = None) -> tuple[complex, ...]:
     if isinstance(lam, (int, float, complex, np.number)):
         lam = (complex(lam),)
-    v = tuple(complex(x) for x in lam)
+    v = tuple(map(complex, lam))
     if s is not None and len(v) != s:
         raise LatticeError(f"vector has length {len(v)}, expected {s}")
     return v

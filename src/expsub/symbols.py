@@ -221,22 +221,21 @@ class LaurentSymbol:
         return complex(self.weighted_derivatives([gamma], [z])[0, 0])
 
     def polyphase(self, M: DilationMatrix) -> dict[tuple[int, ...], list]:
-        """The sub-symbols a_e as coarse-lattice taps: {e: [(n, c), ...]}.
+        """The sub-symbols a_e as coarse-lattice taps {e: [(n, c), ...]}: `polyphase_arrays` as a dict."""
+        return {e: list(zip(map(tuple, ns.tolist()), cs.tolist())) for e, ns, cs in self.polyphase_arrays(M)}
 
-        Each term c z^mu lands under its coset representative e with
-        mu = e + M n.  Keys are in ascending order, cosets without terms are
-        left out, and each coset's taps are in descending-lexicographic n.
-        """
+    def polyphase_arrays(self, M: DilationMatrix) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+        """The sub-symbols a_e as coarse-lattice taps [(e, ns, cs)], a_(e + M ns[i]) = cs[i], from
+        one `split_all` of the exponents: cosets with terms ascending, rows of ns descending."""
         if M.s != self.s:
             raise SymbolError("dimension mismatch with dilation matrix")
-        groups: dict = {}
-        for mu, c in self._terms.items():
-            e, n = M.split(mu)
-            groups.setdefault(e, []).append((n, c))
-        return {
-            e: sorted(groups[e], key=lambda t: t[0], reverse=True)
-            for e in sorted(groups)
-        }
+        if not self._terms:
+            return []
+        es, ns = M.split_all(list(self._terms))
+        order = np.lexsort((*-ns.T[::-1], *es.T[::-1]))
+        es, ns, cs = es[order], ns[order], np.array(list(self._terms.values()))[order]
+        cut = [0, *(np.flatnonzero((es[1:] != es[:-1]).any(axis=1)) + 1).tolist(), len(es)]
+        return [(tuple(es[i].tolist()), ns[i:j], cs[i:j]) for i, j in zip(cut, cut[1:])]
 
     def sub_symbol(self, eps, M: DilationMatrix) -> "LaurentSymbol":
         """Restriction to the coset eps + M Z^s (exponents kept in place)."""

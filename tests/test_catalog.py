@@ -8,6 +8,7 @@ from expsub import (
     CATALOG,
     CatalogParameterError,
     DilationMatrix,
+    ExpPolySpace,
     LaurentSymbol,
     butterfly,
     dual4_binary,
@@ -175,6 +176,25 @@ def test_sqrt3_symbols():
     assert schemes["approximating"].M.m == 3
     # stationary family: same symbol at every level
     assert schemes["approximating"].symbol(7) == approx
+
+
+@pytest.mark.parametrize("variant", ["approximating", "interpolatory"])
+def test_sqrt3_catalog_entry_builds_only_its_variant(monkeypatch, variant):
+    built = []
+    polynomials = ExpPolySpace.polynomials.__func__
+
+    def counted(cls, s, max_degree):
+        built.append(max_degree)
+        return polynomials(cls, s, max_degree)
+
+    monkeypatch.setattr(ExpPolySpace, "polynomials", classmethod(counted))
+    spec = CATALOG["sqrt3"].factory(variant=variant)
+    assert built == [1 if variant == "approximating" else 2]
+    want = sqrt3_schemes()[variant]
+    assert (spec.name, spec.tau, spec.M, spec.space) == (want.name, want.tau, want.M, want.space)
+    assert spec.symbol(0).sorted_items() == want.symbol(0).sorted_items()
+    with pytest.raises(CatalogParameterError):
+        CATALOG["sqrt3"].factory(variant="other")
 
 
 def test_lambda_to_zero_limits():

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from expsub import (
+    DilationMatrix,
     FileFormatError,
+    butterfly,
     check_reproduction,
     dual4_binary,
     grid_from_json_obj,
@@ -87,6 +89,36 @@ def test_bad_scheme_files():
                 "parameters": {"lambda": 1.0},
             }
         )
+
+
+def test_catalog_file_builds_one_dilation_matrix(monkeypatch):
+    """The file's dilation list is compared with the catalog's matrix, not built into a second one."""
+    built = []
+    init = DilationMatrix.__init__
+
+    def counted(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    obj = scheme_file_for_catalog("butterfly", lam=(0.5, 0.3))
+    monkeypatch.setattr(DilationMatrix, "__init__", counted)
+    spec = load_scheme_obj(obj)
+    assert built == [[[2, 0], [0, 2]]]  # the catalog factory's
+    assert spec.symbol(1) == butterfly((0.5, 0.3)).symbol(1)
+    built.clear()
+    load_scheme_obj({"name": "x", "dimension": 1, "dilation": [2], "kind": "explicit", "levels": [],
+                     "tail": [{"exp": [0], "re": 1.0, "im": 0.0}]})
+    assert built == [[[2]]]
+
+
+@pytest.mark.parametrize("dilation", [[1, 0, 0, 1], [2, 1, 0, 2], [2, 0], [3, 0, 0, 3]])
+def test_catalog_file_with_a_bad_dilation_exits_2(tmp_path, capsys, dilation):
+    obj = scheme_file_for_catalog("butterfly", lam=(0.5, 0.3))
+    obj["dilation"] = dilation
+    scheme = write_json(tmp_path / "scheme.json", obj)
+    space = write_json(tmp_path / "space.json", {"pairs": [{"gamma": [0, 0], "lambda": [[0, 0], [0, 0]]}]})
+    assert main(["check", "--scheme", scheme, "--space", space, "--mode", "generation", "--kmax", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: dilation")
 
 
 @pytest.mark.parametrize(
