@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -309,50 +310,26 @@ def dual4_ternary_limit_mask() -> LaurentSymbol:
 # -- butterfly -----------------------------------------------------------------
 
 
-def _butterfly_exact_coeffs() -> dict[tuple[int, int], Fraction]:
-    """Centered interpolatory butterfly combination, exact in u = r1 z1, w = r2 z2.
+@cache
+def _butterfly_coeffs() -> LaurentSymbol:
+    """Centered interpolatory butterfly combination in u = r1 z1, w = r2 z2.
 
-    The three-directional factors are expanded over the rationals; recentering
-    by (u w)^-3 leaves the even-even part exactly delta, so substituting
-    numeric r keeps the scheme exactly interpolatory at every level.
+    The three-directional factors are expanded and recentered by (u w)^-3,
+    which leaves the even-even part exactly delta, so substituting numeric r
+    keeps the scheme exactly interpolatory at every level.  Every coefficient
+    is a dyadic rational with a small numerator, so the float arithmetic is
+    exact.
     """
-
-    def conv(a, b):
-        out: dict[tuple[int, int], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1])
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return {e: c for e, c in out.items() if c != 0}
-
-    def power(a, n):
-        out = {(0, 0): Fraction(1)}
-        for _ in range(n):
-            out = conv(out, a)
-        return out
-
-    half = Fraction(1, 2)
-    fu = {(0, 0): half, (1, 0): half}
-    fw = {(0, 0): half, (0, 1): half}
-    fuw = {(0, 0): half, (1, 1): half}
-
-    def B(j, h, ell):
-        return conv(conv(power(fu, j), power(fw, h)), power(fuw, ell))
-
-    combo: dict[tuple[int, int], Fraction] = {}
-    for prefactor, weight, b in (
-        ((1, 1), 7, B(2, 2, 2)),
-        ((1, 0), -2, B(1, 3, 3)),
-        ((0, 1), -2, B(3, 1, 3)),
-        ((1, 1), -2, B(3, 3, 1)),
+    fu, fw, fuw = (LaurentSymbol(2, {(0, 0): 0.5, e: 0.5}) for e in ((1, 0), (0, 1), (1, 1)))
+    combo = LaurentSymbol.zero(2)
+    for prefactor, weight, (j, h, ell) in (
+        ((1, 1), 7, (2, 2, 2)),
+        ((1, 0), -2, (1, 3, 3)),
+        ((0, 1), -2, (3, 1, 3)),
+        ((1, 1), -2, (3, 3, 1)),
     ):
-        for e, c in b.items():
-            key = (e[0] + prefactor[0], e[1] + prefactor[1])
-            combo[key] = combo.get(key, Fraction(0)) + 4 * weight * c
-    return {(e[0] - 3, e[1] - 3): c for e, c in combo.items() if c != 0}
-
-
-_BUTTERFLY_COEFFS = _butterfly_exact_coeffs()
+        combo = combo + (fu**j * fw**h * fuw**ell).shift(prefactor) * (4 * weight)
+    return combo.shift((-3, -3))
 
 
 def butterfly(lam) -> SchemeSpec:
@@ -369,8 +346,8 @@ def butterfly(lam) -> SchemeSpec:
         r1 = cmath.exp(lamv[0] * h)
         r2 = cmath.exp(lamv[1] * h)
         terms = {
-            e: float(c) * r1 ** e[0] * r2 ** e[1]
-            for e, c in _BUTTERFLY_COEFFS.items()
+            e: c.real * r1 ** e[0] * r2 ** e[1]
+            for e, c in _butterfly_coeffs().terms().items()
         }
         return LaurentSymbol(2, terms)
 

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import _exp_poly_stack, _sampled_steps
+from .engine import _sampled_steps, exp_poly_values
 from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_stack
 from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
@@ -50,9 +50,9 @@ __all__ = [
 # used whenever |rhs| exceeds 1.
 DEFAULT_TOL = 1e-9
 
-# Levels per evaluator call in a condition check.  The call's work arrays
-# grow with the block, so a long level range takes no more than a block's
-# worth beside its records.
+# Levels per evaluator call in a condition check, and per engine pass in a
+# stepwise range.  The work arrays grow with the block, so a long level
+# range takes no more than a block's worth beside its records.
 _LEVEL_BLOCK = 16
 
 
@@ -493,21 +493,24 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
 
 def stepwise_tests(scheme: SchemeSpec, space: ExpPolySpace, tau, levels, window, tol: float = DEFAULT_TOL):
     """`stepwise_test` at each of `levels` in turn, from one engine pass per taps layout and one
-    evaluator call per sample set; a failing level raises after the reports of those before it."""
+    evaluator call per sample set for each block of `_LEVEL_BLOCK` levels; a failing level
+    raises after the reports of those before it."""
     _check_tol(tol)
     M = scheme.M
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
     levels = list(levels)
-    steps, error = _sampled_steps(map(scheme.symbol, levels), M, space.pairs, t, levels, window)
-    if steps:
-        got = np.concatenate([values for _, values in steps], axis=1)
-        exact = _exp_poly_stack(space.pairs, np.concatenate([param_array(M, t, k + 1, v) for k, (v, _) in zip(levels, steps)]))
-        starts = np.cumsum([0] + [len(v) for v, _ in steps[:-1]])
-        errs = np.maximum.reduceat(_residuals(got, exact), starts, axis=1)  # keeps a NaN, as np.max does
-        for k, (valid, _), row in zip(levels, steps, errs.T.tolist()):
-            records = tuple(StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, row))
-            yield StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)
-    if error is not None:
-        raise error
+    for start in range(0, len(levels), _LEVEL_BLOCK):
+        block = levels[start : start + _LEVEL_BLOCK]
+        steps, error = _sampled_steps(map(scheme.symbol, block), M, space.pairs, t, block, window)
+        if steps:
+            got = np.concatenate([values for _, values in steps], axis=1)
+            exact = exp_poly_values(space.pairs, np.concatenate([param_array(M, t, k + 1, v) for k, (v, _) in zip(block, steps)]))
+            starts = np.cumsum([0] + [len(v) for v, _ in steps[:-1]])
+            errs = np.maximum.reduceat(_residuals(got, exact), starts, axis=1)  # keeps a NaN, as np.max does
+            for k, (valid, _), row in zip(block, steps, errs.T.tolist()):
+                records = tuple(StepwiseRecord(g, lam, err, len(valid)) for (g, lam), err in zip(space.pairs, row))
+                yield StepwiseReport(scheme=scheme.name, k=k, tol=tol, tau=t, records=records)
+        if error is not None:
+            raise error

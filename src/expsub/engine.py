@@ -27,6 +27,7 @@ import numpy as np
 from .lattice import (
     DilationMatrix,
     as_complex_vector,
+    as_int,
     as_multi_index,
     as_tau,
     cexp,
@@ -41,7 +42,6 @@ __all__ = [
     "refine",
     "sample_exp_poly",
     "exp_poly_values",
-    "sampled_step",
     "basic_limit_samples",
     "limit_sample_arrays",
     "is_interpolatory",
@@ -268,30 +268,30 @@ def _fine_points(M: DilationMatrix, e, g0, loc) -> np.ndarray:
 
 
 def _step(taps, M: DilationMatrix, origin, in_support: np.ndarray, data: np.ndarray):
-    """The polyphase step on a (B, *box) stack of data sharing `in_support`:
-    the output support as an (N, s) index array and its (B, N) values."""
+    """The polyphase step of `data` over `in_support`: the output support as an
+    (N, s) index array and its N values."""
     shape = in_support.shape
     fr, fi = np.ascontiguousarray(data.real), np.ascontiguousarray(data.imag)
-    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros((len(data), 0), complex)]
+    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros(0, complex)]
     allocated = 0
     for e, ns, coeffs in taps:
         lo = ns.min(axis=0)
         box = tuple((np.array(shape) + ns.max(axis=0) - lo).tolist())
         allocated += int(np.prod(box))
         _check_box(allocated)
-        re, im = np.zeros((2, len(data), *box))
+        re, im = np.zeros((2, *box))
         present = np.zeros(box, bool)
         for off, c in zip((ns - lo).tolist(), coeffs.tolist()):
             view = tuple(slice(o, o + d) for o, d in zip(off, shape))
-            re[(Ellipsis, *view)] += c.real * fr - c.imag * fi
-            im[(Ellipsis, *view)] += c.real * fi + c.imag * fr
+            re[view] += c.real * fr - c.imag * fi
+            im[view] += c.real * fi + c.imag * fr
             present[view] |= in_support
         loc = np.nonzero(present)
         points.append(_fine_points(M, e, np.asarray(origin) + lo, loc))
-        vals = np.empty((len(data), len(loc[0])), complex)
-        vals.real, vals.imag = re[(Ellipsis, *loc)], im[(Ellipsis, *loc)]
+        vals = np.empty(len(loc[0]), complex)
+        vals.real, vals.imag = re[loc], im[loc]
         values.append(vals)
-    return np.concatenate(points), np.concatenate(values, axis=1)
+    return np.concatenate(points), np.concatenate(values)
 
 
 def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridData:
@@ -302,8 +302,8 @@ def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridD
     """
     if mask.s != f.s or M.s != f.s:
         raise EngineError("dimension mismatch between mask, matrix and data")
-    points, values = _step(_taps(mask, M), M, f.origin, f.in_support, f.data[None])
-    return GridData.from_points(f.s, f.level + 1, points, values[0], tau=f.tau)
+    points, values = _step(_taps(mask, M), M, f.origin, f.in_support, f.data)
+    return GridData.from_points(f.s, f.level + 1, points, values, tau=f.tau)
 
 
 def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | None = None) -> GridData:
@@ -319,19 +319,16 @@ def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | Non
     return g
 
 
-def exp_poly_values(gamma, lam, t) -> np.ndarray:
-    """x^gamma exp(lambda . x) at the rows of an (N, s) float array t (0^0 = 1).
+def exp_poly_values(pairs, t) -> np.ndarray:
+    """x^gamma exp(lambda . x) of each (gamma, lambda) pair at the rows of an (N, s) float
+    array t (0^0 = 1), as a (P, N) array; one cexp over the distinct lambdas.
 
     The bits of `p *= t_l ** gamma_l; p * cmath.exp(sum(lambda_l * t_l))`: libm's
     pow as Python's `**` calls it, `lattice.cexp`, and complex products formed
     from parts as CPython forms them.  Where `**` or cmath.exp overflows, the
     value is non-finite instead.
     """
-    return _exp_poly_stack([(gamma, lam)], np.asarray(t, dtype=float).reshape(-1, len(gamma)))[0]
-
-
-def _exp_poly_stack(pairs, t: np.ndarray) -> np.ndarray:
-    """`exp_poly_values` of each (gamma, lambda) pair at t, (P, N); one cexp over the distinct lambdas."""
+    t = np.asarray(t, dtype=float)
     n, s = t.shape
     powers = {}
     lams = np.array([lam for _, lam in pairs], dtype=complex).reshape(len(pairs), s)
@@ -365,7 +362,7 @@ def _samples(pairs, M: DilationMatrix, tau, levels, window):
     idx = _window(window, M.s)
     pairs = [(as_multi_index(g, M.s), as_complex_vector(lam, M.s)) for g, lam in pairs]
     t = np.concatenate([param_array(M, tau, k, idx) for k in levels])
-    return idx, _exp_poly_stack(pairs, t).reshape(len(pairs), len(levels), len(idx)).swapaxes(0, 1)
+    return idx, exp_poly_values(pairs, t).reshape(len(pairs), len(levels), len(idx)).swapaxes(0, 1)
 
 
 def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> GridData:
@@ -374,20 +371,10 @@ def sample_exp_poly(gamma, lam, M: DilationMatrix, tau, level: int, window) -> G
     return GridData.from_points(M.s, level, idx, vals[0, 0], tau=tau)
 
 
-def sampled_step(mask: LaurentSymbol, M: DilationMatrix, pairs, tau, level: int, window):
-    """One step of `mask` on the pairs' samples on the window, at its valid interior only.
-
-    Returns the sorted valid interior, (N, s), and the refined values there, (P, N).
-    """
-    steps, error = _sampled_steps([mask], M, pairs, tau, [level], window)
-    if error is not None:
-        raise error
-    return steps[0]
-
-
 def _sampled_steps(masks, M: DilationMatrix, pairs, tau, levels, window):
-    """`sampled_step` at each level, one `_interior` pass per taps layout (cosets and n):
-    the (valid, values) of the levels before the first that fails, and its error or None."""
+    """One step of each level's mask on the pairs' samples on the window, at its valid interior
+    only, from one `_interior` pass per taps layout (cosets and n): the (valid, values) of the
+    levels before the first that fails, sorted (N, s) and (P, N), and its error or None."""
     taps, error = [], None
     try:
         for mask in masks:
@@ -438,7 +425,8 @@ def basic_limit_samples(scheme: SchemeSpec, rounds: int, start_level: int = 0):
 def is_interpolatory(mask: LaurentSymbol, M: DilationMatrix) -> bool:
     """Exact test for mask_(M alpha) = delta_(alpha,0): the zero coset's only tap is a_0 = 1."""
     zero = (0,) * M.s
-    return mask.polyphase(M).get(zero) == [(zero, 1)]
+    taps = {e: (ns.tolist(), cs.tolist()) for e, ns, cs in mask.polyphase_arrays(M)}
+    return taps.get(zero) == ([list(zero)], [1])
 
 
 def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple[int, ...]]:
@@ -553,11 +541,11 @@ def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
     try:
         values = []
         for rec in obj["values"]:
-            idx = tuple(int(x) for x in rec["idx"])
+            idx = tuple(as_int(x, "grid index") for x in rec["idx"])
             values.append((idx, complex(float(rec["re"]), float(rec.get("im", 0.0)))))
             if s is None:
                 s = len(idx)
-        level = int(obj["level"])
+        level = as_int(obj["level"], "grid level")
     except (KeyError, TypeError) as exc:
         raise EngineError(f"bad grid data: {exc!r}") from exc
     if s is None:

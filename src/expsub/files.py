@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .lattice import DilationMatrix
+from .lattice import DilationMatrix, as_int
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -31,12 +31,14 @@ class FileFormatError(ValueError):
     """Malformed scheme, space, or data file."""
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def complex_from_pair(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_real(obj):
         z = complex(obj)
-    elif isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) for x in obj
-    ):
+    elif isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_real, obj)):
         z = complex(float(obj[0]), float(obj[1]))
     else:
         raise FileFormatError(f"expected a real number or an [re, im] pair, got {obj!r}")
@@ -55,10 +57,10 @@ def _decode_lambda(obj):
 
     A list of bare reals other than a pair is rejected: it could be a vector.
     """
-    if isinstance(obj, (int, float)):
+    if _is_real(obj):
         return complex_from_pair(obj)
     if isinstance(obj, list):
-        if not all(isinstance(x, (int, float)) for x in obj):
+        if not all(map(_is_real, obj)):
             return tuple(complex_from_pair(x) for x in obj)
         if len(obj) == 2:
             return complex_from_pair(obj)
@@ -80,14 +82,20 @@ def _file_form(value, kind: str = ""):
     return value
 
 
+def _decode_bool(obj) -> bool:
+    if not isinstance(obj, bool):
+        raise FileFormatError(f"expected true or false, got {obj!r}")
+    return obj
+
+
 # How each parameter kind declared in CatalogEntry.parameters is decoded.
 _DECODE = {
-    "int": int,
+    "int": as_int,
     "real": float,
-    "bool": bool,
+    "bool": _decode_bool,
     "str": str,
     "frequency": _decode_lambda,
-    "factors": lambda fs: [(_decode_lambda(l), int(n)) for l, n in fs],
+    "factors": lambda fs: [(_decode_lambda(l), as_int(n, "multiplicity")) for l, n in fs],
 }
 
 
@@ -153,8 +161,8 @@ def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params)
 def load_scheme_obj(obj: dict) -> SchemeSpec:
     try:
         kind = obj["kind"]
-        s = int(obj["dimension"])
-        flat = [int(x) for x in obj["dilation"]]
+        s = as_int(obj["dimension"], "dimension")
+        flat = [as_int(x, "dilation entry") for x in obj["dilation"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad scheme file: {exc}") from exc
     if len(flat) != s * s:
@@ -212,7 +220,7 @@ def load_space_obj(obj: dict) -> ExpPolySpace:
     decoded = []
     for rec in pairs:
         try:
-            gamma = tuple(int(x) for x in rec["gamma"])
+            gamma = tuple(as_int(x, "gamma entry") for x in rec["gamma"])
             lam = tuple(complex_from_pair(x) for x in rec["lambda"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad space pair {rec!r}: {exc}") from exc

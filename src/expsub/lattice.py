@@ -8,12 +8,13 @@ Xi = {exp(2 pi i M^{-T} xi)} generalizing the m-th roots of unity.
 One decomposition serves all of it: the row Hermite normal form H = U M
 computed at construction.  det M = det U * prod(H_ii).  `split_all` reduces
 U alpha into the digit box 0 <= d_i < H_ii, which gives alpha = e + M n; one
-row is `split`, the coset map (`coset_of`) and the membership test
-(`solve_integer`, e = 0).  The digit box mapped back through U^{-1} is the
-transversal E, and the same construction on M^T gives the dual
-representatives.  Back-substitution in H X = m I, m = |det M| = prod(H_ii),
-gives A = m M^{-1} = X U, the one copy of M^{-1}: it gives the dual points
-exactly, and M^{-p} = A^p / m^p rounded once per entry, for every p >= 0.
+row of it is the coset map (`coset_of`) and the membership test
+(`solve_integer`, e = 0).  Back-substitution in H X = m I, m = |det M| =
+prod(H_ii), gives A = m M^{-1} = X U, the one copy of M^{-1}, and U^{-1} =
+M X / m.  The digit box mapped back through U^{-1} is the transversal E, and
+the same construction on M^T gives the dual representatives.  A gives the
+dual points exactly, and M^{-p} = A^p / m^p rounded once per entry, for
+every p >= 0.
 
 Everything constructed here rejects attribute writes after construction;
 the lazy caches only hold values derived from M, so it is safe to share
@@ -39,6 +40,7 @@ __all__ = [
     "displacement",
     "param_array",
     "as_tau",
+    "as_int",
     "as_multi_index",
     "as_complex_vector",
 ]
@@ -53,41 +55,24 @@ class LatticeError(ValueError):
 def _row_hnf(mat):
     """Row-style Hermite normal form over the integers.
 
-    Returns (H, U, V, det_u) with H = U @ mat, V = U^{-1}, U unimodular of
-    determinant det_u = +-1, H upper triangular with positive diagonal and
-    above-diagonal entries reduced into [0, diagonal).  So det(mat) is
-    det_u * prod(H_ii).
+    Returns (H, U, V, X, det_u) with H = U @ mat, U unimodular of determinant
+    det_u = +-1, H upper triangular with positive diagonal and above-diagonal
+    entries reduced into [0, diagonal), so det(mat) is det_u * prod(H_ii).
+    Back-substitution in H X = m I, m = prod(H_ii), gives X = m H^{-1}; each
+    division is exact because m H^{-1} is the adjugate of H.  Then
+    mat^{-1} = H^{-1} U gives m mat^{-1} = X U, and V = U^{-1} = mat H^{-1}
+    is mat X / m.
     """
     s = len(mat)
     H = [[int(x) for x in row] for row in mat]
     U = [[int(i == j) for j in range(s)] for i in range(s)]
-    V = [[int(i == j) for j in range(s)] for i in range(s)]
     det_u = 1
 
     def row_op(i, j, q):
-        # r_i <- r_i - q r_j on H and U; V absorbs the inverse column op.
+        # r_i <- r_i - q r_j on H and U.
         for c in range(s):
             H[i][c] -= q * H[j][c]
             U[i][c] -= q * U[j][c]
-        for r in range(s):
-            V[r][j] += q * V[r][i]
-
-    def swap(i, j):
-        nonlocal det_u
-        det_u = -det_u
-        H[i], H[j] = H[j], H[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(s):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def negate(i):
-        nonlocal det_u
-        det_u = -det_u
-        for c in range(s):
-            H[i][c] = -H[i][c]
-            U[i][c] = -U[i][c]
-        for r in range(s):
-            V[r][i] = -V[r][i]
 
     for j in range(s):
         if all(H[i][j] == 0 for i in range(j, s)):
@@ -98,18 +83,25 @@ def _row_hnf(mat):
                 key=lambda i: abs(H[i][j]),
             )
             if pivot != j:
-                swap(j, pivot)
+                det_u = -det_u
+                H[j], H[pivot], U[j], U[pivot] = H[pivot], H[j], U[pivot], U[j]
             for i in range(j + 1, s):
                 if H[i][j] != 0:
                     row_op(i, j, H[i][j] // H[j][j])
         if H[j][j] < 0:
-            negate(j)
+            det_u = -det_u
+            H[j], U[j] = [-x for x in H[j]], [-x for x in U[j]]
     for j in range(s):
         for i in range(j):
             q = H[i][j] // H[j][j]
             if q:
                 row_op(i, j, q)
-    return H, U, V, det_u
+    m = math.prod(H[i][i] for i in range(s))
+    X = [[0] * s for _ in range(s)]
+    for i, c in itertools.product(range(s - 1, -1, -1), range(s)):
+        X[i][c] = (m * (i == c) - sum(H[i][j] * X[j][c] for j in range(i + 1, s))) // H[i][i]
+    V = [[x // m for x in row] for row in _int_matmul(mat, X)]
+    return H, U, V, X, det_u
 
 
 def _digit_box(H, V) -> list[tuple[int, ...]]:
@@ -126,19 +118,6 @@ def _int_matmul(a, b):
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
 
 
-def _scaled_inverse(H, U, m: int):
-    """A = m M^{-1} over the integers, from H = U M with m = prod(H_ii).
-
-    Back-substitutes H X = m I; each division is exact because m H^{-1} is
-    the adjugate of H.  Then M^{-1} = H^{-1} U gives A = X U.
-    """
-    s = len(H)
-    X = [[0] * s for _ in range(s)]
-    for i, c in itertools.product(range(s - 1, -1, -1), range(s)):
-        X[i][c] = (m * (i == c) - sum(H[i][j] * X[j][c] for j in range(i + 1, s))) // H[i][i]
-    return _int_matmul(X, U)
-
-
 class DilationMatrix:
     """Expansive integer matrix driving the refinement Z^s -> M^{-1} Z^s.
 
@@ -152,7 +131,7 @@ class DilationMatrix:
         if any(len(r) != s for r in rows):
             raise LatticeError("dilation matrix must be square")
         mat = tuple(tuple(int(x) for x in r) for r in rows)
-        H, U, V, det_u = _row_hnf(mat)
+        H, U, V, X, det_u = _row_hnf(mat)
         det = det_u * math.prod(H[i][i] for i in range(s))
         if abs(det) < 2:
             raise LatticeError("|det M| must be at least 2")
@@ -168,7 +147,7 @@ class DilationMatrix:
             ("mat", mat),
             ("det", det),
             ("m", abs(det)),
-            ("_A", _scaled_inverse(H, U, abs(det))),
+            ("_A", _int_matmul(X, U)),
             ("_split_cap", cap),
             ("_uhv", (U, H, V)),
             ("_inv_powers", {}),
@@ -194,12 +173,7 @@ class DilationMatrix:
         for row in entries:
             if isinstance(row, (int, np.integer)):
                 raise LatticeError("matrix entries must be nested rows (or a bare int for s=1)")
-            cells = []
-            for x in row:
-                if isinstance(x, float) and not x.is_integer():
-                    raise LatticeError("dilation matrix entries must be integers")
-                cells.append(int(x))
-            rows.append(cells)
+            rows.append([as_int(x, "dilation matrix entry") for x in row])
         if not rows:
             raise LatticeError("empty matrix")
         return rows
@@ -226,8 +200,8 @@ class DilationMatrix:
 
     def solve_integer(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Integer n with M n = vec, or None when vec is off-lattice."""
-        e, n = self.split(vec)
-        return None if any(e) else n
+        e, n = self.split_all([vec])
+        return None if any(e[0].tolist()) else tuple(n[0].tolist())
 
     def inv_power(self, p: int) -> np.ndarray:
         """M^{-p} = A^p / m^p, each entry rounded once; read-only, cached per p.
@@ -262,15 +236,11 @@ class DilationMatrix:
 
     def coset_of(self, alpha: Sequence[int]) -> tuple[int, ...]:
         """The representative in coset_reps() equivalent to alpha mod M Z^s."""
-        return self.split(alpha)[0]
-
-    def split(self, alpha: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(e, n) with alpha = e + M n and e the representative in coset_reps()."""
-        e, n = self.split_all([alpha])
-        return tuple(e[0].tolist()), tuple(n[0].tolist())
+        return tuple(self.split_all([alpha])[0][0].tolist())
 
     def split_all(self, alphas) -> tuple[np.ndarray, np.ndarray]:
-        """`split` of every row of an (N, s) integer array: arrays e, n with alpha = e + M n.
+        """(e, n) with alpha = e + M n and e the representative in coset_reps(), for every row
+        alpha of an (N, s) integer array, as arrays.
 
         Reduces y = U alpha into the HNF digit box of H = U M, last column first;
         the quotients are n, because V H = M.  Python ints where int64 could overflow.
@@ -289,7 +259,7 @@ class DilationMatrix:
     def dual_reps(self) -> list[tuple[int, ...]]:
         """Transversal of Z^s / M^T Z^s used to build the dual points."""
         if self._dual_reps is None:
-            H, _, V, _ = _row_hnf([list(col) for col in zip(*self.mat)])
+            H, _, V, _, _ = _row_hnf([list(col) for col in zip(*self.mat)])
             reps = _digit_box(H, V)
             zero = (0,) * self.s
             reps.remove(zero)
@@ -338,6 +308,14 @@ def as_tau(tau, s: int) -> tuple[float, ...]:
     if any(not np.isfinite(x) for x in t):
         raise LatticeError("shift parameter must be finite")
     return t
+
+
+def as_int(x, what: str = "value") -> int:
+    """An int, or a float of integral value, as an int; a bool, any other float
+    and a string are rejected, not truncated or read as 0 and 1."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer)) or (isinstance(x, float) and not x.is_integer()):
+        raise LatticeError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def q_eval(gamma, z) -> complex:

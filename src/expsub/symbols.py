@@ -20,6 +20,7 @@ import numpy as np
 from .lattice import (
     DilationMatrix,
     as_complex_vector,
+    as_int,
     as_multi_index,
     as_tau,
 )
@@ -220,10 +221,6 @@ class LaurentSymbol:
         """
         return complex(self.weighted_derivatives([gamma], [z])[0, 0])
 
-    def polyphase(self, M: DilationMatrix) -> dict[tuple[int, ...], list]:
-        """The sub-symbols a_e as coarse-lattice taps {e: [(n, c), ...]}: `polyphase_arrays` as a dict."""
-        return {e: list(zip(map(tuple, ns.tolist()), cs.tolist())) for e, ns, cs in self.polyphase_arrays(M)}
-
     def polyphase_arrays(self, M: DilationMatrix) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
         """The sub-symbols a_e as coarse-lattice taps [(e, ns, cs)], a_(e + M ns[i]) = cs[i], from
         one `split_all` of the exponents: cosets with terms ascending, rows of ns descending."""
@@ -241,11 +238,12 @@ class LaurentSymbol:
         """Restriction to the coset eps + M Z^s (exponents kept in place)."""
         if isinstance(eps, int):
             eps = (eps,)
-        taps = self.polyphase(M)
+        phases = self.polyphase_arrays(M)
         e = M.coset_of(eps)
+        taps = [tap for f, ns, cs in phases if f == e for tap in zip(ns.tolist(), cs.tolist())]
         return LaurentSymbol(
             self.s,
-            {tuple(x + y for x, y in zip(e, M.apply(n))): c for n, c in taps.get(e, [])},
+            {tuple(x + y for x, y in zip(e, M.apply(n))): c for n, c in taps},
         )
 
     # -- serialization -----------------------------------------------------------
@@ -260,7 +258,7 @@ class LaurentSymbol:
     def from_json_obj(cls, obj, s: int | None = None) -> "LaurentSymbol":
         terms = {}
         for rec in obj:
-            e = tuple(int(x) for x in rec["exp"])
+            e = tuple(as_int(x, "exponent") for x in rec["exp"])
             if e in terms:
                 raise SymbolError(f"exponent {e} is given more than once")
             terms[e] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
@@ -335,8 +333,8 @@ class SchemeSpec:
 
     `rule` maps a level to a LaurentSymbol; results are cached.  `tau` is the
     documented shift parameter, `space` the documented reproduction space.
-    Attributes cannot be set after construction; `with_tau`, `scaled` and
-    `shifted` build derived specs.
+    Attributes cannot be set after construction; `scaled` and `shifted`
+    build derived specs.
     """
 
     def __init__(
@@ -404,9 +402,6 @@ class SchemeSpec:
             tau=tau,
             space=self.space,
         )
-
-    def with_tau(self, tau):
-        return SchemeSpec(self.name, self.M, self.symbol, tau=tau, space=self.space)
 
 
 def _lambda_key(lam: tuple[complex, ...]):

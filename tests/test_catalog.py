@@ -1,6 +1,7 @@
 """Catalog constructors: supports, limits, guards, stationary counterparts."""
 
 import cmath
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from expsub import (
     sheared_convolution,
     sqrt3_schemes,
 )
-from expsub.catalog import SHEAR_DIGITS
+from expsub.catalog import SHEAR_DIGITS, _butterfly_coeffs
 
 
 def test_exp_bspline_shapes():
@@ -150,6 +151,47 @@ def test_butterfly_structure():
     assert nonzero.coeff((0, 0)) == 1.0  # exactly interpolatory at every level
     with pytest.raises(CatalogParameterError):
         butterfly((1.0, 1j))
+
+
+def exact_butterfly_coeffs() -> dict[tuple[int, int], Fraction]:
+    """The butterfly combination expanded over `Fraction` dicts: its own
+    convolution and powers, recentered by (u w)^-3."""
+
+    def conv(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = (ea[0] + eb[0], ea[1] + eb[1])
+                out[e] = out.get(e, Fraction(0)) + ca * cb
+        return {e: c for e, c in out.items() if c != 0}
+
+    def power(a, n):
+        out = {(0, 0): Fraction(1)}
+        for _ in range(n):
+            out = conv(out, a)
+        return out
+
+    half = Fraction(1, 2)
+    fu, fw, fuw = ({(0, 0): half, e: half} for e in ((1, 0), (0, 1), (1, 1)))
+    combo = {}
+    for prefactor, weight, (j, h, ell) in (
+        ((1, 1), 7, (2, 2, 2)),
+        ((1, 0), -2, (1, 3, 3)),
+        ((0, 1), -2, (3, 1, 3)),
+        ((1, 1), -2, (3, 3, 1)),
+    ):
+        for e, c in conv(conv(power(fu, j), power(fw, h)), power(fuw, ell)).items():
+            key = (e[0] + prefactor[0], e[1] + prefactor[1])
+            combo[key] = combo.get(key, Fraction(0)) + 4 * weight * c
+    return {(e[0] - 3, e[1] - 3): c for e, c in combo.items() if c != 0}
+
+
+def test_butterfly_float_build_is_the_exact_expansion():
+    """Every float coefficient, in order, is hex-equal to its exact rational."""
+    want = [(e, float(c).hex()) for e, c in exact_butterfly_coeffs().items()]
+    got = _butterfly_coeffs().terms()
+    assert [(e, c.real.hex()) for e, c in got.items()] == want
+    assert len(want) == 25 and got[(0, 0)] == 1
 
 
 def test_sheared_convolution_masks():

@@ -625,3 +625,78 @@ def test_cli_check_builds_json_records_only_for_a_report(tmp_path, monkeypatch):
     assert calls and json.loads(report.read_text())["verdict"] == "pass"
     # a failing check still exits 1 without a report
     assert main(argv[:-4] + ["--tau", "0", "--mode", "reproduction"]) == 1
+
+
+BSPLINE = {"name": "b", "dimension": 1, "dilation": [2], "kind": "catalog:exp_bspline", "parameters": {"m": 2, "lambda": 1.0}}
+EXP_SPACE = {"pairs": [{"gamma": [0], "lambda": [[1, 0]]}]}
+LINEAR_SPACE = {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}, {"gamma": [1], "lambda": [[0, 0]]}]}
+SHEAR = {"name": "shear", "dimension": 2, "dilation": [2, 1, 0, 2], "kind": "catalog:sheared_convolution",
+         "parameters": {"lambda": [[0.5, 0], [0.3, 0]], "normalized": False}}
+SHEAR_SPACE = {"pairs": [{"gamma": [0, 0], "lambda": [[0.5, 0], [0.3, 0]]}]}
+DELTA = {"level": 0, "values": [{"idx": [0], "re": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "scheme, space, grid, code",
+    [
+        ({**BSPLINE, "dilation": [2.5]}, EXP_SPACE, None, 2),
+        ({**BSPLINE, "dimension": 1.9}, EXP_SPACE, None, 2),
+        ({**BSPLINE, "dimension": True}, EXP_SPACE, None, 2),
+        ({**BSPLINE, "parameters": {"m": 2.7, "lambda": 1.0}}, EXP_SPACE, None, 2),
+        ({**BSPLINE, "parameters": {"m": 2, "lambda": True}}, EXP_SPACE, None, 2),
+        ({**SHEAR, "parameters": {**SHEAR["parameters"], "normalized": "false"}}, SHEAR_SPACE, None, 2),
+        ({**HAT, "tau": [1.0], "tail": [*HAT["tail"][:2], {"exp": [2.5], "re": 0.5}]}, LINEAR_SPACE, None, 2),
+        (BSPLINE, {"pairs": [{"gamma": [1.7], "lambda": [[1, 0]]}]}, None, 2),
+        (HAT, None, {"level": 0, "values": [{"idx": [0.6], "re": 1.0}]}, 2),
+        (HAT, None, {**DELTA, "level": 1.5}, 2),
+        ({**BSPLINE, "dimension": 1.0, "dilation": [2.0], "parameters": {"m": 2.0, "lambda": 1.0}},
+         {"pairs": [{"gamma": [0.0], "lambda": [[1, 0]]}]}, None, 0),
+        ({**HAT, "tail": [{"exp": [0.0], "re": 0.5}, {"exp": [1.0], "re": 1.0}, {"exp": [2.0], "re": 0.5}]},
+         None, {"level": 0.0, "values": [{"idx": [0.0], "re": 1.0}]}, 0),
+    ],
+    ids=[
+        "dilation-2.5", "dimension-1.9", "dimension-true", "m-2.7", "lambda-true", "normalized-string",
+        "exp-2.5", "gamma-1.7", "idx-0.6", "level-1.5", "integral-floats-load", "integral-float-grid-loads",
+    ],
+)
+def test_cli_non_integers_and_booleans_are_rejected_not_truncated(tmp_path, capsys, scheme, space, grid, code):
+    scheme = write_json(tmp_path / "scheme.json", scheme)
+    if grid is None:
+        space = write_json(tmp_path / "space.json", space)
+        argv = ["check", "--mode", "reproduction", "--kmax", "2", "--scheme", scheme, "--space", space]
+    else:
+        data = write_json(tmp_path / "grid.json", grid)
+        argv = ["refine", "--scheme", scheme, "--input", data, "--levels", "1", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else err == ""
+
+
+def explicit_dual4(tmp_path):
+    """dual4_binary(1.0) levels 0 and 1 written out with a tail and no tau."""
+    a = dual4_binary(1.0)
+    obj = {"name": "dual4_levels", "dimension": 1, "dilation": [2], "kind": "explicit",
+           "levels": [a.symbol(0).to_json_obj(), a.symbol(1).to_json_obj()], "tail": a.symbol(2).to_json_obj()}
+    return write_json(tmp_path / "explicit.json", obj)
+
+
+def test_cli_check_solves_tau_for_an_explicit_scheme_without_one(tmp_path, capsys):
+    from expsub import load_space, solve_tau
+
+    scheme = explicit_dual4(tmp_path)
+    space = write_json(tmp_path / "space.json", CONIC_SPACE)
+    tau = solve_tau(load_scheme(scheme), load_space(space), k_probe=0)
+    assert abs(tau[0] + 0.5) < 1e-12
+    report = tmp_path / "report.json"
+    assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1", "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert f"reproduction check for dual4_levels, tau={tau}" in out
+    assert f"stepwise check for dual4_levels at level 1, tau={tau}" in out
+    assert json.loads(report.read_text())["tau"] == list(tau)
+
+
+def test_cli_check_without_tau_exits_2_when_solving_fails(tmp_path, capsys):
+    scheme = explicit_dual4(tmp_path)
+    space = write_json(tmp_path / "space.json", {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}]})
+    assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: no tau given and solving failed")

@@ -114,7 +114,7 @@ def test_split_gives_coset_rep_and_coarse_index(mat):
     reps = M.coset_reps()
     for a in range(-7, 8):
         alpha = (a,) if M.s == 1 else (a, 3 - 2 * a)
-        e, n = M.split(alpha)
+        e, n = (tuple(x[0].tolist()) for x in M.split_all([alpha]))
         assert e in reps and e == M.coset_of(alpha)
         assert tuple(x + y for x, y in zip(e, M.apply(n))) == alpha
 

@@ -1,8 +1,12 @@
-"""The README's library tour runs and prints what its comments say."""
+"""The README's library tour runs and prints what its comments say, and its
+CLI block runs."""
 
 import ast
 import math
+import shlex
 from pathlib import Path
+
+from expsub.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +44,38 @@ def test_readme_tour_states_what_it_prints():
             assert f"{value:.1e}" == comment, code
         else:
             assert value == literal, code
+
+
+def cli_block() -> tuple[dict[str, str], list[list[str]]]:
+    """The CLI section's shell block: the files its heredocs write, and each
+    `expsub` command (continuation lines joined) as an argv."""
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    files, commands = {}, []
+    lines = iter(block.replace("\\\n", " ").splitlines())
+    for line in lines:
+        if line.startswith("cat > "):
+            name, _, end = line[len("cat > "):].partition(" <<")
+            body = []
+            for body_line in lines:
+                if body_line == end.strip("'"):
+                    break
+                body.append(body_line)
+            files[name] = "\n".join(body) + "\n"
+        elif line.startswith("expsub "):
+            commands.append(shlex.split(line)[1:])
+    return files, commands
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    files, commands = cli_block()
+    assert set(files) == {"space.json", "data.json"} and len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        for flag in ("--out", "--report"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).stat().st_size > 0, argv
+    assert capsys.readouterr().err == ""

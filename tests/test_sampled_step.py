@@ -1,9 +1,9 @@
 """The fused stepwise step against the composition it replaced.
 
-`composed_step` is the former `engine.sampled_step`, kept here as an oracle:
-the valid interior from its own erosion (`old_interior`), one `_step` over
-the whole packed window, and the output packed again and read back at the
-interior (`read_back`).  The fused step erodes each coset's window and sums
+`composed_step` is the former one-level step, kept here as an oracle: the
+valid interior from its own erosion (`old_interior`), one `_step` per data
+row over the whole packed window, and the output packed again and read back
+at the interior (`read_back`).  The fused step erodes each coset's window and sums
 only there; it must give the same points, the same bits and the same errors.
 """
 
@@ -26,7 +26,7 @@ from expsub import (
     valid_interior,
 )
 from expsub import engine
-from expsub.engine import exp_poly_values, sampled_step
+from expsub.engine import exp_poly_values
 from expsub.lattice import param_array
 
 GEOMETRIES = {
@@ -68,13 +68,23 @@ def composed_step(mask, M, pairs, tau, level, window):
     """Samples of each pair on its own, the whole-box step, then the read-back."""
     idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
     t = param_array(M, tau, level, idx)
-    stack = np.array([exp_poly_values(g, lam, t) for g, lam in pairs]).reshape(-1, len(t))
+    stack = np.array([exp_poly_values([(g, lam)], t)[0] for g, lam in pairs]).reshape(-1, len(t))
     taps = engine._taps(mask, M)
     valid = old_interior(taps, M, idx)
     if not len(valid):
         raise EngineError("empty valid interior; enlarge the window")
-    out = engine._pack(*engine._step(taps, M, *engine._pack(idx, stack)))
+    w0, win, data = engine._pack(idx, stack)
+    rows = [engine._step(taps, M, w0, win, row) for row in data]
+    out = engine._pack(rows[0][0], np.array([values for _, values in rows]))
     return valid, read_back(*out, valid)
+
+
+def sampled_step(mask, M, pairs, tau, level, window):
+    """The engine's stacked step at one level: (valid, values), or its error raised."""
+    steps, error = engine._sampled_steps([mask], M, pairs, tau, [level], window)
+    if error is not None:
+        raise error
+    return steps[0]
 
 
 def hexes(values):
@@ -141,7 +151,7 @@ def test_oversized_window_is_rejected_before_sampling(monkeypatch):
 
     monkeypatch.setattr(engine, "MAX_BOX_POINTS", 120)
     monkeypatch.setattr(engine, "param_array", sampled)
-    monkeypatch.setattr(engine, "_exp_poly_stack", sampled)
+    monkeypatch.setattr(engine, "exp_poly_values", sampled)
     for call in (
         lambda: box_indices(5, 2),
         lambda: box_indices((0, 10), 2),

@@ -71,13 +71,13 @@ def exp_poly_cases(draw):
 @example(((0,), (complex(354.75, 2.0),), [[2.0]]))
 def test_exp_poly_values_match_the_scalar_loop(case):
     gamma, lam, t = case
-    got = exp_poly_values(gamma, lam, np.array(t)).tolist()
+    got = exp_poly_values([(gamma, lam)], np.array(t))[0].tolist()
     assert [hexes(z) for z in got] == [hexes(scalar_exp_poly(gamma, lam, row)) for row in t]
-    assert hexes(complex(exp_poly_values(gamma, lam, [t[0]])[0])) == hexes(got[0])  # one point alone
+    assert hexes(complex(exp_poly_values([(gamma, lam)], [t[0]])[0, 0])) == hexes(got[0])  # one point alone
 
 
 def test_power_trap_is_pythons_power():
-    assert exp_poly_values((2,), (0j,), [[POWER_TRAP]])[0].real.hex() == "0x1.be21d069c02efp-1"
+    assert exp_poly_values([((2,), (0j,))], [[POWER_TRAP]])[0, 0].real.hex() == "0x1.be21d069c02efp-1"
 
 
 def test_residual_modulus_is_pythons_abs():
@@ -151,4 +151,4 @@ def test_stepwise_rejects_overflowing_samples():
     space = ExpPolySpace([((0,), (800.0,))])
     with pytest.raises(EngineError, match="finite"):
         stepwise_test(scheme, space, scheme.tau, 0, 8)
-    assert not np.isfinite(exp_poly_values((0,), (800.0,), [[8.0]])).all()
+    assert not np.isfinite(exp_poly_values([((0,), (800.0,))], [[8.0]])[0]).all()

@@ -105,17 +105,17 @@ def per_level_reports(scheme, pairs, tau, levels, window):
     M, t = scheme.M, as_tau(tau, scheme.M.s)
     for k in levels:
         taps = []
-        for e, phase in scheme.symbol(k).polyphase(M).items():
-            coeffs = [c for _, c in phase]
+        for e, ns, cs in scheme.symbol(k).polyphase_arrays(M):
+            coeffs = cs.tolist()
             if not np.isfinite(np.array(coeffs)).all():
                 raise EngineError("mask has a non-finite coefficient")
-            taps.append((e, np.array([n for n, _ in phase], dtype=np.int64), coeffs))
+            taps.append((e, np.array(ns.tolist(), dtype=np.int64), coeffs))
         idx = np.array(box_indices(window, M.s), dtype=np.int64).reshape(-1, M.s)
-        stack = np.array([exp_poly_values(g, lam, param_array(M, t, k, idx)) for g, lam in pairs])
+        stack = np.array([exp_poly_values([(g, lam)], param_array(M, t, k, idx))[0] for g, lam in pairs])
         valid, got = one_level_interior(taps, M, idx, stack)
         if not len(valid):
             raise EngineError("empty valid interior; enlarge the window")
-        exact = np.array([exp_poly_values(g, lam, param_array(M, t, k + 1, valid)) for g, lam in pairs])
+        exact = np.array([exp_poly_values([(g, lam)], param_array(M, t, k + 1, valid))[0] for g, lam in pairs])
         errs = checker._residuals(got, exact).max(axis=1).tolist()
         yield k, len(valid), [e.hex() for e in errs]
 
@@ -207,6 +207,21 @@ def test_a_failing_symbol_build_is_raised_after_the_levels_before_it():
     with pytest.raises(ZeroDivisionError, match="level 2"):
         next(reports)
     assert built == [0, 1, 2]
+
+
+def test_a_long_range_runs_in_blocks_of_levels(monkeypatch):
+    """A 40-level range passes `_interior` at most 16 levels at a time and keeps the per-level reports."""
+    sizes = []
+    original = engine._interior
+
+    def interior(taps, M, win_idx, stack):
+        sizes.append(len(stack))
+        return original(taps, M, win_idx, stack)
+
+    monkeypatch.setattr(engine, "_interior", interior)
+    scheme = GEOMETRIES["2I"]
+    assert_same_reports(scheme, scheme.space, scheme.tau, list(range(40)), 4)
+    assert sizes == [16, 16, 8] and checker._LEVEL_BLOCK == 16
 
 
 # -- the CLI: stdout, stderr and exit code recorded with the per-level loop ---------------
@@ -302,8 +317,8 @@ def test_one_stepwise_op_over_four_levels_is_one_pass(tmp_path, monkeypatch, exp
     space = write(tmp_path, "space.json", {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}, {"gamma": [1], "lambda": [[0, 0]]}]})
     interior, samples = [], []
     counted(monkeypatch, engine, "_interior", interior)
-    counted(monkeypatch, engine, "_exp_poly_stack", samples)
-    counted(monkeypatch, checker, "_exp_poly_stack", samples)
+    counted(monkeypatch, engine, "exp_poly_values", samples)
+    counted(monkeypatch, checker, "exp_poly_values", samples)
     out, err, code = run_cli(["check", "--scheme", scheme, "--space", space, "--mode", "stepwise",
                               "--kmin", "0", "--kmax", "3", "--window", "5"])
     assert (err, code) == ("", exit_code)
@@ -314,7 +329,7 @@ def test_one_stepwise_op_over_four_levels_is_one_pass(tmp_path, monkeypatch, exp
 
 def test_an_overflowing_power_is_an_infinite_sample():
     """Where Python's `**` raises OverflowError, the sample is non-finite and the window is rejected."""
-    assert np.isinf(exp_poly_values((400,), (0j,), [[10.0], [-10.0]]).real).all()
+    assert np.isinf(exp_poly_values([((400,), (0j,))], [[10.0], [-10.0]])[0].real).all()
     with pytest.raises(EngineError, match="grid values must be finite"):
         sample_exp_poly((400,), 0j, GEOMETRIES["M=2"].M, (0.0,), 0, 6)
 
@@ -337,4 +352,5 @@ def test_split_all_matches_the_scalar_reduction():
                     y[r] -= q * H[r][ell]
             want_e = [sum(V[i][j] * y[j] for j in range(M.s)) for i in range(M.s)]
             assert (list(got_e), list(got_n)) == (want_e, want_n)
-            assert M.split(alpha) == (tuple(want_e), tuple(want_n))
+            assert M.coset_of(alpha) == tuple(want_e)
+            assert M.solve_integer(alpha) == (None if any(want_e) else tuple(want_n))
