@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 from itertools import product
 from typing import Callable
 
@@ -56,9 +55,15 @@ def _level_scale(M: DilationMatrix, k: int) -> float:
     return float(M.inv_power(k + 1)[0, 0])
 
 
-def _geometric_factor(m: int, r: complex) -> LaurentSymbol:
-    """1 + r z + ... + r^(m-1) z^(m-1)."""
-    return LaurentSymbol(1, {(e,): r**e for e in range(m)})
+def _geometric_product(m: int, factors, h: float) -> LaurentSymbol:
+    """prod_i (1 + r_i z + ... + r_i^(m-1) z^(m-1))^(n_i), r_i = exp(lambda_i h),
+    over (lambda_i, n_i) in `factors`, from the first factor on."""
+    sym = None
+    for lamc, n in factors:
+        r = cmath.exp(lamc * h)
+        g = LaurentSymbol(1, {(e,): r**e for e in range(m)}) ** n
+        sym = g if sym is None else sym * g
+    return sym
 
 
 # -- exponential B-splines -----------------------------------------------------
@@ -69,9 +74,10 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
 
     With `tau` given, each level is scaled by K^[k] = m^(1-n) r_k^(-(m-1) tau)
     so the exponential anchor condition holds for that shift.  Without it the
-    raw product is returned (which for n_fold = 1 reproduces exp(lambda x)
-    with shift 0).  The two-dimensional space {exp, x exp} is reached exactly
-    when tau equals n_fold / 2.
+    raw product is returned: for n_fold = 1 it reproduces exp(lambda x) with
+    shift 0; for n_fold >= 2 it only generates exp(lambda x) and carries no
+    shift.  The two-dimensional space {exp, x exp} is reached exactly when
+    tau equals n_fold / 2.
     """
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
@@ -84,14 +90,13 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
 
     def rule(k: int) -> LaurentSymbol:
         h = _level_scale(M, k)
-        r = cmath.exp(lamc * h)
-        sym = _geometric_factor(m, r) ** n_fold
+        sym = _geometric_product(m, [(lamc, n_fold)], h)
         if t is not None:
             K = float(m) ** (1 - n_fold) * cmath.exp(-lamc * h * (m - 1) * t)
             sym = sym * K
         return sym
 
-    doc_tau = (0.0,) if t is None else (t,)
+    doc_tau = (t,) if t is not None else (0.0,) if n_fold == 1 else None
     pairs = [((0,), (lamc,))]
     if n_fold >= 2 and t is not None and t == n_fold / 2:
         pairs.append(((1,), (lamc,)))
@@ -126,8 +131,7 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
             )
         (la, n), (mu, _) = facs
 
-        def K(k: int) -> complex:
-            h = _level_scale(M, k)
+        def K(h: float) -> complex:
             r = cmath.exp(la * h)
             s = cmath.exp(mu * h)
             return float(m) ** (1 - n) * sum(
@@ -141,13 +145,8 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
 
     def rule(k: int) -> LaurentSymbol:
         h = _level_scale(M, k)
-        sym = LaurentSymbol.one(1)
-        for lamc, n in facs:
-            r = cmath.exp(lamc * h)
-            sym = sym * _geometric_factor(m, r) ** n
-        if K is not None:
-            sym = sym * K(k)
-        return sym
+        sym = _geometric_product(m, facs, h)
+        return sym if K is None else sym * K(h)
 
     name = f"exp_product(m={m},factors={len(facs)})"
     return SchemeSpec(name, M, rule, tau=doc_tau, space=space)
@@ -188,17 +187,36 @@ def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
 # -- dual four-point schemes ---------------------------------------------------
 
 
-def _dual4_w(lam: complex, M: DilationMatrix, k: int) -> complex:
-    h = _level_scale(M, k) * lam / 2
-    return (cmath.exp(h) + cmath.exp(-h)) / 2
+def _dual4(name: str, m: int, lam, tau: float, guards, taps) -> SchemeSpec:
+    """The m-ary dual four-point family: level k's mask is taps(w) from z^(-2m)
+    on, w = cosh(lambda m^-(k+1) / 2), once no factor in guards(w) vanishes."""
+    lamc = _axis_lambda(lam, 1, allow_zero=False)[0]
+    M = DilationMatrix(m)
+
+    def rule(k: int) -> LaurentSymbol:
+        h = _level_scale(M, k) * lamc / 2
+        w = (cmath.exp(h) + cmath.exp(-h)) / 2
+        for factor, value in guards(w).items():
+            if abs(value) < 1e-12:
+                raise CatalogParameterError(f"{name}: denominator factor {factor} vanishes at level {k}")
+        return _dual4_mask(m, taps(w))
+
+    space = ExpPolySpace([((0,), (0,)), ((1,), (0,)), ((0,), (lamc,)), ((0,), (-lamc,))])
+    return SchemeSpec(name, M, rule, tau=(tau,), space=space)
 
 
-def _guard_factors(factors: dict[str, complex], k: int, scheme: str):
-    for name, value in factors.items():
-        if abs(value) < 1e-12:
-            raise CatalogParameterError(
-                f"{scheme}: denominator factor {name} vanishes at level {k}"
-            )
+def _dual4_mask(m: int, taps) -> LaurentSymbol:
+    return LaurentSymbol(1, {(e,): c for e, c in enumerate(taps, -2 * m)})
+
+
+def _dual4_binary_taps(w):
+    """The eight binary taps in w, from z^-4 on."""
+    den = 64 * w**3 * (2 * w**2 - 1) * (w + 1)
+    c0 = -(6 * w**2 + 2 * w - 1) / den
+    c1 = (10 * w**2 + 2 * w - 3) / den + 0.75
+    c2 = (-2 * w**2 + 2 * w + 3) / den + 0.25
+    c3 = -(2 * w**2 + 2 * w + 1) / den
+    return [c3, c0, c2, c1, c1, c2, c0, c3]
 
 
 def dual4_binary(lam) -> SchemeSpec:
@@ -208,103 +226,49 @@ def dual4_binary(lam) -> SchemeSpec:
     coefficients in w = cosh(lambda 2^-(k+1) / 2); a level where w, 2w^2 - 1
     or w + 1 is below 1e-12 in modulus raises CatalogParameterError.
     """
-    lamc = _axis_lambda(lam, 1, allow_zero=False)[0]
-    M = DilationMatrix(2)
-
-    def rule(k: int) -> LaurentSymbol:
-        w = _dual4_w(lamc, M, k)
-        _guard_factors({"w": w, "2w^2-1": 2 * w**2 - 1, "w+1": w + 1}, k, "dual4_binary")
-        den = 64 * w**3 * (2 * w**2 - 1) * (w + 1)
-        c0 = -(6 * w**2 + 2 * w - 1) / den
-        c1 = (10 * w**2 + 2 * w - 3) / den + 0.75
-        c2 = (-2 * w**2 + 2 * w + 3) / den + 0.25
-        c3 = -(2 * w**2 + 2 * w + 1) / den
-        return LaurentSymbol(
-            1, {(e,): c for e, c in zip(range(-4, 4), [c3, c0, c2, c1, c1, c2, c0, c3])}
-        )
-
-    return SchemeSpec(
-        "dual4_binary",
-        M,
-        rule,
-        tau=(-0.5,),
-        space=ExpPolySpace([((0,), (0,)), ((1,), (0,)), ((0,), (lamc,)), ((0,), (-lamc,))]),
+    return _dual4(
+        "dual4_binary", 2, lam, -0.5,
+        lambda w: {"w": w, "2w^2-1": 2 * w**2 - 1, "w+1": w + 1},
+        _dual4_binary_taps,
     )
 
 
 def dual4_binary_limit_mask() -> LaurentSymbol:
-    """Stationary limit of the binary dual four-point masks (exact rationals)."""
-    lim = {
-        -4: Fraction(-5, 128),
-        -3: Fraction(-7, 128),
-        -2: Fraction(35, 128),
-        -1: Fraction(105, 128),
-        0: Fraction(105, 128),
-        1: Fraction(35, 128),
-        2: Fraction(-7, 128),
-        3: Fraction(-5, 128),
-    }
-    return LaurentSymbol(1, {(e,): float(c) for e, c in lim.items()})
+    """Stationary limit of the binary dual four-point masks: the taps at w = 1,
+    the limit of w as k grows; each is a dyadic rational, exact in floats."""
+    return _dual4_mask(2, _dual4_binary_taps(1.0))
+
+
+def _dual4_ternary_taps(w):
+    """The twelve ternary taps in w, from z^-6 on."""
+    d1 = 8 * w * (2 * w - 1) ** 2 * (4 * w**2 - 3) * (w + 1)
+    c02 = -1 / d1
+    c12 = 1 / d1 + 0.5
+    c22 = 1 / d1 + 0.5
+    c32 = -1 / d1
+    d2 = 24 * w * (4 * w**2 - 1) ** 3 * (-4 * w**3 - 4 * w**2 + 3 * w + 3)
+    d3 = 8 * w * (2 * w - 1) ** 3 * (2 * w + 1) ** 3 * (4 * w**2 - 3) * (w + 1)
+    c03 = (16 * w**4 + 16 * w**3 + 3) / d2
+    c13 = -(16 * w**4 - 16 * w**2 - 4 * w - 1) / d3 + 1 / 6
+    c23 = (48 * w**4 + 16 * w**3 - 32 * w**2 - 8 * w + 1) / d3 + 5 / 6
+    c33 = (80 * w**4 + 32 * w**3 - 48 * w**2 - 12 * w + 3) / d2
+    c31, c21, c11, c01 = c03, c13, c23, c33
+    return [c03, c02, c01, c13, c12, c11, c23, c22, c21, c33, c32, c31]
 
 
 def dual4_ternary(lam) -> SchemeSpec:
     """Ternary dual four-point scheme, twelve taps at z^-6 .. z^5, shift -1/4."""
-    lamc = _axis_lambda(lam, 1, allow_zero=False)[0]
-    M = DilationMatrix(3)
-
-    def rule(k: int) -> LaurentSymbol:
-        w = _dual4_w(lamc, M, k)
-        _guard_factors(
-            {
-                "w": w,
-                "2w-1": 2 * w - 1,
-                "2w+1": 2 * w + 1,
-                "4w^2-3": 4 * w**2 - 3,
-                "w+1": w + 1,
-            },
-            k,
-            "dual4_ternary",
-        )
-        d1 = 8 * w * (2 * w - 1) ** 2 * (4 * w**2 - 3) * (w + 1)
-        c02 = -1 / d1
-        c12 = 1 / d1 + 0.5
-        c22 = 1 / d1 + 0.5
-        c32 = -1 / d1
-        d2 = 24 * w * (4 * w**2 - 1) ** 3 * (-4 * w**3 - 4 * w**2 + 3 * w + 3)
-        d3 = 8 * w * (2 * w - 1) ** 3 * (2 * w + 1) ** 3 * (4 * w**2 - 3) * (w + 1)
-        c03 = (16 * w**4 + 16 * w**3 + 3) / d2
-        c13 = -(16 * w**4 - 16 * w**2 - 4 * w - 1) / d3 + 1 / 6
-        c23 = (48 * w**4 + 16 * w**3 - 32 * w**2 - 8 * w + 1) / d3 + 5 / 6
-        c33 = (80 * w**4 + 32 * w**3 - 48 * w**2 - 12 * w + 3) / d2
-        c31, c21, c11, c01 = c03, c13, c23, c33
-        coeffs = [c03, c02, c01, c13, c12, c11, c23, c22, c21, c33, c32, c31]
-        return LaurentSymbol(1, {(e,): c for e, c in zip(range(-6, 6), coeffs)})
-
-    return SchemeSpec(
-        "dual4_ternary",
-        M,
-        rule,
-        tau=(-0.25,),
-        space=ExpPolySpace([((0,), (0,)), ((1,), (0,)), ((0,), (lamc,)), ((0,), (-lamc,))]),
+    return _dual4(
+        "dual4_ternary", 3, lam, -0.25,
+        lambda w: {"w": w, "2w-1": 2 * w - 1, "2w+1": 2 * w + 1,
+                   "4w^2-3": 4 * w**2 - 3, "w+1": w + 1},
+        _dual4_ternary_taps,
     )
 
 
 def dual4_ternary_limit_mask() -> LaurentSymbol:
-    lim = [
-        Fraction(-35, 1296),
-        Fraction(-1, 16),
-        Fraction(-55, 1296),
-        Fraction(77, 432),
-        Fraction(9, 16),
-        Fraction(385, 432),
-        Fraction(385, 432),
-        Fraction(9, 16),
-        Fraction(77, 432),
-        Fraction(-55, 1296),
-        Fraction(-1, 16),
-        Fraction(-35, 1296),
-    ]
-    return LaurentSymbol(1, {(e,): float(c) for e, c in zip(range(-6, 6), lim)})
+    """Stationary limit of the ternary dual four-point masks: the taps at w = 1."""
+    return _dual4_mask(3, _dual4_ternary_taps(1.0))
 
 
 # -- butterfly -----------------------------------------------------------------
@@ -406,8 +370,22 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
 # -- sqrt3 schemes ----------------------------------------------------------------
 
 
-def _sqrt3_matrix() -> DilationMatrix:
-    return DilationMatrix([[1, 2], [-2, -1]])
+def _sqrt3(variant: str = "approximating") -> SchemeSpec:
+    """One of `sqrt3_schemes`, built alone; any other variant raises."""
+    if variant == "approximating":
+        terms = dict.fromkeys([(1, 1), (-1, -1), (-1, 2), (-2, 1), (1, -2), (2, -1)], 1 / 6)
+        terms.update(dict.fromkeys([(-1, 0), (0, 1), (1, -1), (0, -1), (1, 0), (-1, 1)], 1 / 3))
+        degree = 1
+    elif variant == "interpolatory":
+        terms = {(0, 0): 1.0, **dict.fromkeys([(-2, 0), (-2, 2), (0, 2), (2, 0), (2, -2), (0, -2)], -(1 / 9))}
+        terms.update(dict.fromkeys([(-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)], 4 * (1 / 9)))
+        degree = 2
+    else:
+        raise CatalogParameterError("sqrt3 variant must be 'approximating' or 'interpolatory'")
+    M = DilationMatrix([[1, 2], [-2, -1]])
+    return SchemeSpec.stationary(
+        f"sqrt3:{variant}", M, LaurentSymbol(2, terms), tau=(0.0, 0.0), space=ExpPolySpace.polynomials(2, degree)
+    )
 
 
 def sqrt3_schemes() -> dict[str, SchemeSpec]:
@@ -416,25 +394,7 @@ def sqrt3_schemes() -> dict[str, SchemeSpec]:
     "approximating" reproduces linear polynomials, "interpolatory" is exactly
     interpolatory and reproduces quadratics, both with shift (0, 0).
     """
-    M = _sqrt3_matrix()
-    return {variant: _sqrt3_scheme(variant, M) for variant in _SQRT3_VARIANTS}
-
-
-_SQRT3_VARIANTS = ("approximating", "interpolatory")
-
-
-def _sqrt3_scheme(variant: str, M: DilationMatrix) -> SchemeSpec:
-    """One of `sqrt3_schemes`, built alone."""
-    if variant == "approximating":
-        terms = dict.fromkeys([(1, 1), (-1, -1), (-1, 2), (-2, 1), (1, -2), (2, -1)], 1 / 6)
-        terms.update(dict.fromkeys([(-1, 0), (0, 1), (1, -1), (0, -1), (1, 0), (-1, 1)], 1 / 3))
-    else:
-        terms = {(0, 0): 1.0, **dict.fromkeys([(-2, 0), (-2, 2), (0, 2), (2, 0), (2, -2), (0, -2)], -(1 / 9))}
-        terms.update(dict.fromkeys([(-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)], 4 * (1 / 9)))
-    degree = 1 if variant == "approximating" else 2
-    return SchemeSpec.stationary(
-        f"sqrt3:{variant}", M, LaurentSymbol(2, terms), tau=(0.0, 0.0), space=ExpPolySpace.polynomials(2, degree)
-    )
+    return {variant: _sqrt3(variant) for variant in ("approximating", "interpolatory")}
 
 
 # -- registry ---------------------------------------------------------------------
@@ -466,12 +426,6 @@ class CatalogEntry:
         }
 
 
-def _sqrt3_factory(variant: str = "approximating") -> SchemeSpec:
-    if variant not in _SQRT3_VARIANTS:
-        raise CatalogParameterError("sqrt3 variant must be 'approximating' or 'interpolatory'")
-    return _sqrt3_scheme(variant, _sqrt3_matrix())
-
-
 CATALOG: dict[str, CatalogEntry] = {
     e.id: e
     for e in [
@@ -484,7 +438,7 @@ CATALOG: dict[str, CatalogEntry] = {
                 "n_fold": ("int", "factor multiplicity"),
                 "tau": ("real", "optional shift for renormalization"),
             },
-            documented_tau="0 (raw, n_fold=1); the requested tau when renormalized",
+            documented_tau="0 (raw, n_fold=1); none (raw, n_fold>=2); the requested tau when renormalized",
             documented_space="exp(lambda x); plus x exp(lambda x) for n_fold >= 2 at tau = n/2",
             citation="exponential B-spline smoothing factors",
             factory=exp_bspline,
@@ -554,7 +508,7 @@ CATALOG: dict[str, CatalogEntry] = {
             documented_tau="(0, 0)",
             documented_space="linear polynomials (approximating); quadratics (interpolatory)",
             citation="sqrt(3) triangular subdivision masks",
-            factory=_sqrt3_factory,
+            factory=_sqrt3,
         ),
     ]
 }

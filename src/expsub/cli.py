@@ -3,8 +3,8 @@
 Subcommands: check, solve-tau, refine, limit, catalog.  Exit codes follow the
 usual verification convention: 0 all requested checks pass, 1 a condition
 fails, 2 bad input, such as catalog parameters outside a family's domain (a
-dual four-point level whose denominator factor vanishes) or a tolerance that
-is negative or not finite.
+dual four-point level whose denominator factor vanishes), a tolerance that
+is negative or not finite, or a mask or sample that overflows the double range.
 """
 
 from __future__ import annotations
@@ -241,6 +241,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: overflow past the double range: {exc}", file=sys.stderr)
         return 2
 
 

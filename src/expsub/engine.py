@@ -29,6 +29,7 @@ from .lattice import (
     as_complex_vector,
     as_int,
     as_multi_index,
+    as_real,
     as_tau,
     cexp,
     param_array,
@@ -204,14 +205,6 @@ class GridData:
         loc = np.nonzero(self.in_support)
         idx = np.stack(loc, axis=1).reshape(-1, self.s) + np.array(self.origin)
         return idx, self.data[loc]
-
-    def values_at(self, indices) -> np.ndarray:
-        """Values at an (N, s) array of support indices; any other index raises."""
-        rel = np.asarray(indices, dtype=np.int64).reshape(-1, self.s) - np.array(self.origin)
-        loc = tuple(rel.T)
-        if not (((rel >= 0) & (rel < self.in_support.shape)).all() and self.in_support[loc].all()):
-            raise EngineError("index outside the support of the grid")
-        return self.data[loc]
 
     def support(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.points()[0].tolist()))
@@ -542,7 +535,7 @@ def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
         values = []
         for rec in obj["values"]:
             idx = tuple(as_int(x, "grid index") for x in rec["idx"])
-            values.append((idx, complex(float(rec["re"]), float(rec.get("im", 0.0)))))
+            values.append((idx, complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im"))))
             if s is None:
                 s = len(idx)
         level = as_int(obj["level"], "grid level")

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .lattice import DilationMatrix, as_int
+from .lattice import DilationMatrix, as_int, as_real
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -91,7 +91,7 @@ def _decode_bool(obj) -> bool:
 # How each parameter kind declared in CatalogEntry.parameters is decoded.
 _DECODE = {
     "int": as_int,
-    "real": float,
+    "real": as_real,
     "bool": _decode_bool,
     "str": str,
     "frequency": _decode_lambda,

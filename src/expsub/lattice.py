@@ -41,6 +41,7 @@ __all__ = [
     "param_array",
     "as_tau",
     "as_int",
+    "as_real",
     "as_multi_index",
     "as_complex_vector",
 ]
@@ -301,8 +302,8 @@ def as_complex_vector(lam, s: int | None = None) -> tuple[complex, ...]:
 def as_tau(tau, s: int) -> tuple[float, ...]:
     """Coerce a shift parameter to a real s-vector."""
     if isinstance(tau, (int, float, np.number)):
-        tau = (float(tau),)
-    t = tuple(float(x) for x in tau)
+        tau = (tau,)
+    t = tuple(as_real(x, "shift parameter entry") for x in tau)
     if len(t) != s:
         raise LatticeError(f"shift parameter has length {len(t)}, expected {s}")
     if any(not np.isfinite(x) for x in t):
@@ -316,6 +317,14 @@ def as_int(x, what: str = "value") -> int:
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer)) or (isinstance(x, float) and not x.is_integer()):
         raise LatticeError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def as_real(x, what: str = "value") -> float:
+    """An int or a float as a float; a bool and a string are rejected, not read
+    as 0 and 1 or parsed."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise LatticeError(f"{what} must be a real number, got {x!r}")
+    return float(x)
 
 
 def q_eval(gamma, z) -> complex:

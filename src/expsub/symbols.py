@@ -22,6 +22,7 @@ from .lattice import (
     as_complex_vector,
     as_int,
     as_multi_index,
+    as_real,
     as_tau,
 )
 
@@ -131,16 +132,6 @@ class LaurentSymbol:
     def __repr__(self):
         pieces = [f"{c!r}*z^{e}" for e, c in self.sorted_items()]
         return f"LaurentSymbol(s={self.s}, {' + '.join(pieces) or '0'})"
-
-    def max_diff(self, other: "LaurentSymbol") -> float:
-        """Largest absolute coefficient difference."""
-        if self.s != other.s:
-            raise SymbolError("dimension mismatch")
-        keys = set(self._terms) | set(other._terms)
-        return max(
-            (abs(self._terms.get(k, 0) - other._terms.get(k, 0)) for k in keys),
-            default=0.0,
-        )
 
     # -- ring operations ----------------------------------------------------------
 
@@ -261,7 +252,7 @@ class LaurentSymbol:
             e = tuple(as_int(x, "exponent") for x in rec["exp"])
             if e in terms:
                 raise SymbolError(f"exponent {e} is given more than once")
-            terms[e] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
+            terms[e] = complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im"))
             if s is None:
                 s = len(e)
         if s is None:

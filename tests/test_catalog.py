@@ -23,6 +23,7 @@ from expsub import (
     sqrt3_schemes,
 )
 from expsub.catalog import SHEAR_DIGITS, _butterfly_coeffs
+from symbol_diff import max_diff
 
 
 def test_exp_bspline_shapes():
@@ -42,7 +43,7 @@ def test_exp_bspline_shapes():
 def test_exp_product_collapse_and_guards():
     a = exp_product(3, [(0.7, 1), (0.7, 1)]).symbol(2)
     b = exp_bspline(3, 0.7, n_fold=2).symbol(2)
-    assert a.max_diff(b) == 0.0
+    assert max_diff(a, b) == 0.0
     with pytest.raises(CatalogParameterError):
         exp_product(2, [(1.0, 1)], normalization="two_factor")
     with pytest.raises(CatalogParameterError):
@@ -86,12 +87,12 @@ def test_dual4_binary_limit_mask():
     assert lim.coeff((-3,)) == -7 / 128
     assert lim.coeff((-1,)) == 105 / 128
     for lam in (1.0, 1j):
-        assert dual4_binary(lam).symbol(20).max_diff(lim) < 1e-8
+        assert max_diff(dual4_binary(lam).symbol(20), lim) < 1e-8
 
 
 def test_dual4_binary_limit_monotone():
     lim = dual4_binary_limit_mask()
-    dists = [dual4_binary(1.0).symbol(k).max_diff(lim) for k in range(2, 9)]
+    dists = [max_diff(dual4_binary(1.0).symbol(k), lim) for k in range(2, 9)]
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
@@ -133,9 +134,9 @@ def dual4_ternary_limit_symbol() -> LaurentSymbol:
 def test_dual4_ternary_limits():
     lim = dual4_ternary_limit_mask()
     assert lim.coeff((-6,)) == pytest.approx(-35 / 1296, abs=1e-16)
-    assert dual4_ternary_limit_symbol().max_diff(lim) < 1e-12
+    assert max_diff(dual4_ternary_limit_symbol(), lim) < 1e-12
     for lam in (1.0, 1j):
-        assert dual4_ternary(lam).symbol(20).max_diff(lim) < 1e-8
+        assert max_diff(dual4_ternary(lam).symbol(20), lim) < 1e-8
     with pytest.raises(CatalogParameterError):
         dual4_ternary(0.0)
 
@@ -200,9 +201,9 @@ def test_sheared_convolution_masks():
     sym = raw.symbol(0)
     # (1/4) (sum over the staircase digits)^2
     b = LaurentSymbol(2, {e: 1.0 for e in SHEAR_DIGITS})
-    assert sym.max_diff(b * b * 0.25) == 0.0
+    assert max_diff(sym, b * b * 0.25) == 0.0
     norm0 = sheared_convolution((0.0, 0.0), normalized=True)
-    assert norm0.symbol(0).max_diff(sym) == 0.0  # K = 1 at lambda = 0
+    assert max_diff(norm0.symbol(0), sym) == 0.0  # K = 1 at lambda = 0
     assert raw.tau == (0.0, 0.0) and norm0.tau == (1.0, 1.0)
     assert raw.M == M
 
@@ -242,8 +243,8 @@ def test_sqrt3_catalog_entry_builds_only_its_variant(monkeypatch, variant):
 def test_lambda_to_zero_limits():
     # dual-4 masks depend on lambda quadratically through w: already at
     # lambda = 1e-8 they sit on their stationary limits to 1e-12
-    assert dual4_binary(1e-8).symbol(0).max_diff(dual4_binary_limit_mask()) < 1e-12
-    assert dual4_ternary(1e-8).symbol(0).max_diff(dual4_ternary_limit_mask()) < 1e-12
+    assert max_diff(dual4_binary(1e-8).symbol(0), dual4_binary_limit_mask()) < 1e-12
+    assert max_diff(dual4_ternary(1e-8).symbol(0), dual4_ternary_limit_mask()) < 1e-12
     # the geometric-factor families move linearly in lambda: distance ~ |lambda|/2
     linear_cases = [
         (exp_bspline(2, 1e-8).symbol(0), exp_bspline(2, 0.0).symbol(0)),
@@ -258,11 +259,11 @@ def test_lambda_to_zero_limits():
         ),
     ]
     for a, b in linear_cases:
-        assert a.max_diff(b) < 2e-8
+        assert max_diff(a, b) < 2e-8
     # and at lambda = 1e-12 they reach the 1e-12 neighborhood as well
-    assert exp_bspline(2, 1e-12).symbol(0).max_diff(exp_bspline(2, 0.0).symbol(0)) < 1e-12
+    assert max_diff(exp_bspline(2, 1e-12).symbol(0), exp_bspline(2, 0.0).symbol(0)) < 1e-12
     assert (
-        butterfly((1e-12, 1e-12)).symbol(0).max_diff(butterfly((0.0, 0.0)).symbol(0))
+        max_diff(butterfly((1e-12, 1e-12)).symbol(0), butterfly((0.0, 0.0)).symbol(0))
         < 1e-12
     )
 
@@ -340,7 +341,7 @@ def test_sheared_lambda_zero_reproduces_linear_polynomials():
 
 def test_dual4_ternary_limit_monotone():
     lim = dual4_ternary_limit_mask()
-    dists = [dual4_ternary(1.0).symbol(k).max_diff(lim) for k in range(2, 9)]
+    dists = [max_diff(dual4_ternary(1.0).symbol(k), lim) for k in range(2, 9)]
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
@@ -394,7 +395,7 @@ def test_dual4_cross_construction_all_levels():
                 mask, factored = scheme.symbol(k), oracle(lam, k)
                 assert mask.support() == factored.support()
                 scale = max(1.0, sum(abs(c) for _, c in mask.sorted_items()))
-                assert mask.max_diff(factored) <= 1e-12 * scale, (family.__name__, lam, k)
+                assert max_diff(mask, factored) <= 1e-12 * scale, (family.__name__, lam, k)
 
 
 def test_dual4_large_masks_build_and_reproduce():
@@ -409,7 +410,7 @@ def test_dual4_large_masks_build_and_reproduce():
         scheme = family(lam)
         mask = scheme.symbol(k)
         scale = sum(abs(c) for _, c in mask.sorted_items())
-        assert mask.max_diff(oracle(lam, k)) <= 1e-12 * scale
+        assert max_diff(mask, oracle(lam, k)) <= 1e-12 * scale
         assert check_reproduction(scheme, scheme.space, scheme.tau, (k, k + 3)).verdict
 
 

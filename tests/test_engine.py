@@ -418,16 +418,16 @@ def test_grid_is_dense_and_read_only():
         g.level = 3
 
 
-def test_values_at_reads_only_the_support():
+def test_values_reads_only_the_support():
     g = GridData(1, 0, {(0,): 1, (1,): 2, (2,): 3})
-    assert g.values_at([(2,), (0,)]).tolist() == [3, 1]
-    for outside in ([(-1,)], [(3,)], [(1,), (-3,)]):  # no wrap-around, no clipping
-        with pytest.raises(EngineError, match="outside the support"):
-            g.values_at(outside)
+    assert [g.values[(2,)], g.values[(0,)]] == [3, 1]
+    for outside in ((-1,), (3,), (-3,)):  # no wrap-around, no clipping
+        with pytest.raises(KeyError):
+            g.values[outside]
     holed = GridData(2, 0, {(0, 0): 1.0, (2, 1): 2.0})
-    assert holed.values_at([(2, 1)]).tolist() == [2.0]
-    with pytest.raises(EngineError, match="outside the support"):
-        holed.values_at([(1, 0)])  # inside the bounding box, not in the support
+    assert holed.values[(2, 1)] == 2.0
+    with pytest.raises(KeyError):
+        holed.values[(1, 0)]  # inside the bounding box, not in the support
 
 
 def test_far_apart_or_huge_indices_are_rejected():
