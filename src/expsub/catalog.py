@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 from typing import Callable
 
-from .lattice import DilationMatrix, as_complex_vector, displacement, v_stack
+from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, displacement, v_stack
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -36,6 +36,14 @@ __all__ = [
 
 class CatalogParameterError(ValueError):
     """Scheme parameters outside the supported domain."""
+
+
+def _int(x, what: str) -> int:
+    """`lattice.as_int` (2.0 reads as 2; 2.5, a bool or a string raise), as CatalogParameterError."""
+    try:
+        return as_int(x, what)
+    except LatticeError as exc:
+        raise CatalogParameterError(str(exc)) from None
 
 
 def _axis_lambda(lam, s: int, name="lambda", allow_zero=True) -> tuple[complex, ...]:
@@ -79,6 +87,7 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
     shift.  The two-dimensional space {exp, x exp} is reached exactly when
     tau equals n_fold / 2.
     """
+    m, n_fold = _int(m, "arity m"), _int(n_fold, "n_fold")
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
     if n_fold < 1:
@@ -116,9 +125,10 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
     K^[k] = m^(1-n) (sum_e r_k^(m-1-e) s_k^e)^(-n) scaling that pairs with
     shift parameter n for two distinct factors of equal multiplicity.
     """
+    m = _int(m, "arity m")
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
-    facs = [(complex(as_complex_vector(l, 1)[0]), int(n)) for l, n in factors]
+    facs = [(complex(as_complex_vector(l, 1)[0]), _int(n, "multiplicity")) for l, n in factors]
     if not facs or any(n < 1 for _, n in facs):
         raise CatalogParameterError("need at least one factor with positive multiplicity")
     M = DilationMatrix(m)
@@ -158,6 +168,7 @@ def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
     Its basic limit function is exp(lambda . x) on the unit box; the raw mask
     reproduces the pure exponential with shift 0.
     """
+    n_dil = _int(n_dil, "dilation factor")
     if n_dil < 2:
         raise CatalogParameterError("dilation factor must be at least 2")
     lamv = as_complex_vector(lam)

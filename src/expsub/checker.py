@@ -178,14 +178,15 @@ class ConditionReport:
         ]
         residual = self.residual.reshape(-1)
         clipped = max(residual.size - max_rows, 0)
-        idx = range(residual.size)
+        idx = np.arange(residual.size)
         if clipped:
-            # Rank by the printed residual, ties in record order, so a
-            # last-bit change never swaps rows of equal printed value; NaN
-            # residuals sort first, so a NaN record is never clipped.
-            keys = [(False, 0.0) if x != x else (True, -float(f"{x:.3e}")) for x in residual.tolist()]
-            idx = sorted(idx, key=keys.__getitem__)[:max_rows]
-        shown = self.records.rows(np.array(idx, dtype=np.intp))
+            # Rank by the printed residual, ties in record order (a stable
+            # sort), so a last-bit change never swaps rows of equal printed
+            # value; NaN residuals sort first, so a NaN record is never clipped.
+            printed = np.array(("%.3e " * residual.size % tuple(residual.tolist())).split(), dtype=float)
+            nan = np.isnan(printed)
+            idx = np.lexsort((np.where(nan, 0.0, -printed), ~nan))[:max_rows]
+        shown = self.records.rows(idx)
         if clipped:
             shown.sort(key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
         fmt = cache(lambda zs: ",".join(_fmt_c(z) for z in zs))

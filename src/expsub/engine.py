@@ -5,21 +5,23 @@ samples exponential polynomials on shifted grids, and collects basic limit
 function samples.
 
 Grid data is dense (origin, complex array over the support's bounding box,
-support mask).  A step computes each output coset e of Z^s / M Z^s as the
-coarse convolution out[e + M g] = sum_n a_(e + M n) f[g - n], with the taps
-in descending-lexicographic n, i.e. ascending beta = g - n: every output is
-summed in the order of the pointwise gather over sorted beta, so results are
-reproducible bit for bit; the stepwise check sums in that order over each
-coset's erosion of the window only, for a stack of levels at once.  Complex
-products are formed from parts as Python forms them (numpy's complex multiply
-may fuse them).  Non-finite values are rejected: a dense tap also multiplies
-the zero padding, so a NaN or inf would reach points the support never touches.
+support mask).  One kernel, `_gather`, sums each coset e of Z^s / M Z^s as
+out[e + M g] = sum_n a_(e + M n) f[g - n] from +0.0, one data slice per tap,
+taps in descending-lexicographic n (the pointwise gather's order over sorted
+beta = g - n), products formed from parts as Python forms them.  A step reads
+the data zero-padded by each coset's tap span; as a sum from +0.0 never becomes
+-0.0 under round-to-nearest, the zero terms change no bit.  An OR of the taps'
+views of one flag keeps, for a step, the points that read the support and, for
+a valid interior, the points that read nothing outside the window.  A step's
+padded box and coset boxes together must fit in MAX_BOX_POINTS, checked first;
+non-finite values are rejected, as the taps also multiply the padding.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -103,19 +105,23 @@ class GridValues(Mapping):
     """Read-only index -> value view of a GridData.
 
     `len()` is the support size; the dict behind the view is built on the
-    first lookup or iteration.
+    first lookup or iteration and kept by the grid, which keeps no view: a
+    grid and its view form no cycle that would hold the grid's arrays.
     """
 
-    __slots__ = ("_grid", "_dict")
+    __slots__ = ("_grid",)
 
     def __init__(self, grid: "GridData"):
         self._grid = grid
-        self._dict = None
+
+    @property
+    def _dict(self) -> dict | None:
+        return self._grid._values
 
     def _lookup(self) -> dict:
         if self._dict is None:
             pts, vals = self._grid.points()
-            self._dict = dict(zip(map(tuple, pts.tolist()), vals.tolist()))
+            object.__setattr__(self._grid, "_values", dict(zip(map(tuple, pts.tolist()), vals.tolist())))
         return self._dict
 
     def __len__(self):
@@ -149,9 +155,9 @@ class GridData:
             raise EngineError("dimension must be positive")
         keys, vals = [], []
         for idx, v in values.items() if isinstance(values, Mapping) else values:
-            if isinstance(idx, (int, np.integer)):
+            if isinstance(idx, (int, float, np.integer)):
                 idx = (idx,)
-            key = tuple(int(x) for x in idx)
+            key = tuple(x if type(x) is int else as_int(x, "grid index") for x in idx)
             if len(key) != s:
                 raise EngineError(f"index {key} has length {len(key)}, expected {s}")
             keys.append(key)
@@ -167,18 +173,22 @@ class GridData:
     @classmethod
     def from_points(cls, s: int, level: int, points, values, tau=None) -> "GridData":
         """Grid with values[i] at the distinct indices points[i] of an (N, s) array."""
+        points = np.asarray(points)
+        if points.dtype.kind not in "iu":  # an integer array is taken as it is
+            points = np.array([as_int(x, "grid index") for x in points.ravel().tolist()], dtype=np.int64)
         obj = cls.__new__(cls)
-        obj._init(s, level, tau, *_pack(np.asarray(points, dtype=np.int64).reshape(-1, s), values))
+        obj._init(s, level, tau, *_pack(points.astype(np.int64, copy=False).reshape(-1, s), values))
         return obj
 
     def _init(self, s, level, tau, origin, in_support, data):
+        level = as_int(level, "grid level")
         if level < 0:
             raise EngineError("level must be nonnegative")
         in_support.flags.writeable = False
         data.flags.writeable = False
         for name, value in (
             ("s", int(s)),
-            ("level", int(level)),
+            ("level", level),
             ("tau", as_tau(tau if tau is not None else (0.0,) * s, s)),
             ("origin", tuple(int(x) for x in origin)),
             ("data", data),
@@ -196,9 +206,7 @@ class GridData:
 
     @property
     def values(self) -> GridValues:
-        if self._values is None:
-            object.__setattr__(self, "_values", GridValues(self))
-        return self._values
+        return GridValues(self)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Support indices as an (N, s) array in sorted order, and their values."""
@@ -218,16 +226,16 @@ def _window(window, s: int) -> np.ndarray:
     if isinstance(window, int):
         window = (-window, window)
     if isinstance(window, tuple) and len(window) == 2 and all(isinstance(x, int) for x in window):
-        lo, hi = window
+        lo, hi = (as_int(x, "window bound") for x in window)
         if lo > hi:
             raise EngineError("empty window range")
         _check_box((hi - lo + 1) ** s)
         return np.indices((hi - lo + 1,) * s, dtype=np.int64).reshape(s, -1).T + lo
     out = set()
     for idx in window:
-        if isinstance(idx, int):
+        if isinstance(idx, (int, float, np.integer)):
             idx = (idx,)
-        key = tuple(int(x) for x in idx)
+        key = tuple(as_int(x, "window index") for x in idx)
         if len(key) != s:
             raise EngineError("window index of wrong dimension")
         out.add(key)
@@ -256,35 +264,53 @@ def _taps(mask: LaurentSymbol, M: DilationMatrix):
 
 def _fine_points(M: DilationMatrix, e, g0, loc) -> np.ndarray:
     """Fine indices e + M g, as an (N, s) array, of the coarse points g = g0 + loc."""
-    g = np.stack(loc, axis=1).reshape(-1, M.s) + g0
-    return g @ np.array(M.mat, dtype=np.int64).T + np.array(e, dtype=np.int64)
+    mat = np.array(M.mat, dtype=np.int64)
+    return sum(np.multiply.outer(q, col) for q, col in zip(loc, mat.T)) + (mat @ np.asarray(g0) + e)
 
 
-def _step(taps, M: DilationMatrix, origin, in_support: np.ndarray, data: np.ndarray):
-    """The polyphase step of `data` over `in_support`: the output support as an
-    (N, s) index array and its N values."""
-    shape = in_support.shape
-    fr, fi = np.ascontiguousarray(data.real), np.ascontiguousarray(data.imag)
-    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros(0, complex)]
-    allocated = 0
-    for e, ns, coeffs in taps:
-        lo = ns.min(axis=0)
-        box = tuple((np.array(shape) + ns.max(axis=0) - lo).tolist())
-        allocated += int(np.prod(box))
-        _check_box(allocated)
-        re, im = np.zeros((2, *box))
-        present = np.zeros(box, bool)
-        for off, c in zip((ns - lo).tolist(), coeffs.tolist()):
-            view = tuple(slice(o, o + d) for o, d in zip(off, shape))
-            re[view] += c.real * fr - c.imag * fi
-            im[view] += c.real * fi + c.imag * fr
-            present[view] |= in_support
-        loc = np.nonzero(present)
-        points.append(_fine_points(M, e, np.asarray(origin) + lo, loc))
-        vals = np.empty(len(loc[0]), complex)
-        vals.real, vals.imag = re[loc], im[loc]
+def _gather(taps, M: DilationMatrix, origin, flags: np.ndarray, data: np.ndarray, full: bool):
+    """Per coset, the coarse convolution of `data` ((*lead, *flags.shape) from `origin`; a tap's
+    coefficient row broadcasts against (*lead, *box)): the (N, s) points, cosets in tap order, and
+    their (*lead, N) values.  `full`: the step on Z^s, each coset reading the data zero-padded by
+    its own span, kept where some tap reads a flagged (support) point.  Otherwise the valid
+    interior, the box eroded by the taps: kept where no tap reads a flagged (outside) point."""
+    s, shape = M.s, flags.shape
+    lead = data.shape[: data.ndim - s]
+    his = [ns.max(axis=0) for _, ns, _ in taps]
+    spans = [(hi - ns.min(axis=0)).tolist() for hi, (_, ns, _) in zip(his, taps)]
+    pads = spans if full else [[0] * s] * len(taps)
+    pad = [max(q) for q in zip([0] * s, *pads)]
+    boxes = [tuple(n + 2 * q - d for n, q, d in zip(shape, p, span)) for p, span in zip(pads, spans)]
+    padded = tuple(n + 2 * q for n, q in zip(shape, pad))
+    _check_box(math.prod(padded) + sum(math.prod(b) for b in boxes if min(b) > 0))
+    buf = np.zeros((3, *lead, *padded))  # (-im, re, im): parts (re, im) and turned (-im, re) are slices
+    parts, turned = buf[1:], buf[:2]
+    fl = np.zeros(padded, bool)
+    inner = tuple(slice(q, q + n) for q, n in zip(pad, shape))
+    buf[(slice(None), Ellipsis, *inner)], fl[inner] = (-data.imag, data.real, data.imag), flags
+    flagged = fl.any()  # else no OR: nothing is read from a flagged point
+    points, values = [np.zeros((0, s), dtype=np.int64)], [np.zeros((*lead, 0), complex)]
+    for (e, ns, coeffs), hi, p, box in zip(taps, his, pads, boxes):
+        if min(box) <= 0:
+            continue
+        hit = np.zeros(box, bool)
+        acc = np.zeros((2, *lead, *box))
+        cols = coeffs.reshape(*coeffs.shape, *(1,) * (data.ndim + 1 - coeffs.ndim))
+        real = not np.count_nonzero(coeffs.imag)  # then ci * turned is a zero, which changes no sum
+        for off, cr, ci in zip((np.subtract(pad, p) + hi - ns).tolist(), cols.real, cols.imag):
+            view = tuple(slice(o, o + d) for o, d in zip(off, box))
+            if flagged:
+                hit |= fl[view]
+            v = (slice(None), Ellipsis, *view)
+            acc += cr * parts[v] if real else cr * parts[v] + ci * turned[v]
+        keep = hit if full else ~hit
+        points.append(_fine_points(M, e, np.subtract(origin, p) + hi, np.nonzero(keep)))
+        flat = np.flatnonzero(keep)
+        vals = np.empty((*lead, len(flat)), complex)
+        vals.real, vals.imag = acc.reshape(2, *lead, math.prod(box)).take(flat, axis=-1)
         values.append(vals)
-    return np.concatenate(points), np.concatenate(values)
+    del buf, parts, turned  # freed before the joins, the step's memory peak
+    return np.concatenate(points), np.concatenate(values, axis=-1)
 
 
 def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridData:
@@ -295,7 +321,7 @@ def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridD
     """
     if mask.s != f.s or M.s != f.s:
         raise EngineError("dimension mismatch between mask, matrix and data")
-    points, values = _step(_taps(mask, M), M, f.origin, f.in_support, f.data)
+    points, values = _gather(_taps(mask, M), M, f.origin, f.in_support, f.data, full=True)
     return GridData.from_points(f.s, f.level + 1, points, values, tau=f.tau)
 
 
@@ -434,39 +460,12 @@ def valid_interior(mask: LaurentSymbol, M: DilationMatrix, window) -> list[tuple
 
 
 def _interior(taps, M: DilationMatrix, win_idx: np.ndarray, stack: np.ndarray):
-    """The window's valid interior, sorted (N, s), and `_step` there of an (L, P, len(win_idx))
-    `stack`, level l with column l of the (T, L) coefficients, (L, P, N): per coset, the sums
-    of the window eroded by the taps only.
-
-    Coarse point w0 + hi + p reads window position p + hi - n.  Parts are summed
-    as one (2, L, P, ...) array, as c.imag * -im is -(c.imag * im) bit for bit.
-    """
+    """The window's valid interior, sorted (N, s), and the step there of an (L, P, len(win_idx))
+    `stack`, level l with column l of the (T, L) coefficients, (L, P, N)."""
     w0, win, data = _pack(win_idx, stack)
-    parts = np.stack([data.real, data.imag])
-    turned = np.stack([-data.imag, data.real])
-    box_window = win.all()  # erodes to the whole box
-    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros((*parts.shape[:3], 0))]
-    for e, ns, coeffs in taps:
-        hi = ns.max(axis=0)
-        box = tuple((np.array(win.shape) - (hi - ns.min(axis=0))).tolist())
-        if min(box) <= 0:
-            continue
-        ok = np.ones(box, bool)
-        acc = np.zeros((*parts.shape[:3], *box))
-        cols = coeffs.reshape(len(ns), len(data), *(1,) * (1 + M.s))
-        for off, cr, ci in zip((hi - ns).tolist(), cols.real, cols.imag):
-            view = tuple(slice(o, o + d) for o, d in zip(off, box))
-            if not box_window:
-                ok &= win[view]
-            acc += cr * parts[(Ellipsis, *view)] + ci * turned[(Ellipsis, *view)]
-        loc = np.nonzero(ok)
-        points.append(_fine_points(M, e, w0 + hi, loc))
-        values.append(acc[(Ellipsis, *loc)])
-    pts = np.concatenate(points)
+    pts, values = _gather(taps, M, w0, ~win, data, full=False)
     order = np.lexsort(pts.T[::-1])
-    out = np.empty((*data.shape[:2], len(pts)), complex)
-    out.real, out.imag = np.concatenate(values, axis=-1)[..., order]
-    return pts[order], out
+    return pts[order], values[..., order]
 
 
 # -- serialization ---------------------------------------------------------------
@@ -534,11 +533,11 @@ def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
     try:
         values = []
         for rec in obj["values"]:
-            idx = tuple(as_int(x, "grid index") for x in rec["idx"])
+            idx = tuple(rec["idx"])
             values.append((idx, complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im"))))
             if s is None:
                 s = len(idx)
-        level = as_int(obj["level"], "grid level")
+        level = obj["level"]
     except (KeyError, TypeError) as exc:
         raise EngineError(f"bad grid data: {exc!r}") from exc
     if s is None:

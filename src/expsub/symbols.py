@@ -77,9 +77,9 @@ class LaurentSymbol:
         object.__setattr__(self, "s", s)
         clean: dict[tuple[int, ...], complex] = {}
         for exp, c in (terms or {}).items():
-            if isinstance(exp, int):
+            if isinstance(exp, (int, float, np.integer)):
                 exp = (exp,)
-            e = tuple(int(x) for x in exp)
+            e = tuple(x if type(x) is int else as_int(x, "exponent") for x in exp)
             if len(e) != s:
                 raise SymbolError(f"exponent {e} has length {len(e)}, expected {s}")
             c = complex(c)

@@ -1,6 +1,7 @@
 """Operator application, refinement, sampling, limit samples, interiors."""
 
 import cmath
+import gc
 import io
 import math
 import json
@@ -428,6 +429,20 @@ def test_values_reads_only_the_support():
     assert holed.values[(2, 1)] == 2.0
     with pytest.raises(KeyError):
         holed.values[(1, 0)]  # inside the bounding box, not in the support
+
+
+def test_a_grid_read_through_values_is_freed_without_the_cycle_collector():
+    """The values view and the grid form no reference cycle, so a grid's arrays go when it does."""
+    gc.collect()
+    gc.disable()
+    try:
+        g = GridData(1, 0, {(0,): 1.0, (2,): 2.0})
+        assert (g.values[(2,)], len(g.values), list(g.values)) == (2.0, 2, [(0,), (2,)])
+        del g
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_far_apart_or_huge_indices_are_rejected():

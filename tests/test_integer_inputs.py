@@ -1,0 +1,154 @@
+"""Integer arguments are read through `lattice.as_int`: an integral float such
+as 2.0 reads as 2, while 2.5, a bool or a string raises instead of being
+truncated or read as 0 and 1.  Also the box guard of one operator step."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from expsub import (
+    CatalogParameterError,
+    EngineError,
+    GridData,
+    LatticeError,
+    LaurentSymbol,
+    apply_operator,
+    box_indices,
+    dual4_binary,
+    exp_box_spline,
+    exp_bspline,
+    exp_product,
+    refine,
+)
+from expsub import engine
+
+
+# -- catalog constructors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: exp_product(2, [(0.5, 1.7)]), "multiplicity must be an integer, got 1.7"),
+        (lambda: exp_product(2, [(0.5, True)]), "multiplicity must be an integer, got True"),
+        (lambda: exp_bspline(2, 1.0, n_fold=2.5), "n_fold must be an integer, got 2.5"),
+        (lambda: exp_bspline(2.5, 1.0), "arity m must be an integer, got 2.5"),
+        (lambda: exp_bspline(True, 1.0), "arity m must be an integer, got True"),
+        (lambda: exp_product(3.5, [(0.5, 1)]), "arity m must be an integer, got 3.5"),
+        (lambda: exp_box_spline(2.5, (0.5, 0.5)), "dilation factor must be an integer, got 2.5"),
+        (lambda: exp_box_spline("2", (0.5, 0.5)), "dilation factor must be an integer, got '2'"),
+    ],
+    ids=["multiplicity-1.7", "multiplicity-true", "n_fold-2.5", "m-2.5", "m-true", "product-m-3.5",
+         "n_dil-2.5", "n_dil-string"],
+)
+def test_catalog_integer_parameters_are_rejected_not_truncated(build, message):
+    with pytest.raises(CatalogParameterError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: exp_product(3.0, [(0.5, 1)]), lambda: exp_product(3, [(0.5, 1)])),
+        (lambda: exp_product(2, [(0.5, 2.0)]), lambda: exp_product(2, [(0.5, 2)])),
+        (lambda: exp_box_spline(2.0, (0.5, 0.5)), lambda: exp_box_spline(2, (0.5, 0.5))),
+        (lambda: exp_bspline(2.0, 1.0, n_fold=np.int64(2)), lambda: exp_bspline(2, 1.0, n_fold=2)),
+    ],
+    ids=["product-m-3.0", "multiplicity-2.0", "n_dil-2.0", "m-2.0-n_fold-int64"],
+)
+def test_catalog_integral_floats_read_as_ints(build, want):
+    got, expected = build(), want()
+    assert got.name == expected.name
+    assert got.M.mat == expected.M.mat
+    for k in range(3):
+        assert got.symbol(k).sorted_items() == expected.symbol(k).sorted_items()
+
+
+# -- grid, symbol and window indices -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GridData(1, 0, {(1.5,): 1.0}), "grid index must be an integer, got 1.5"),
+        (lambda: GridData(1, 0, {(True,): 1.0}), "grid index must be an integer, got True"),
+        (lambda: GridData(1, 0, {True: 1.0}), "grid index must be an integer, got True"),
+        (lambda: GridData(1, 0, {1.5: 1.0}), "grid index must be an integer, got 1.5"),
+        (lambda: GridData(1, 1.5, {(1,): 1.0}), "grid level must be an integer, got 1.5"),
+        (lambda: GridData.from_points(1, 0, [[1.7]], [1.0]), "grid index must be an integer, got 1.7"),
+        (lambda: GridData.from_points(1, 0, np.array([[True]]), [1.0]), "grid index must be an integer, got True"),
+        (lambda: GridData.from_points(1, 0.5, [[1]], [1.0]), "grid level must be an integer, got 0.5"),
+        (lambda: LaurentSymbol(1, {(0.5,): 1.0}), "exponent must be an integer, got 0.5"),
+        (lambda: LaurentSymbol(1, {0.5: 1.0}), "exponent must be an integer, got 0.5"),
+        (lambda: LaurentSymbol(2, {(0, True): 1.0}), "exponent must be an integer, got True"),
+        (lambda: box_indices([(0.5,), (1.2,)], 1), "window index must be an integer, got 0.5"),
+        (lambda: box_indices([0.5], 1), "window index must be an integer, got 0.5"),
+        (lambda: box_indices(True, 1), "window bound must be an integer, got True"),
+        (lambda: box_indices((False, 2), 1), "window bound must be an integer, got False"),
+    ],
+    ids=["grid-1.5", "grid-true", "grid-bare-true", "grid-bare-1.5", "level-1.5", "from-points-1.7",
+         "from-points-bool-array", "from-points-level-0.5", "symbol-0.5", "symbol-bare-0.5", "symbol-true",
+         "window-points", "window-bare-point", "window-radius-true", "window-bound-false"],
+)
+def test_indices_are_rejected_not_truncated(build, message):
+    with pytest.raises(LatticeError, match=message):
+        build()
+
+
+def test_integral_float_indices_read_as_ints():
+    g = GridData(1, 2.0, {(2.0,): 1.0, np.int64(3): 2.0})
+    assert g.level == 2 and type(g.level) is int
+    assert g.support() == [(2,), (3,)]
+    h = GridData.from_points(2, 0, [[1.0, -2.0]], np.array([1.0j]))
+    assert h.support() == [(1, -2)] and h.values[(1, -2)] == 1j
+    assert GridData.from_points(1, 0, np.array([[4]], dtype=np.uint8), [1.0]).support() == [(4,)]
+    assert LaurentSymbol(1, {(2.0,): 1.0, np.int64(-1): 0.5}).support() == [(-1,), (2,)]
+    assert box_indices([(1.0,), 2.0], 1) == [(1,), (2,)]
+
+
+# -- the box guard of one operator step ------------------------------------------------------
+
+
+def step_boxes(mask, M, n):
+    """The boxes, in lattice points, that one step allocates for a 1-D grid of n points: the
+    grid padded by the largest tap span, then each coset's box (the grid widened by its span)."""
+    spans = [int(ns.max() - ns.min()) for _, ns, _ in mask.polyphase_arrays(M)]
+    return [n + 2 * max(spans), *(n + d for d in spans)]
+
+
+def peak_bytes(call):
+    """Peak traced allocation while `call` runs, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            out = call()
+        except EngineError as exc:
+            out = exc
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_step_past_the_box_limit_is_rejected_before_any_work_array(monkeypatch):
+    scheme = dual4_binary(0.7)
+    mask, M = scheme.symbol(0), scheme.M
+    n = 100_000
+    f = GridData.from_points(1, 0, np.arange(n)[:, None], np.ones(n))
+    boxes = step_boxes(mask, M, n)
+    total = sum(boxes)
+    one_array = 8 * n  # bytes of one float work array over the grid
+
+    peak, out = peak_bytes(lambda: apply_operator(mask, M, f))
+    assert isinstance(out, GridData) and peak > 3 * one_array  # the measure sees the work arrays
+
+    monkeypatch.setattr(engine, "MAX_BOX_POINTS", total - 1)
+    for call in (lambda: apply_operator(mask, M, f), lambda: refine(scheme, f, 1)):
+        peak, out = peak_bytes(call)
+        assert isinstance(out, EngineError)
+        assert str(out).startswith(f"data spans a bounding box of {total} lattice points")
+        assert peak < one_array
+    assert max(boxes) < total - 1  # each box alone fits: the guard bounds their sum
+
+    monkeypatch.setattr(engine, "MAX_BOX_POINTS", total)
+    assert len(apply_operator(mask, M, f)) == len(refine(scheme, f, 1))

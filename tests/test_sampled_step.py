@@ -1,8 +1,9 @@
 """The fused stepwise step against the composition it replaced.
 
 `composed_step` is the former one-level step, kept here as an oracle: the
-valid interior from its own erosion (`old_interior`), one `_step` per data
-row over the whole packed window, and the output packed again and read back
+valid interior from its own erosion (`old_interior`), one scatter step
+(`scatter_step`, the engine's former full step) per data row over the whole
+packed window, and the output packed again and read back
 at the interior (`read_back`).  The fused step erodes each coset's window and sums
 only there; it must give the same points, the same bits and the same errors.
 """
@@ -55,6 +56,29 @@ def old_interior(taps, M, win_idx):
     return pts[np.lexsort(pts.T[::-1])]
 
 
+def scatter_step(taps, M, origin, in_support, data):
+    """Each tap scattered into its coset's output box: the support points, (N, s), and values."""
+    shape = in_support.shape
+    fr, fi = np.ascontiguousarray(data.real), np.ascontiguousarray(data.imag)
+    points, values = [np.zeros((0, M.s), dtype=np.int64)], [np.zeros(0, complex)]
+    for e, ns, coeffs in taps:
+        lo = ns.min(axis=0)
+        box = tuple((np.array(shape) + ns.max(axis=0) - lo).tolist())
+        re, im = np.zeros((2, *box))
+        present = np.zeros(box, bool)
+        for off, c in zip((ns - lo).tolist(), coeffs.tolist()):
+            view = tuple(slice(o, o + d) for o, d in zip(off, shape))
+            re[view] += c.real * fr - c.imag * fi
+            im[view] += c.real * fi + c.imag * fr
+            present[view] |= in_support
+        loc = np.nonzero(present)
+        points.append(engine._fine_points(M, e, np.asarray(origin) + lo, loc))
+        vals = np.empty(len(loc[0]), complex)
+        vals.real, vals.imag = re[loc], im[loc]
+        values.append(vals)
+    return np.concatenate(points), np.concatenate(values)
+
+
 def read_back(origin, in_support, data, indices):
     """`data[..., alpha - origin]` at support indices alpha; others raise."""
     rel = np.asarray(indices, dtype=np.int64).reshape(-1, in_support.ndim) - np.asarray(origin)
@@ -74,7 +98,7 @@ def composed_step(mask, M, pairs, tau, level, window):
     if not len(valid):
         raise EngineError("empty valid interior; enlarge the window")
     w0, win, data = engine._pack(idx, stack)
-    rows = [engine._step(taps, M, w0, win, row) for row in data]
+    rows = [scatter_step(taps, M, w0, win, row) for row in data]
     out = engine._pack(rows[0][0], np.array([values for _, values in rows]))
     return valid, read_back(*out, valid)
 
