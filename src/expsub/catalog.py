@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 from typing import Callable
 
-from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, displacement, v_stack
+from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, as_tau, displacement, v_stack
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -38,17 +38,18 @@ class CatalogParameterError(ValueError):
     """Scheme parameters outside the supported domain."""
 
 
-def _int(x, what: str) -> int:
-    """`lattice.as_int` (2.0 reads as 2; 2.5, a bool or a string raise), as CatalogParameterError."""
+def _read(read, *args):
+    """`read(*args)` for a `lattice` reader (`as_int`: 2.0 reads as 2, while 2.5, a bool or a
+    string raise), its LatticeError raised as CatalogParameterError."""
     try:
-        return as_int(x, what)
+        return read(*args)
     except LatticeError as exc:
         raise CatalogParameterError(str(exc)) from None
 
 
 def _axis_lambda(lam, s: int, name="lambda", allow_zero=True) -> tuple[complex, ...]:
     """A frequency vector restricted to R^s or i R^s (one branch for the whole vector)."""
-    v = as_complex_vector(lam, s)
+    v = _read(as_complex_vector, lam, s)
     real = all(z.imag == 0 for z in v)
     imag = all(z.real == 0 for z in v)
     if not (real or imag):
@@ -87,15 +88,14 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
     shift.  The two-dimensional space {exp, x exp} is reached exactly when
     tau equals n_fold / 2.
     """
-    m, n_fold = _int(m, "arity m"), _int(n_fold, "n_fold")
+    m, n_fold = _read(as_int, m, "arity m"), _read(as_int, n_fold, "n_fold")
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
     if n_fold < 1:
         raise CatalogParameterError("n_fold must be at least 1")
-    lamc = complex(as_complex_vector(lam, 1)[0])
+    lamc = _read(as_complex_vector, lam, 1)[0]
     M = DilationMatrix(m)
-
-    t = None if tau is None else float(tau)
+    t = None if tau is None else _read(as_tau, tau, 1)[0]
 
     def rule(k: int) -> LaurentSymbol:
         h = _level_scale(M, k)
@@ -125,10 +125,10 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
     K^[k] = m^(1-n) (sum_e r_k^(m-1-e) s_k^e)^(-n) scaling that pairs with
     shift parameter n for two distinct factors of equal multiplicity.
     """
-    m = _int(m, "arity m")
+    m = _read(as_int, m, "arity m")
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
-    facs = [(complex(as_complex_vector(l, 1)[0]), _int(n, "multiplicity")) for l, n in factors]
+    facs = [(_read(as_complex_vector, l, 1)[0], _read(as_int, n, "multiplicity")) for l, n in factors]
     if not facs or any(n < 1 for _, n in facs):
         raise CatalogParameterError("need at least one factor with positive multiplicity")
     M = DilationMatrix(m)
@@ -168,10 +168,10 @@ def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
     Its basic limit function is exp(lambda . x) on the unit box; the raw mask
     reproduces the pure exponential with shift 0.
     """
-    n_dil = _int(n_dil, "dilation factor")
+    n_dil = _read(as_int, n_dil, "dilation factor")
     if n_dil < 2:
         raise CatalogParameterError("dilation factor must be at least 2")
-    lamv = as_complex_vector(lam)
+    lamv = _read(as_complex_vector, lam)
     s = len(lamv)
     M = DilationMatrix([[n_dil * int(i == j) for j in range(s)] for i in range(s)])
 
@@ -347,6 +347,8 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
     r_k^-(2,1) makes the scheme reproduce {x^gamma exp : |gamma| <= 1} with
     shift (1, 1).
     """
+    if not isinstance(normalized, bool):
+        raise CatalogParameterError(f"normalized must be true or false, got {normalized!r}")
     M = DilationMatrix([[2, 1], [0, 2]])
     lamv = _axis_lambda(lam, 2)
 
@@ -415,7 +417,8 @@ def sqrt3_schemes() -> dict[str, SchemeSpec]:
 class CatalogEntry:
     """A catalog family.  `parameters` maps each scheme-file parameter to
     (kind, description); kind is "int", "real", "bool", "str", "frequency"
-    or "factors" and names how scheme files decode the value.
+    or "factors".  Scheme files convert the last two from their file form;
+    the factory reads and checks every value.
     """
 
     id: str

@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import _sampled_steps, exp_poly_values
-from .lattice import as_complex_vector, as_tau, displacement, param_array, q_eval, v_stack
+from .lattice import as_complex_vector, as_int, as_point, as_tau, displacement, param_array, q_eval, v_stack
 from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
 __all__ = [
@@ -224,12 +224,11 @@ def _fmt_c(z: complex) -> str:
 
 
 def _levels(k_range) -> list[int]:
-    if isinstance(k_range, int):
-        ks = [k_range]
-    elif isinstance(k_range, tuple) and len(k_range) == 2 and all(isinstance(x, int) for x in k_range):
-        ks = list(range(k_range[0], k_range[1] + 1))
+    if isinstance(k_range, tuple) and len(k_range) == 2 and all(isinstance(x, int) for x in k_range):
+        lo, hi = (as_int(x, "level") for x in k_range)
+        ks = range(lo, hi + 1)
     else:
-        ks = [int(k) for k in k_range]
+        ks = as_point(k_range, what="level")
     if not ks or any(k < 0 for k in ks):
         raise CheckError("level range must be nonempty with nonnegative levels")
     return sorted(set(ks))
@@ -376,6 +375,7 @@ def solve_tau(scheme: SchemeSpec, space: ExpPolySpace, k_probe: int = 0, tol: fl
     resulting reproduction conditions must hold at the probe levels.
     """
     _check_tol(tol)
+    k_probe = as_int(k_probe, "probe level")
     if k_probe < 0:
         raise CheckError("probe level must be nonnegative")
     M = scheme.M
@@ -501,7 +501,7 @@ def stepwise_tests(scheme: SchemeSpec, space: ExpPolySpace, tau, levels, window,
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
-    levels = list(levels)
+    levels = [as_int(k, "level") for k in levels]
     for start in range(0, len(levels), _LEVEL_BLOCK):
         block = levels[start : start + _LEVEL_BLOCK]
         steps, error = _sampled_steps(map(scheme.symbol, block), M, space.pairs, t, block, window)

@@ -29,8 +29,11 @@ import numpy as np
 from .lattice import (
     DilationMatrix,
     as_complex_vector,
+    as_dimension,
     as_int,
     as_multi_index,
+    as_point,
+    as_point_array,
     as_real,
     as_tau,
     cexp,
@@ -77,7 +80,7 @@ def _check_box(points: int) -> None:
 
 
 def _pack(points: np.ndarray, values: np.ndarray):
-    """Dense (origin, support mask, values) over the bounding box of `points`.
+    """Dense (origin, support mask, values) over the bounding box of the distinct `points`.
 
     `values` may be a (B, N) stack, giving data of shape (B, *box).
     """
@@ -96,6 +99,8 @@ def _pack(points: np.ndarray, values: np.ndarray):
     loc = tuple((points - lo).T)
     mask = np.zeros(shape, bool)
     mask[loc] = True
+    if np.count_nonzero(mask) < len(points):
+        raise EngineError("grid data gives an index more than once")
     data = np.zeros(lead + shape, complex)
     data[(Ellipsis, *loc)] = values
     return lo, mask, data
@@ -150,20 +155,11 @@ class GridData:
     __slots__ = ("s", "level", "tau", "origin", "data", "in_support", "_values")
 
     def __init__(self, s: int, level: int, values, tau=None):
-        s = int(s)
-        if s < 1:
-            raise EngineError("dimension must be positive")
+        s = as_dimension(s)
         keys, vals = [], []
         for idx, v in values.items() if isinstance(values, Mapping) else values:
-            if isinstance(idx, (int, float, np.integer)):
-                idx = (idx,)
-            key = tuple(x if type(x) is int else as_int(x, "grid index") for x in idx)
-            if len(key) != s:
-                raise EngineError(f"index {key} has length {len(key)}, expected {s}")
-            keys.append(key)
+            keys.append(as_point(idx, s, "grid index"))
             vals.append(complex(v))
-        if len(set(keys)) < len(keys):
-            raise EngineError("grid data gives an index more than once")
         try:
             points = np.array(keys, dtype=np.int64).reshape(-1, s)
         except OverflowError as exc:
@@ -173,11 +169,9 @@ class GridData:
     @classmethod
     def from_points(cls, s: int, level: int, points, values, tau=None) -> "GridData":
         """Grid with values[i] at the distinct indices points[i] of an (N, s) array."""
-        points = np.asarray(points)
-        if points.dtype.kind not in "iu":  # an integer array is taken as it is
-            points = np.array([as_int(x, "grid index") for x in points.ravel().tolist()], dtype=np.int64)
+        s = as_dimension(s)
         obj = cls.__new__(cls)
-        obj._init(s, level, tau, *_pack(points.astype(np.int64, copy=False).reshape(-1, s), values))
+        obj._init(s, level, tau, *_pack(as_point_array(points, s, "grid index"), values))
         return obj
 
     def _init(self, s, level, tau, origin, in_support, data):
@@ -187,10 +181,10 @@ class GridData:
         in_support.flags.writeable = False
         data.flags.writeable = False
         for name, value in (
-            ("s", int(s)),
+            ("s", s),
             ("level", level),
             ("tau", as_tau(tau if tau is not None else (0.0,) * s, s)),
-            ("origin", tuple(int(x) for x in origin)),
+            ("origin", tuple(origin.tolist())),
             ("data", data),
             ("in_support", in_support),
             ("_values", None),
@@ -202,7 +196,7 @@ class GridData:
 
     @classmethod
     def delta(cls, s: int, level: int = 0, tau=None) -> "GridData":
-        return cls(s, level, {(0,) * s: 1.0}, tau=tau)
+        return cls(s, level, {(0,) * as_dimension(s): 1.0}, tau=tau)
 
     @property
     def values(self) -> GridValues:
@@ -223,6 +217,7 @@ class GridData:
 
 def _window(window, s: int) -> np.ndarray:
     """`box_indices` as an (N, s) int64 array; a box is checked before it is built."""
+    s = as_dimension(s)
     if isinstance(window, int):
         window = (-window, window)
     if isinstance(window, tuple) and len(window) == 2 and all(isinstance(x, int) for x in window):
@@ -231,14 +226,7 @@ def _window(window, s: int) -> np.ndarray:
             raise EngineError("empty window range")
         _check_box((hi - lo + 1) ** s)
         return np.indices((hi - lo + 1,) * s, dtype=np.int64).reshape(s, -1).T + lo
-    out = set()
-    for idx in window:
-        if isinstance(idx, (int, float, np.integer)):
-            idx = (idx,)
-        key = tuple(as_int(x, "window index") for x in idx)
-        if len(key) != s:
-            raise EngineError("window index of wrong dimension")
-        out.add(key)
+    out = {as_point(idx, s, "window index") for idx in window}
     return np.array(sorted(out), dtype=np.int64).reshape(-1, s)
 
 
@@ -262,9 +250,8 @@ def _taps(mask: LaurentSymbol, M: DilationMatrix):
     return [(e, ns.astype(np.int64, copy=False), c) for e, ns, c in taps]
 
 
-def _fine_points(M: DilationMatrix, e, g0, loc) -> np.ndarray:
-    """Fine indices e + M g, as an (N, s) array, of the coarse points g = g0 + loc."""
-    mat = np.array(M.mat, dtype=np.int64)
+def _fine_points(mat: np.ndarray, e, g0, loc) -> np.ndarray:
+    """Fine indices e + M g, as an (N, s) array, of the coarse points g = g0 + loc (`mat`: M, int64)."""
     return sum(np.multiply.outer(q, col) for q, col in zip(loc, mat.T)) + (mat @ np.asarray(g0) + e)
 
 
@@ -289,6 +276,7 @@ def _gather(taps, M: DilationMatrix, origin, flags: np.ndarray, data: np.ndarray
     inner = tuple(slice(q, q + n) for q, n in zip(pad, shape))
     buf[(slice(None), Ellipsis, *inner)], fl[inner] = (-data.imag, data.real, data.imag), flags
     flagged = fl.any()  # else no OR: nothing is read from a flagged point
+    mat = np.array(M.mat, dtype=np.int64)
     points, values = [np.zeros((0, s), dtype=np.int64)], [np.zeros((*lead, 0), complex)]
     for (e, ns, coeffs), hi, p, box in zip(taps, his, pads, boxes):
         if min(box) <= 0:
@@ -303,11 +291,10 @@ def _gather(taps, M: DilationMatrix, origin, flags: np.ndarray, data: np.ndarray
                 hit |= fl[view]
             v = (slice(None), Ellipsis, *view)
             acc += cr * parts[v] if real else cr * parts[v] + ci * turned[v]
-        keep = hit if full else ~hit
-        points.append(_fine_points(M, e, np.subtract(origin, p) + hi, np.nonzero(keep)))
-        flat = np.flatnonzero(keep)
-        vals = np.empty((*lead, len(flat)), complex)
-        vals.real, vals.imag = acc.reshape(2, *lead, math.prod(box)).take(flat, axis=-1)
+        loc = np.nonzero(hit if full else ~hit)
+        points.append(_fine_points(mat, e, np.subtract(origin, p) + hi, loc))
+        vals = np.empty((*lead, len(loc[0])), complex)
+        vals.real, vals.imag = acc[(slice(None), Ellipsis, *loc)]
         values.append(vals)
     del buf, parts, turned  # freed before the joins, the step's memory peak
     return np.concatenate(points), np.concatenate(values, axis=-1)
@@ -327,9 +314,10 @@ def apply_operator(mask: LaurentSymbol, M: DilationMatrix, f: GridData) -> GridD
 
 def refine(scheme: SchemeSpec, f0: GridData, rounds: int, start_level: int | None = None) -> GridData:
     """Compose masks a^[l], a^[l+1], ..., a^[l+rounds-1] on f0."""
+    rounds = as_int(rounds, "rounds")
     if rounds < 0:
         raise EngineError("rounds must be nonnegative")
-    lvl = f0.level if start_level is None else int(start_level)
+    lvl = f0.level if start_level is None else as_int(start_level, "start level")
     if lvl < 0:
         raise EngineError("start level must be nonnegative")
     g = f0

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .lattice import DilationMatrix, as_int, as_real
+from .lattice import DilationMatrix, as_dimension, as_int
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -82,20 +82,11 @@ def _file_form(value, kind: str = ""):
     return value
 
 
-def _decode_bool(obj) -> bool:
-    if not isinstance(obj, bool):
-        raise FileFormatError(f"expected true or false, got {obj!r}")
-    return obj
-
-
-# How each parameter kind declared in CatalogEntry.parameters is decoded.
+# The parameter kinds of CatalogEntry.parameters whose file form differs from the
+# factory's argument; every other value is passed as the file gives it.
 _DECODE = {
-    "int": as_int,
-    "real": as_real,
-    "bool": _decode_bool,
-    "str": str,
     "frequency": _decode_lambda,
-    "factors": lambda fs: [(_decode_lambda(l), as_int(n, "multiplicity")) for l, n in fs],
+    "factors": lambda fs: [(_decode_lambda(l), n) for l, n in fs],
 }
 
 
@@ -109,7 +100,7 @@ def _catalog_spec(entry, parameters) -> SchemeSpec:
     """Decode scheme-file parameters by their declared kinds and build the scheme.
 
     A null value is passed as None; the file key "lambda" is the factory's
-    `lam`, because `lambda` is reserved in Python.
+    `lam`, because `lambda` is reserved in Python.  The factory checks each value.
     """
     params = parameters or {}
     if not isinstance(params, dict):
@@ -120,8 +111,8 @@ def _catalog_spec(entry, parameters) -> SchemeSpec:
     kwargs = {}
     try:
         for key, value in params.items():
-            decode = _DECODE[entry.parameters[key][0]]
-            kwargs["lam" if key == "lambda" else key] = None if value is None else decode(value)
+            decode = _DECODE.get(entry.parameters[key][0])
+            kwargs["lam" if key == "lambda" else key] = decode(value) if decode and value is not None else value
         return entry.factory(**kwargs)
     except FileFormatError:
         raise
@@ -161,7 +152,7 @@ def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params)
 def load_scheme_obj(obj: dict) -> SchemeSpec:
     try:
         kind = obj["kind"]
-        s = as_int(obj["dimension"], "dimension")
+        s = as_dimension(obj["dimension"])
         flat = [as_int(x, "dilation entry") for x in obj["dilation"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad scheme file: {exc}") from exc

@@ -42,6 +42,9 @@ __all__ = [
     "as_tau",
     "as_int",
     "as_real",
+    "as_dimension",
+    "as_point",
+    "as_point_array",
     "as_multi_index",
     "as_complex_vector",
 ]
@@ -65,7 +68,7 @@ def _row_hnf(mat):
     is mat X / m.
     """
     s = len(mat)
-    H = [[int(x) for x in row] for row in mat]
+    H = [list(row) for row in mat]
     U = [[int(i == j) for j in range(s)] for i in range(s)]
     det_u = 1
 
@@ -127,11 +130,14 @@ class DilationMatrix:
     """
 
     def __init__(self, entries):
-        rows = self._coerce_rows(entries)
-        s = len(rows)
-        if any(len(r) != s for r in rows):
+        """`entries`: a DilationMatrix, rows of ints each read by `as_point`, or a bare number for s = 1."""
+        rows = entries.mat if isinstance(entries, DilationMatrix) else _entries(entries)
+        mat = tuple(as_point(row, what="dilation matrix entry") for row in rows)
+        s = len(mat)
+        if not s:
+            raise LatticeError("empty matrix")
+        if any(len(r) != s for r in mat):
             raise LatticeError("dilation matrix must be square")
-        mat = tuple(tuple(int(x) for x in r) for r in rows)
         H, U, V, X, det_u = _row_hnf(mat)
         det = det_u * math.prod(H[i][i] for i in range(s))
         if abs(det) < 2:
@@ -162,23 +168,6 @@ class DilationMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DilationMatrix is immutable")
 
-    @staticmethod
-    def _coerce_rows(entries):
-        if isinstance(entries, DilationMatrix):
-            return [list(r) for r in entries.mat]
-        if isinstance(entries, (int, np.integer)):
-            return [[int(entries)]]
-        if isinstance(entries, np.ndarray):
-            entries = entries.tolist()
-        rows = []
-        for row in entries:
-            if isinstance(row, (int, np.integer)):
-                raise LatticeError("matrix entries must be nested rows (or a bare int for s=1)")
-            rows.append([as_int(x, "dilation matrix entry") for x in row])
-        if not rows:
-            raise LatticeError("empty matrix")
-        return rows
-
     def __repr__(self):
         if self.s == 1:
             return f"DilationMatrix({self.mat[0][0]})"
@@ -194,14 +183,12 @@ class DilationMatrix:
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """M @ vec over the integers."""
-        return tuple(
-            sum(self.mat[i][j] * int(vec[j]) for j in range(self.s))
-            for i in range(self.s)
-        )
+        v = as_point(vec, self.s)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.mat)
 
     def solve_integer(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Integer n with M n = vec, or None when vec is off-lattice."""
-        e, n = self.split_all([vec])
+        e, n = self.split_all([as_point(vec, self.s)])
         return None if any(e[0].tolist()) else tuple(n[0].tolist())
 
     def inv_power(self, p: int) -> np.ndarray:
@@ -209,7 +196,7 @@ class DilationMatrix:
 
         One exact power (q, A^q) is kept to extend from; p < q starts at A^0.
         """
-        p = operator.index(p)
+        p = as_int(p, "inverse power")
         if p < 0:
             raise LatticeError(f"inverse power {p} is negative")
         got = self._inv_powers.get(p)
@@ -237,7 +224,7 @@ class DilationMatrix:
 
     def coset_of(self, alpha: Sequence[int]) -> tuple[int, ...]:
         """The representative in coset_reps() equivalent to alpha mod M Z^s."""
-        return tuple(self.split_all([alpha])[0][0].tolist())
+        return tuple(self.split_all([as_point(alpha, self.s)])[0][0].tolist())
 
     def split_all(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """(e, n) with alpha = e + M n and e the representative in coset_reps(), for every row
@@ -279,41 +266,17 @@ class DilationMatrix:
 # -- module-level operation surface -------------------------------------------
 
 
-def as_multi_index(gamma, s: int | None = None) -> tuple[int, ...]:
-    if isinstance(gamma, (int, np.integer)):
-        gamma = (int(gamma),)
-    g = tuple(map(int, gamma))
-    if g and min(g) < 0:
-        raise LatticeError("multi-index entries must be nonnegative")
-    if s is not None and len(g) != s:
-        raise LatticeError(f"multi-index has length {len(g)}, expected {s}")
-    return g
-
-
-def as_complex_vector(lam, s: int | None = None) -> tuple[complex, ...]:
-    if isinstance(lam, (int, float, complex, np.number)):
-        lam = (complex(lam),)
-    v = tuple(map(complex, lam))
-    if s is not None and len(v) != s:
-        raise LatticeError(f"vector has length {len(v)}, expected {s}")
-    return v
-
-
-def as_tau(tau, s: int) -> tuple[float, ...]:
-    """Coerce a shift parameter to a real s-vector."""
-    if isinstance(tau, (int, float, np.number)):
-        tau = (tau,)
-    t = tuple(as_real(x, "shift parameter entry") for x in tau)
-    if len(t) != s:
-        raise LatticeError(f"shift parameter has length {len(t)}, expected {s}")
-    if any(not np.isfinite(x) for x in t):
-        raise LatticeError("shift parameter must be finite")
-    return t
+def _entries(x):
+    """The entries of a point or vector: a bare value (a number, a bool, a string) is the
+    one entry of a 1-D one."""
+    return (x,) if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__") else x
 
 
 def as_int(x, what: str = "value") -> int:
     """An int, or a float of integral value, as an int; a bool, any other float
     and a string are rejected, not truncated or read as 0 and 1."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer)) or (isinstance(x, float) and not x.is_integer()):
         raise LatticeError(f"{what} must be an integer, got {x!r}")
     return int(x)
@@ -325,6 +288,64 @@ def as_real(x, what: str = "value") -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise LatticeError(f"{what} must be a real number, got {x!r}")
     return float(x)
+
+
+def as_dimension(s) -> int:
+    """A dimension s >= 1, read by `as_int`."""
+    s = as_int(s, "dimension")
+    if s < 1:
+        raise LatticeError(f"dimension must be positive, got {s}")
+    return s
+
+
+def as_point(x, s: int | None = None, what: str = "lattice point") -> tuple[int, ...]:
+    """The one reading of a lattice point in Z^s: a bare number is a 1-D point, each
+    entry is read by `as_int`, and the length must be `s` when it is given."""
+    if type(x) is not tuple or not set(map(type, x)) <= {int}:  # else x is taken as it is
+        x = tuple(v if type(v) is int else as_int(v, what) for v in _entries(x))
+    if s is not None and len(x) != s:
+        raise LatticeError(f"{what} {x} has length {len(x)}, expected {s}")
+    return x
+
+
+def as_point_array(points, s: int, what: str = "lattice point") -> np.ndarray:
+    """`as_point` for the rows of an (N, s) array, as an int64 array: an integer array is
+    taken as it is, and each entry of any other is read by `as_int`."""
+    a = np.asarray(points)
+    if a.dtype.kind not in "iu":
+        a = np.array([as_int(x, what) for x in a.ravel().tolist()], dtype=np.int64)
+    return a.astype(np.int64, copy=False).reshape(-1, s)
+
+
+def as_multi_index(gamma, s: int | None = None) -> tuple[int, ...]:
+    """`as_point` with nonnegative entries."""
+    g = as_point(gamma, s, "multi-index")
+    if g and min(g) < 0:
+        raise LatticeError(f"multi-index entries must be nonnegative, got {g}")
+    return g
+
+
+def as_complex_vector(lam, s: int | None = None) -> tuple[complex, ...]:
+    """A complex vector: a bare number is a 1-D one; a bool, a string and a
+    non-finite entry are rejected."""
+    v = []
+    for z in _entries(lam):
+        if isinstance(z, bool) or not isinstance(z, (int, float, complex, np.number)) or not cmath.isfinite(z):
+            raise LatticeError(f"vector entry must be a finite number, got {z!r}")
+        v.append(complex(z))
+    if s is not None and len(v) != s:
+        raise LatticeError(f"vector has length {len(v)}, expected {s}")
+    return tuple(v)
+
+
+def as_tau(tau, s: int) -> tuple[float, ...]:
+    """Coerce a shift parameter to a real s-vector."""
+    t = tuple(as_real(x, "shift parameter entry") for x in _entries(tau))
+    if len(t) != s:
+        raise LatticeError(f"shift parameter has length {len(t)}, expected {s}")
+    if any(not np.isfinite(x) for x in t):
+        raise LatticeError("shift parameter must be finite")
+    return t
 
 
 def q_eval(gamma, z) -> complex:
@@ -411,7 +432,7 @@ def param_array(M: DilationMatrix, tau, k: int, alphas) -> np.ndarray:
     """
     t = as_tau(tau, M.s)
     Mk = M.inv_power(k)
-    shifted = np.asarray(alphas, dtype=np.int64).reshape(-1, M.s) + np.array(t)
+    shifted = as_point_array(alphas, M.s) + np.array(t)
     out = np.zeros((len(shifted), M.s))
     for i in range(M.s):
         for j in range(M.s):

@@ -20,8 +20,10 @@ import numpy as np
 from .lattice import (
     DilationMatrix,
     as_complex_vector,
+    as_dimension,
     as_int,
     as_multi_index,
+    as_point,
     as_real,
     as_tau,
 )
@@ -71,18 +73,11 @@ class LaurentSymbol:
     __slots__ = ("s", "_terms")
 
     def __init__(self, s: int, terms: Mapping | None = None):
-        s = int(s)
-        if s < 1:
-            raise SymbolError("dimension must be positive")
+        s = as_dimension(s)
         object.__setattr__(self, "s", s)
         clean: dict[tuple[int, ...], complex] = {}
         for exp, c in (terms or {}).items():
-            if isinstance(exp, (int, float, np.integer)):
-                exp = (exp,)
-            e = tuple(x if type(x) is int else as_int(x, "exponent") for x in exp)
-            if len(e) != s:
-                raise SymbolError(f"exponent {e} has length {len(e)}, expected {s}")
-            c = complex(c)
+            e, c = as_point(exp, s, "exponent"), complex(c)
             if c != 0:
                 clean[e] = c
         object.__setattr__(self, "_terms", clean)
@@ -98,7 +93,7 @@ class LaurentSymbol:
 
     @classmethod
     def one(cls, s: int) -> "LaurentSymbol":
-        return cls(s, {(0,) * s: 1.0})
+        return cls(s, {(0,) * as_dimension(s): 1.0})
 
     # -- inspection ---------------------------------------------------------------
 
@@ -106,9 +101,7 @@ class LaurentSymbol:
         return dict(self._terms)
 
     def coeff(self, exp) -> complex:
-        if isinstance(exp, int):
-            exp = (exp,)
-        return self._terms.get(tuple(int(x) for x in exp), 0j)
+        return self._terms.get(as_point(exp, self.s, "exponent"), 0j)
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self._terms)
@@ -170,8 +163,9 @@ class LaurentSymbol:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SymbolError("exponent must be a nonnegative integer")
+        n = as_int(n, "power")
+        if n < 0:
+            raise SymbolError("power must be nonnegative")
         out = LaurentSymbol.one(self.s)
         for _ in range(n):
             out = out * self
@@ -179,11 +173,7 @@ class LaurentSymbol:
 
     def shift(self, beta) -> "LaurentSymbol":
         """Multiply by z^beta, translating every exponent."""
-        if isinstance(beta, int):
-            beta = (beta,)
-        b = tuple(int(x) for x in beta)
-        if len(b) != self.s:
-            raise SymbolError("shift vector has wrong length")
+        b = as_point(beta, self.s, "shift")
         return LaurentSymbol(
             self.s,
             {tuple(e + d for e, d in zip(exp, b)): c for exp, c in self._terms.items()},
@@ -227,8 +217,6 @@ class LaurentSymbol:
 
     def sub_symbol(self, eps, M: DilationMatrix) -> "LaurentSymbol":
         """Restriction to the coset eps + M Z^s (exponents kept in place)."""
-        if isinstance(eps, int):
-            eps = (eps,)
         phases = self.polyphase_arrays(M)
         e = M.coset_of(eps)
         taps = [tap for f, ns, cs in phases if f == e for tap in zip(ns.tolist(), cs.tolist())]
@@ -350,8 +338,9 @@ class SchemeSpec:
         raise AttributeError("SchemeSpec is immutable")
 
     def symbol(self, k: int) -> LaurentSymbol:
-        if not isinstance(k, int) or k < 0:
-            raise SymbolError("level must be a nonnegative integer")
+        k = as_int(k, "level")
+        if k < 0:
+            raise SymbolError("level must be nonnegative")
         sym = self._cache.get(k)
         if sym is None:
             sym = self._rule(k)
@@ -386,10 +375,11 @@ class SchemeSpec:
 
     def shifted(self, beta, tau=None):
         """Symbols z^beta * a^[k]; reproduction shifts move tau accordingly."""
+        b = as_point(beta, self.M.s, "shift")
         return SchemeSpec(
-            f"{self.name}:shift{tuple(beta) if not isinstance(beta, int) else (beta,)}",
+            f"{self.name}:shift{b}",
             self.M,
-            lambda k: self.symbol(k).shift(beta),
+            lambda k: self.symbol(k).shift(b),
             tau=tau,
             space=self.space,
         )
@@ -460,6 +450,7 @@ class ExpPolySpace:
     @classmethod
     def polynomials(cls, s: int, max_degree: int) -> "ExpPolySpace":
         """All x^gamma with |gamma| <= max_degree (lambda = 0)."""
+        s, max_degree = as_dimension(s), as_int(max_degree, "degree")
         zero = (0.0,) * s
         pairs = [
             (g, zero)

@@ -287,6 +287,8 @@ def test_repeated_index_in_grid_csv_is_rejected():
     # an int key and its 1-tuple name the same index
     with pytest.raises(EngineError, match="more than once"):
         GridData(1, 0, {0: 1.0, (0,): 2.0})
+    with pytest.raises(EngineError, match="more than once"):
+        GridData.from_points(1, 0, np.array([[0], [0]]), np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("text", ["idx0\n", "idx0,re,im\n1,2\n"])

@@ -1,6 +1,8 @@
 """Integer arguments are read through `lattice.as_int`: an integral float such
 as 2.0 reads as 2, while 2.5, a bool or a string raises instead of being
-truncated or read as 0 and 1.  Also the box guard of one operator step."""
+truncated or read as 0 and 1.  Lattice points, levels and dimensions go through
+`lattice.as_point` and `as_int`, catalog parameters through their factory.
+Also the box guard of one operator step."""
 
 import tracemalloc
 
@@ -9,19 +11,26 @@ import pytest
 
 from expsub import (
     CatalogParameterError,
+    DilationMatrix,
     EngineError,
+    ExpPolySpace,
     GridData,
     LatticeError,
     LaurentSymbol,
     apply_operator,
     box_indices,
+    check_reproduction,
     dual4_binary,
     exp_box_spline,
     exp_bspline,
     exp_product,
     refine,
+    sheared_convolution,
 )
 from expsub import engine
+from expsub.lattice import as_complex_vector, as_multi_index, as_tau
+
+ONE = LaurentSymbol(1, {(0,): 1.0, (1,): 2.0})
 
 
 # -- catalog constructors ---------------------------------------------------------------
@@ -38,9 +47,15 @@ from expsub import engine
         (lambda: exp_product(3.5, [(0.5, 1)]), "arity m must be an integer, got 3.5"),
         (lambda: exp_box_spline(2.5, (0.5, 0.5)), "dilation factor must be an integer, got 2.5"),
         (lambda: exp_box_spline("2", (0.5, 0.5)), "dilation factor must be an integer, got '2'"),
+        (lambda: exp_bspline(2, 1.0, tau="0.5"), "shift parameter entry must be a real number, got '0.5'"),
+        (lambda: exp_bspline(2, 1.0, tau=True), "shift parameter entry must be a real number, got True"),
+        (lambda: sheared_convolution((0.5, 0.5), normalized="no"), "normalized must be true or false, got 'no'"),
+        (lambda: exp_box_spline(2, "12"), "vector entry must be a finite number, got '12'"),
+        (lambda: dual4_binary(True), "vector entry must be a finite number, got True"),
     ],
     ids=["multiplicity-1.7", "multiplicity-true", "n_fold-2.5", "m-2.5", "m-true", "product-m-3.5",
-         "n_dil-2.5", "n_dil-string"],
+         "n_dil-2.5", "n_dil-string", "tau-string", "tau-true", "normalized-string", "lambda-string",
+         "lambda-true"],
 )
 def test_catalog_integer_parameters_are_rejected_not_truncated(build, message):
     with pytest.raises(CatalogParameterError, match=message):
@@ -86,10 +101,33 @@ def test_catalog_integral_floats_read_as_ints(build, want):
         (lambda: box_indices([0.5], 1), "window index must be an integer, got 0.5"),
         (lambda: box_indices(True, 1), "window bound must be an integer, got True"),
         (lambda: box_indices((False, 2), 1), "window bound must be an integer, got False"),
+        (lambda: as_multi_index((1.7,)), "multi-index must be an integer, got 1.7"),
+        (lambda: ExpPolySpace([((1.7,), (0.5,))]), "multi-index must be an integer, got 1.7"),
+        (lambda: ONE.coeff((0.5,)), "exponent must be an integer, got 0.5"),
+        (lambda: ONE.shift((0.5,)), "shift must be an integer, got 0.5"),
+        (lambda: LaurentSymbol(1.9, {(0,): 1.0}), "dimension must be an integer, got 1.9"),
+        (lambda: GridData(1.9, 0, {(0,): 1.0}), "dimension must be an integer, got 1.9"),
+        (lambda: check_reproduction(dual4_binary(0.7), dual4_binary(0.7).space, (-0.5,), [0.5, 1.7]),
+         "level must be an integer, got 0.5"),
+        (lambda: refine(dual4_binary(0.7), GridData.delta(1), 1, start_level=1.5),
+         "start level must be an integer, got 1.5"),
+        (lambda: DilationMatrix(2).solve_integer((4.5,)), "lattice point must be an integer, got 4.5"),
+        (lambda: DilationMatrix(2).apply((1.5,)), "lattice point must be an integer, got 1.5"),
+        (lambda: DilationMatrix(2).coset_of((1.5,)), "lattice point must be an integer, got 1.5"),
+        (lambda: ONE.sub_symbol(0.5, DilationMatrix(2)), "lattice point must be an integer, got 0.5"),
+        (lambda: ONE ** True, "power must be an integer, got True"),
+        (lambda: as_complex_vector(float("nan")), "vector entry must be a finite number, got nan"),
+        (lambda: as_tau("0.5", 1), "shift parameter entry must be a real number, got '0.5'"),
+        (lambda: refine(dual4_binary(0.7), GridData.delta(1), 1.5), "rounds must be an integer, got 1.5"),
+        (lambda: ExpPolySpace.polynomials(2, 1.5), "degree must be an integer, got 1.5"),
     ],
     ids=["grid-1.5", "grid-true", "grid-bare-true", "grid-bare-1.5", "level-1.5", "from-points-1.7",
          "from-points-bool-array", "from-points-level-0.5", "symbol-0.5", "symbol-bare-0.5", "symbol-true",
-         "window-points", "window-bare-point", "window-radius-true", "window-bound-false"],
+         "window-points", "window-bare-point", "window-radius-true", "window-bound-false",
+         "multi-index-1.7", "space-gamma-1.7", "coeff-0.5", "shift-0.5", "symbol-dimension-1.9",
+         "grid-dimension-1.9", "check-levels", "refine-start-level-1.5", "solve-integer-4.5", "apply-1.5",
+         "coset-of-1.5", "sub-symbol-0.5", "power-true", "complex-nan", "tau-string", "refine-rounds-1.5",
+         "polynomials-degree-1.5"],
 )
 def test_indices_are_rejected_not_truncated(build, message):
     with pytest.raises(LatticeError, match=message):
@@ -105,6 +143,21 @@ def test_integral_float_indices_read_as_ints():
     assert GridData.from_points(1, 0, np.array([[4]], dtype=np.uint8), [1.0]).support() == [(4,)]
     assert LaurentSymbol(1, {(2.0,): 1.0, np.int64(-1): 0.5}).support() == [(-1,), (2,)]
     assert box_indices([(1.0,), 2.0], 1) == [(1,), (2,)]
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (lambda: dual4_binary(0.7).symbol(np.int64(1)), lambda: dual4_binary(0.7).symbol(1)),
+        (lambda: ONE ** np.int64(2), lambda: ONE * ONE),
+        (lambda: DilationMatrix(2.0), lambda: DilationMatrix(2)),
+        (lambda: box_indices([2.0], 1), lambda: [(2,)]),
+        (lambda: (LaurentSymbol.one(2.0), GridData.delta(2.0).s), lambda: (LaurentSymbol.one(2), 2)),
+    ],
+    ids=["symbol-level-int64", "power-int64", "dilation-2.0", "window-bare-2.0", "dimension-2.0"],
+)
+def test_numpy_integers_and_integral_floats_are_accepted(got, want):
+    assert got() == want()
 
 
 # -- the box guard of one operator step ------------------------------------------------------

@@ -51,7 +51,7 @@ def old_interior(taps, M, win_idx):
         ok = np.ones(tuple(box.tolist()), bool)
         for off in (hi - ns).tolist():
             ok &= win[tuple(slice(o, o + d) for o, d in zip(off, box.tolist()))]
-        found.append(engine._fine_points(M, e, w0 + hi, np.nonzero(ok)))
+        found.append(engine._fine_points(np.array(M.mat), e, w0 + hi, np.nonzero(ok)))
     pts = np.concatenate(found)
     return pts[np.lexsort(pts.T[::-1])]
 
@@ -72,7 +72,7 @@ def scatter_step(taps, M, origin, in_support, data):
             im[view] += c.real * fi + c.imag * fr
             present[view] |= in_support
         loc = np.nonzero(present)
-        points.append(engine._fine_points(M, e, np.asarray(origin) + lo, loc))
+        points.append(engine._fine_points(np.array(M.mat), e, np.asarray(origin) + lo, loc))
         vals = np.empty(len(loc[0]), complex)
         vals.real, vals.imag = re[loc], im[loc]
         values.append(vals)

@@ -91,7 +91,7 @@ def one_level_interior(taps, M, win_idx, stack):
             ok &= win[view]
             acc += c.real * parts[(Ellipsis, *view)] + c.imag * turned[(Ellipsis, *view)]
         loc = np.nonzero(ok)
-        points.append(engine._fine_points(M, e, w0 + hi, loc))
+        points.append(engine._fine_points(np.array(M.mat), e, w0 + hi, loc))
         values.append(acc[(Ellipsis, *loc)])
     pts = np.concatenate(points)
     order = np.lexsort(pts.T[::-1])
