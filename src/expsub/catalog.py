@@ -415,10 +415,8 @@ def sqrt3_schemes() -> dict[str, SchemeSpec]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog family.  `parameters` maps each scheme-file parameter to
-    (kind, description); kind is "int", "real", "bool", "str", "frequency"
-    or "factors".  Scheme files convert the last two from their file form;
-    the factory reads and checks every value.
+    """A catalog family.  `parameters` maps each scheme-file parameter to its
+    description; the factory reads and checks every value.
     """
 
     id: str
@@ -433,7 +431,7 @@ class CatalogEntry:
         return {
             "id": self.id,
             "summary": self.summary,
-            "parameters": {key: doc for key, (_, doc) in self.parameters.items()},
+            "parameters": dict(self.parameters),
             "documented_tau": self.documented_tau,
             "documented_space": self.documented_space,
             "citation": self.citation,
@@ -447,10 +445,10 @@ CATALOG: dict[str, CatalogEntry] = {
             id="exp_bspline",
             summary="m-ary exponential B-spline scheme, optionally n-fold and renormalized",
             parameters={
-                "m": ("int", "arity >= 2"),
-                "lambda": ("frequency", "frequency"),
-                "n_fold": ("int", "factor multiplicity"),
-                "tau": ("real", "optional shift for renormalization"),
+                "m": "arity >= 2",
+                "lambda": "frequency",
+                "n_fold": "factor multiplicity",
+                "tau": "optional shift for renormalization",
             },
             documented_tau="0 (raw, n_fold=1); none (raw, n_fold>=2); the requested tau when renormalized",
             documented_space="exp(lambda x); plus x exp(lambda x) for n_fold >= 2 at tau = n/2",
@@ -461,9 +459,9 @@ CATALOG: dict[str, CatalogEntry] = {
             id="exp_product",
             summary="product of geometric-sum factors at several frequencies",
             parameters={
-                "m": ("int", "arity >= 2"),
-                "factors": ("factors", "[[lambda, multiplicity], ...]"),
-                "normalization": ("str", "null | 'two_factor'"),
+                "m": "arity >= 2",
+                "factors": "[[lambda, multiplicity], ...]",
+                "normalization": "null | 'two_factor'",
             },
             documented_tau="n for two distinct factors of equal multiplicity n",
             documented_space="exp(lambda x) and exp(mu x) (two-factor normalized)",
@@ -473,7 +471,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             id="exp_box_spline",
             summary="tensor digit-set scheme for M = nI with exponential weights",
-            parameters={"n_dil": ("int", "dilation factor >= 2"), "lambda": ("frequency", "frequency vector")},
+            parameters={"n_dil": "dilation factor >= 2", "lambda": "frequency vector"},
             documented_tau="0",
             documented_space="exp(lambda . x)",
             citation="exponential box splines on the unit box",
@@ -482,7 +480,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             id="dual4_binary",
             summary="binary dual four-point scheme reproducing conic sections",
-            parameters={"lambda": ("frequency", "nonzero, real or purely imaginary")},
+            parameters={"lambda": "nonzero, real or purely imaginary"},
             documented_tau="-1/2",
             documented_space="span{1, x, exp(lambda x), exp(-lambda x)}",
             citation="non-stationary analog of the dual four-point scheme",
@@ -491,7 +489,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             id="dual4_ternary",
             summary="ternary dual four-point scheme reproducing conic sections",
-            parameters={"lambda": ("frequency", "nonzero, real or purely imaginary")},
+            parameters={"lambda": "nonzero, real or purely imaginary"},
             documented_tau="-1/4",
             documented_space="span{1, x, exp(lambda x), exp(-lambda x)}",
             citation="ternary dual four-point family",
@@ -500,7 +498,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             id="butterfly",
             summary="interpolatory butterfly scheme built from three-directional factors",
-            parameters={"lambda": ("frequency", "vector in R^2 or i R^2")},
+            parameters={"lambda": "vector in R^2 or i R^2"},
             documented_tau="(0, 0)",
             documented_space="x^gamma exp(lambda . x), |gamma| < 4",
             citation="butterfly interpolatory surface scheme",
@@ -509,7 +507,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             id="sheared_convolution",
             summary="squared digit-sum scheme for the shear dilation [[2,1],[0,2]]",
-            parameters={"lambda": ("frequency", "vector in R^2 or i R^2"), "normalized": ("bool", "bool")},
+            parameters={"lambda": "vector in R^2 or i R^2", "normalized": "bool"},
             documented_tau="(0, 0) raw; (1, 1) normalized",
             documented_space="exp(lambda . x) raw; |gamma| <= 1 normalized",
             citation="convolution scheme on a sheared lattice",
@@ -518,7 +516,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             id="sqrt3",
             summary="stationary sqrt(3) schemes for M = [[1,2],[-2,-1]]",
-            parameters={"variant": ("str", "'approximating' | 'interpolatory'")},
+            parameters={"variant": "'approximating' | 'interpolatory'"},
             documented_tau="(0, 0)",
             documented_space="linear polynomials (approximating); quadratics (interpolatory)",
             citation="sqrt(3) triangular subdivision masks",

@@ -493,15 +493,15 @@ def stepwise_test(scheme: SchemeSpec, space: ExpPolySpace, tau, k: int, window, 
 
 
 def stepwise_tests(scheme: SchemeSpec, space: ExpPolySpace, tau, levels, window, tol: float = DEFAULT_TOL):
-    """`stepwise_test` at each of `levels` in turn, from one engine pass per taps layout and one
-    evaluator call per sample set for each block of `_LEVEL_BLOCK` levels; a failing level
-    raises after the reports of those before it."""
+    """`stepwise_test` at each level of `levels`, read as a check's level range, in increasing
+    order, from one engine pass per taps layout and one evaluator call per sample set for each
+    block of `_LEVEL_BLOCK` levels; a failing level raises after the reports of those before it."""
     _check_tol(tol)
     M = scheme.M
     if space.s != M.s:
         raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
-    levels = [as_int(k, "level") for k in levels]
+    levels = _levels(levels)
     for start in range(0, len(levels), _LEVEL_BLOCK):
         block = levels[start : start + _LEVEL_BLOCK]
         steps, error = _sampled_steps(map(scheme.symbol, block), M, space.pairs, t, block, window)

@@ -86,7 +86,7 @@ def cmd_check(args) -> int:
         elif mode == "reproduction":
             batch = [check_reproduction(scheme, space, tau, k_range, tol=args.tol)]
         else:
-            batch = stepwise_tests(scheme, space, tau, range(args.kmin, args.kmax + 1), args.window, tol=args.tol)
+            batch = stepwise_tests(scheme, space, tau, k_range, args.window, tol=args.tol)
         for rep in batch:
             print(rep.table())
             reports.append(rep)
@@ -127,13 +127,12 @@ def cmd_refine(args) -> int:
     if data.s != scheme.M.s:
         raise EngineError("data dimension does not match the scheme")
     out = refine(scheme, data, args.levels, start_level=args.start_level)
-    fmt = args.format or ("csv" if args.out.endswith(".csv") else "json")
-    if fmt == "json":
-        with open(Path(args.out), "w", encoding="utf-8") as fh:
-            grid_to_json(out, fh)
-    else:
+    if args.out.endswith(".csv"):
         with open(Path(args.out), "w", encoding="utf-8", newline="") as fh:
             grid_to_csv(out, fh)
+    else:
+        with open(Path(args.out), "w", encoding="utf-8") as fh:
+            grid_to_json(out, fh)
     print(f"wrote {len(out.values)} values at level {out.level} to {args.out}")
     return 0
 
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--levels", type=int, required=True)
     r.add_argument("--start-level", type=int, default=None)
     r.add_argument("--out", required=True)
-    r.add_argument("--format", choices=["json", "csv"], default=None)
     r.set_defaults(func=cmd_refine)
 
     li = sub.add_parser("limit", help="basic limit function samples from the delta sequence")

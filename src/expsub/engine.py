@@ -364,6 +364,7 @@ def exp_poly_values(pairs, t) -> np.ndarray:
 
 def _samples(pairs, M: DilationMatrix, tau, levels, window):
     """The window's (N, s) indices and an (L, P, N) stack of each pair's samples at each level."""
+    levels = [as_int(k, "level") for k in levels]
     if min(levels) < 0:
         raise EngineError("level must be nonnegative")
     idx = _window(window, M.s)
@@ -517,20 +518,18 @@ def grid_to_json(g: GridData, fh) -> None:
     fh.write("\n  ]\n}\n")
 
 
-def grid_from_json_obj(obj: dict, s: int | None = None) -> GridData:
+def grid_from_json_obj(obj: dict) -> GridData:
     try:
-        values = []
-        for rec in obj["values"]:
-            idx = tuple(rec["idx"])
-            values.append((idx, complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im"))))
-            if s is None:
-                s = len(idx)
+        values = [
+            (tuple(rec["idx"]), complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im")))
+            for rec in obj["values"]
+        ]
         level = obj["level"]
     except (KeyError, TypeError) as exc:
         raise EngineError(f"bad grid data: {exc!r}") from exc
-    if s is None:
+    if not values:
         raise EngineError("cannot infer dimension of empty grid data")
-    return GridData(s, level, values, tau=obj.get("tau"))
+    return GridData(len(values[0][0]), level, values, tau=obj.get("tau"))
 
 
 def grid_to_csv(g: GridData, fh) -> None:

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .lattice import DilationMatrix, as_dimension, as_int
+from .lattice import DilationMatrix, as_complex_vector, as_dimension, as_int, as_real
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "scheme_file_for_catalog",
     "load_space",
     "load_space_obj",
-    "complex_from_pair",
-    "pair_from_complex",
 ]
 
 
@@ -31,61 +29,46 @@ class FileFormatError(ValueError):
     """Malformed scheme, space, or data file."""
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def complex_from_pair(obj) -> complex:
-    if _is_real(obj):
-        z = complex(obj)
-    elif isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_real, obj)):
-        z = complex(float(obj[0]), float(obj[1]))
-    else:
-        raise FileFormatError(f"expected a real number or an [re, im] pair, got {obj!r}")
-    if not cmath.isfinite(z):
-        raise FileFormatError(f"number {obj!r} is not finite")
-    return z
-
-
-def pair_from_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _complex(obj) -> complex:
+    """A bare real or an [re, im] pair, each part read by `as_real`."""
+    if isinstance(obj, list) and len(obj) == 2:
+        return complex(as_real(obj[0], "real part"), as_real(obj[1], "imaginary part"))
+    return complex(as_real(obj, "frequency entry"))
 
 
 def _decode_lambda(obj):
     """A frequency: a bare real, an [re, im] pair, or a list of pairs (a vector).
 
     A list of bare reals other than a pair is rejected: it could be a vector.
+    The reader of the decoded value checks that it is finite.
     """
-    if _is_real(obj):
-        return complex_from_pair(obj)
-    if isinstance(obj, list):
-        if not all(map(_is_real, obj)):
-            return tuple(complex_from_pair(x) for x in obj)
-        if len(obj) == 2:
-            return complex_from_pair(obj)
-    raise FileFormatError(f"cannot decode frequency {obj!r}; write a vector as [re, im] pairs")
+    if isinstance(obj, list) and any(isinstance(x, list) for x in obj):
+        return tuple(map(_complex, obj))
+    if isinstance(obj, list) and len(obj) != 2:
+        raise FileFormatError(f"cannot decode frequency {obj!r}; write a vector as [re, im] pairs")
+    return _complex(obj)
 
 
-def _file_form(value, kind: str = ""):
-    """A parameter value of the declared `kind` as scheme files store it.
+def _file_form(value, key: str = ""):
+    """A parameter value as scheme files store it under the file key `key`.
 
     Complex numbers, alone or inside lists and tuples, become [re, im]
-    pairs, and so does each number of a `frequency` tuple (a vector).
+    pairs, and so does each number of a `lambda` tuple (a vector).
     File-form values, bare reals and lists among them, come back unchanged.
     """
+    if key == "lambda" and isinstance(value, tuple):
+        return [[z.real, z.imag] for z in as_complex_vector(value)]
     if isinstance(value, complex):
-        return pair_from_complex(value)
+        return [value.real, value.imag]
     if isinstance(value, (list, tuple)):
-        vector = kind == "frequency" and isinstance(value, tuple)
-        return [pair_from_complex(v) if vector else _file_form(v) for v in value]
+        return [_file_form(v) for v in value]
     return value
 
 
-# The parameter kinds of CatalogEntry.parameters whose file form differs from the
-# factory's argument; every other value is passed as the file gives it.
+# The file keys whose file form differs from the factory's argument; every
+# other value is passed as the file gives it.
 _DECODE = {
-    "frequency": _decode_lambda,
+    "lambda": _decode_lambda,
     "factors": lambda fs: [(_decode_lambda(l), n) for l, n in fs],
 }
 
@@ -97,7 +80,7 @@ def _catalog_entry(entry_id: str):
 
 
 def _catalog_spec(entry, parameters) -> SchemeSpec:
-    """Decode scheme-file parameters by their declared kinds and build the scheme.
+    """Decode scheme-file parameters by their file keys and build the scheme.
 
     A null value is passed as None; the file key "lambda" is the factory's
     `lam`, because `lambda` is reserved in Python.  The factory checks each value.
@@ -111,7 +94,7 @@ def _catalog_spec(entry, parameters) -> SchemeSpec:
     kwargs = {}
     try:
         for key, value in params.items():
-            decode = _DECODE.get(entry.parameters[key][0])
+            decode = _DECODE.get(key)
             kwargs["lam" if key == "lambda" else key] = decode(value) if decode and value is not None else value
         return entry.factory(**kwargs)
     except FileFormatError:
@@ -134,7 +117,7 @@ def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params)
     parameters = {}
     for key, value in params.items():
         key = "lambda" if key == "lam" else key
-        parameters[key] = _file_form(value, entry.parameters.get(key, ("",))[0])
+        parameters[key] = _file_form(value, key)
     spec = _catalog_spec(entry, parameters)
     obj = {
         "name": name or spec.name,
@@ -204,21 +187,14 @@ def load_scheme(path) -> SchemeSpec:
 
 
 def load_space_obj(obj: dict) -> ExpPolySpace:
+    """A space file: each pair's `lambda` is a frequency read as scheme files
+    read one, and `ExpPolySpace` reads the rest."""
     try:
-        pairs = list(obj["pairs"])
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError("space file needs a 'pairs' list") from exc
-    decoded = []
-    for rec in pairs:
-        try:
-            gamma = tuple(as_int(x, "gamma entry") for x in rec["gamma"])
-            lam = tuple(complex_from_pair(x) for x in rec["lambda"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"bad space pair {rec!r}: {exc}") from exc
-        decoded.append((gamma, lam))
-    if not decoded:
-        raise FileFormatError("space file has no pairs")
-    return ExpPolySpace(decoded)
+        return ExpPolySpace([(rec["gamma"], _decode_lambda(rec["lambda"])) for rec in obj["pairs"]])
+    except FileFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad space file: {exc}") from exc
 
 
 def load_space(path) -> ExpPolySpace:

@@ -390,6 +390,7 @@ def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]
     `M.dual_points()` order.  Each w row is the one-row product lambda @
     M^{-(k+1)}, and eps * exp(-w) is formed from parts as CPython multiplies.
     """
+    levels = [as_int(k, "level") for k in levels]
     if any(k < 0 for k in levels):
         raise LatticeError("level k must be nonnegative")
     lam = np.array([as_complex_vector(l, M.s) for l in lambdas], dtype=complex).reshape(-1, 1, M.s)

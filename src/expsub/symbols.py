@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import product
+from numbers import Number
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -148,7 +149,9 @@ class LaurentSymbol:
         return (-1) * self
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, Number):
+            if not isinstance(other, (int, float, complex)):  # scale by the equal Python number
+                other = other.item() if isinstance(other, np.generic) else complex(other)
             return LaurentSymbol(
                 self.s, {e: c * other for e, c in self._terms.items()}
             )
@@ -363,14 +366,14 @@ class SchemeSpec:
 
         return cls(name, M, rule, tau=tau, space=space)
 
-    def scaled(self, factor: Callable[[int], complex], suffix="scaled", tau=None, space=None):
+    def scaled(self, factor: Callable[[int], complex], suffix="scaled", tau=None):
         """Per-level rescaling k -> factor(k) * a^[k]."""
         return SchemeSpec(
             f"{self.name}:{suffix}",
             self.M,
             lambda k: self.symbol(k) * factor(k),
             tau=self.tau if tau is None else tau,
-            space=self.space if space is None else space,
+            space=self.space,
         )
 
     def shifted(self, beta, tau=None):

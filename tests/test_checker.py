@@ -40,6 +40,7 @@ from expsub import (
     solve_tau,
     sqrt3_schemes,
     stepwise_test,
+    stepwise_tests,
 )
 from expsub import checker
 from expsub.checker import StepwiseRecord
@@ -314,6 +315,15 @@ def test_invalid_k_range():
         check_reproduction(scheme, scheme.space, (-0.5,), (-1, 2))
     with pytest.raises(CheckError):
         check_generation(scheme, scheme.space, ())
+    # stepwise reads its levels as the condition checks do: no vacuous pass, no symbol built
+    built = []
+    spy = SchemeSpec("spy", scheme.M, lambda k: built.append(k) or scheme.symbol(k), tau=scheme.tau)
+    for levels in ([], (), [-1, 0], (-1, 2), (2, 1)):
+        with pytest.raises(CheckError, match="level range must be nonempty with nonnegative levels"):
+            next(stepwise_tests(spy, scheme.space, (-0.5,), levels, 4))
+    assert built == []
+    assert [rep.k for rep in stepwise_tests(spy, scheme.space, (-0.5,), [2, 0, 2], 4)] == [0, 2]
+    assert [rep.k for rep in stepwise_tests(spy, scheme.space, (-0.5,), (1, 3), 4)] == [1, 2, 3]
 
 
 def test_negative_or_non_finite_tolerance_is_rejected():

@@ -149,10 +149,15 @@ def test_frequency_bare_real_lists_other_than_pairs_are_rejected():
     for bad in ([0.5, 0.25, 0.1], [0.5], []):
         with pytest.raises(FileFormatError, match="pairs"):
             load_scheme_obj({**obj, "parameters": {"lambda": bad}})
+        with pytest.raises(FileFormatError, match="pairs"):
+            load_space_obj({"pairs": [{"gamma": [0] * max(len(bad), 1), "lambda": bad}]})
     with pytest.raises(FileFormatError, match="pairs"):
         scheme_file_for_catalog("exp_box_spline", n_dil=2, **{"lambda": [0.5, 0.25, 0.1]})
-    # Two bare reals are one complex number, as in every other file field.
+    # Two bare reals are one complex number, in a scheme file and in a space file.
     assert (1j,) in load_scheme_obj(scheme_file_for_catalog("dual4_binary", **{"lambda": [0, 1]})).space.lambdas()
+    assert load_space_obj({"pairs": [{"gamma": [0], "lambda": [0.5, 0.3]}]}).pairs == (((0,), (0.5 + 0.3j,)),)
+    with pytest.raises(FileFormatError, match="inconsistent dimensions"):
+        load_space_obj({"pairs": [{"gamma": [0, 0], "lambda": [0.5, 0.3]}]})
 
 
 def test_cli_check_pass_fail_and_report(tmp_path, capsys):
@@ -519,8 +524,9 @@ def test_cli_stepwise_rejects_nan_tail(tmp_path, capsys):
     )
     assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "2", "--mode", "stepwise"]) != 0
     assert "finite" in capsys.readouterr().err
-    with pytest.raises(FileFormatError):
-        load_space_obj({"pairs": [{"gamma": [0], "lambda": [[float("inf"), 0]]}]})
+    for lam in ([[float("inf"), 0]], [0, float("inf")], float("nan")):
+        with pytest.raises(FileFormatError, match="finite"):
+            load_space_obj({"pairs": [{"gamma": [0], "lambda": lam}]})
 
 
 # file-form parameters for every catalog entry; exp_product factors are pairs

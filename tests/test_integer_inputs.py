@@ -25,10 +25,11 @@ from expsub import (
     exp_bspline,
     exp_product,
     refine,
+    sample_exp_poly,
     sheared_convolution,
 )
 from expsub import engine
-from expsub.lattice import as_complex_vector, as_multi_index, as_tau
+from expsub.lattice import as_complex_vector, as_multi_index, as_tau, v_stack
 
 ONE = LaurentSymbol(1, {(0,): 1.0, (1,): 2.0})
 
@@ -120,6 +121,8 @@ def test_catalog_integral_floats_read_as_ints(build, want):
         (lambda: as_tau("0.5", 1), "shift parameter entry must be a real number, got '0.5'"),
         (lambda: refine(dual4_binary(0.7), GridData.delta(1), 1.5), "rounds must be an integer, got 1.5"),
         (lambda: ExpPolySpace.polynomials(2, 1.5), "degree must be an integer, got 1.5"),
+        (lambda: sample_exp_poly((0,), 0.5, DilationMatrix(2), (0.0,), 1.5, 3), "level must be an integer, got 1.5"),
+        (lambda: v_stack(DilationMatrix(2), [(0.5,)], [1.5]), "level must be an integer, got 1.5"),
     ],
     ids=["grid-1.5", "grid-true", "grid-bare-true", "grid-bare-1.5", "level-1.5", "from-points-1.7",
          "from-points-bool-array", "from-points-level-0.5", "symbol-0.5", "symbol-bare-0.5", "symbol-true",
@@ -127,7 +130,8 @@ def test_catalog_integral_floats_read_as_ints(build, want):
          "multi-index-1.7", "space-gamma-1.7", "coeff-0.5", "shift-0.5", "symbol-dimension-1.9",
          "grid-dimension-1.9", "check-levels", "refine-start-level-1.5", "solve-integer-4.5", "apply-1.5",
          "coset-of-1.5", "sub-symbol-0.5", "power-true", "complex-nan", "tau-string", "refine-rounds-1.5",
-         "polynomials-degree-1.5"],
+         "polynomials-degree-1.5", "sample-level-1.5",
+         "v-stack-level-1.5"],
 )
 def test_indices_are_rejected_not_truncated(build, message):
     with pytest.raises(LatticeError, match=message):
@@ -153,8 +157,11 @@ def test_integral_float_indices_read_as_ints():
         (lambda: DilationMatrix(2.0), lambda: DilationMatrix(2)),
         (lambda: box_indices([2.0], 1), lambda: [(2,)]),
         (lambda: (LaurentSymbol.one(2.0), GridData.delta(2.0).s), lambda: (LaurentSymbol.one(2), 2)),
+        (lambda: (ONE * np.int64(2)).sorted_items(), lambda: (ONE * 2).sorted_items()),
+        (lambda: (ONE * np.complex64(2)).sorted_items(), lambda: (ONE * complex(2)).sorted_items()),
     ],
-    ids=["symbol-level-int64", "power-int64", "dilation-2.0", "window-bare-2.0", "dimension-2.0"],
+    ids=["symbol-level-int64", "power-int64", "dilation-2.0", "window-bare-2.0", "dimension-2.0",
+         "scale-int64", "scale-complex64"],
 )
 def test_numpy_integers_and_integral_floats_are_accepted(got, want):
     assert got() == want()
