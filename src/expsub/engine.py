@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -464,15 +465,69 @@ def _interior(taps, M: DilationMatrix, win_idx: np.ndarray, stack: np.ndarray):
 # hundred kB.
 BLOCK_ROWS = 1024
 
+# Each float column is looked at before it is formatted: SAMPLE_RUNS evenly
+# spaced runs of SAMPLE_RUN rows are counted (refined values repeat within a
+# few dozen rows, grid coordinates along or across the grid's rows).  A
+# column whose sample is one value is checked in full and, if constant,
+# becomes text in the row template.  If at most REPEAT_SHARE of the sample is
+# distinct values, each block of the column formats each of its distinct
+# values once and gathers the text by index.  Counting and gathering a row
+# cost about a fifth of formatting a float, and about as much as formatting
+# an integer, so integer columns are formatted as they are.  Counting a block
+# at a time keeps the scratch arrays small.
+SAMPLE_RUNS, SAMPLE_RUN = 4, 64
+REPEAT_SHARE = 0.75
+
+# One conversion, or "%%"; compiled on first use, as only `limit` and `refine` write rows.
+_FIELD = r"(%[^a-zA-Z%]*[a-zA-Z%])"
+
+
+def _sampled(key: np.ndarray) -> tuple[int, int]:
+    """(distinct values, size) of the column's sample: its runs, or all of it if short."""
+    n = len(key)
+    if n > SAMPLE_RUNS * SAMPLE_RUN:
+        key = key[: n // SAMPLE_RUNS * SAMPLE_RUNS].reshape(SAMPLE_RUNS, -1)[:, :SAMPLE_RUN]
+    key = np.sort(key, axis=None)
+    return int(np.count_nonzero(key[1:] != key[:-1])) + 1, key.size
+
+
+def _gathered(fmt: str, key: np.ndarray, dtype) -> list[str]:
+    """`fmt % v` for each value of a block, formatted once per distinct value."""
+    distinct, index = np.unique(key, return_inverse=True)
+    texts = [fmt % v for v in distinct.view(dtype).tolist()]
+    return list(map(texts.__getitem__, index.tolist()))
+
 
 def write_rows(fh, row: str, columns, sep: str = "") -> None:
     """Write `row % (c[i] for c in columns)` for every i, joined by `sep`.
 
-    `columns` are equal-length 1-D arrays; a block of rows is taken from each
-    with `.tolist()` and formatted with one `%` on a repeated template, so
-    the text is exactly that of formatting row by row.
+    `columns` are equal-length 1-D arrays, one per conversion in `row`.  A
+    constant float column is formatted once into the row template, a float
+    column that repeats once per distinct value in each block (keyed by its
+    bits, so 0.0 and -0.0 stay apart), and any other column a block of rows
+    at a time from `.tolist()`.  One `%` per block on the repeated template
+    then gives exactly the text of formatting row by row.
     """
-    n, width = len(columns[0]), len(columns)
+    n = len(columns[0])
+    if not n:
+        return
+    parts = re.split(_FIELD, row)  # literal text, then a conversion and literal text in turn
+    fields = [i for i in range(1, len(parts), 2) if parts[i] != "%%"]
+    cols = []  # (values, or bit keys with the values' format and dtype)
+    for i, col in zip(fields, columns, strict=True):
+        if col.dtype.kind != "f":
+            cols.append((col, None, None))
+            continue
+        key = col.view(f"i{col.itemsize}")
+        distinct, size = _sampled(key)
+        if distinct == 1 and (key == key[0]).all():
+            parts[i] = (parts[i] % col[:1].tolist()[0]).replace("%", "%%")
+        elif distinct <= REPEAT_SHARE * size:
+            cols.append((key, parts[i], col.dtype))
+            parts[i] = "%s"
+        else:
+            cols.append((col, None, None))
+    row, width = "".join(parts), len(cols)
     block = tmpl = None
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
@@ -480,8 +535,8 @@ def write_rows(fh, row: str, columns, sep: str = "") -> None:
             block = hi - lo
             tmpl = sep.join([row] * block)
             args = [None] * (block * width)
-        for j, col in enumerate(columns):
-            args[j::width] = col[lo:hi].tolist()
+        for j, (vals, fmt, dtype) in enumerate(cols):
+            args[j::width] = vals[lo:hi].tolist() if fmt is None else _gathered(fmt, vals[lo:hi], dtype)
         if lo:
             fh.write(sep)
         fh.write(tmpl % tuple(args))

@@ -53,11 +53,17 @@ def _file_form(value, key: str = ""):
     """A parameter value as scheme files store it under the file key `key`.
 
     Complex numbers, alone or inside lists and tuples, become [re, im]
-    pairs, and so does each number of a `lambda` tuple (a vector).
-    File-form values, bare reals and lists among them, come back unchanged.
+    pairs, and so does each number of a `lambda` tuple (a vector).  The
+    frequency of each (frequency, multiplicity) entry of `factors` is
+    written as the `lambda` key writes it.  File-form values, bare reals and
+    lists among them, come back unchanged.
     """
     if key == "lambda" and isinstance(value, tuple):
         return [[z.real, z.imag] for z in as_complex_vector(value)]
+    if key == "factors" and isinstance(value, (list, tuple)):
+        return [_file_form(f, "factor") for f in value]
+    if key == "factor" and isinstance(value, (list, tuple)) and value:
+        return [_file_form(value[0], "lambda"), *_file_form(value[1:])]
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (list, tuple)):

@@ -10,6 +10,7 @@ from expsub import (
     butterfly,
     check_reproduction,
     dual4_binary,
+    exp_product,
     grid_from_json_obj,
     grid_to_json_obj,
     load_scheme,
@@ -142,6 +143,19 @@ def test_frequency_list_is_file_form_and_tuple_is_a_vector():
     assert load_scheme_obj(as_list).space.lambdas() == [(0.5 + 0.25j,)]
     assert (as_tuple["dimension"], as_tuple["parameters"]["lambda"]) == (2, [[0.5, 0.0], [0.25, 0.0]])
     assert load_scheme_obj(as_tuple).space.lambdas() == [(0.5 + 0j, 0.25 + 0j)]
+
+
+def test_factor_frequency_tuples_are_written_as_the_lambda_key_writes_them():
+    # A factor's frequency may be a 1-vector, as exp_product itself reads it.
+    factors = [((0.5,), 1), ((-0.5,), 1)]
+    obj = scheme_file_for_catalog("exp_product", m=2, factors=factors)
+    assert obj["parameters"]["factors"] == [[[[0.5, 0.0]], 1], [[[-0.5, 0.0]], 1]]
+    spec = load_scheme_obj(json.loads(json.dumps(obj)))
+    built = exp_product(2, factors)
+    assert [spec.symbol(k) for k in range(3)] == [built.symbol(k) for k in range(3)]
+    # List-form factors are file form already and come back unchanged.
+    listed = [[[1, 0], 1], [[-1, 0], 1]]
+    assert scheme_file_for_catalog("exp_product", m=2, factors=listed)["parameters"]["factors"] == listed
 
 
 def test_frequency_bare_real_lists_other_than_pairs_are_rejected():
