@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import _sampled_steps, exp_poly_values
-from .lattice import as_complex_vector, as_int, as_point, as_tau, displacement, param_array, q_eval, v_stack
+from .lattice import _span, as_complex_vector, as_int, as_point, as_tau, displacement, param_array, q_eval, v_stack
 from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
 
 __all__ = [
@@ -224,20 +224,20 @@ def _fmt_c(z: complex) -> str:
 
 
 def _levels(k_range) -> list[int]:
-    if isinstance(k_range, tuple) and len(k_range) == 2 and all(isinstance(x, int) for x in k_range):
-        lo, hi = (as_int(x, "level") for x in k_range)
-        ks = range(lo, hi + 1)
-    else:
-        ks = as_point(k_range, what="level")
+    span = _span(k_range, "level")
+    ks = as_point(k_range, what="level") if span is None else range(span[0], span[1] + 1)
     if not ks or any(k < 0 for k in ks):
         raise CheckError("level range must be nonempty with nonnegative levels")
     return sorted(set(ks))
 
 
-def _check_tol(tol) -> None:
-    """Reject a NaN, infinite or negative tolerance: it decides every verdict in advance."""
+def _check_inputs(scheme: SchemeSpec, space: ExpPolySpace, tol) -> None:
+    """Reject a NaN, infinite or negative tolerance (it decides every verdict in advance)
+    and a space whose dimension is not the scheme's."""
     if not (np.isfinite(tol) and tol >= 0):
         raise CheckError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    if space.s != scheme.M.s:
+        raise CheckError("space dimension does not match the scheme")
 
 
 def _nan_max(values) -> float:
@@ -252,28 +252,21 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.divide(err, scale, out=err, where=scale > 1.0)
 
 
-def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float) -> ConditionReport:
-    """The one condition loop over V_k, for every level of the range at once.
-
-    Every right-hand side is zero except m v^(M tau - tau) q_gamma(M tau - tau)
-    at the all-ones point; without a tau that point is left out, which leaves
-    the zero conditions on V'_k.
-    """
-    _check_tol(tol)
+def _evaluation(scheme: SchemeSpec, space: ExpPolySpace, k_range, ones: bool):
+    """The one evaluation of the conditions over V_k (V'_k without `ones`, the all-ones point)
+    for every level of the range at once: (levels, order, lams, w, v, lhs), one level's
+    conditions `(i, gamma, j)` (frequency `lams[i]`, dual point j, the all-ones point first),
+    the `v_stack` exponents and points, and the (level, condition) left-hand sides."""
     M = scheme.M
-    if space.s != M.s:
-        raise CheckError("space dimension does not match the scheme")
-    t = None if tau is None else as_tau(tau, M.s)
     levels = _levels(k_range)
     lams = space.lambdas()
     gammas = sorted({g for g, _ in space.pairs})
-    # One level's conditions: (frequency, gamma, dual point), the all-ones point first.
     order = [
         (i, gamma, j)
         for i, lam in enumerate(lams)
         for gamma in space.gammas_for(lam)
         for j in range(M.m)
-        if t is not None or j
+        if ones or j
     ]
     w, v = v_stack(M, lams, levels)
     lhs = np.empty((len(levels), len(order)), dtype=complex)
@@ -285,11 +278,18 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
         syms = [scheme.symbol(k) for k in levels[block]]
         values = stacked_weighted_derivatives(syms, gammas, v[block].reshape(len(syms), -1, M.s))
         lhs[block] = values[:, rows, cols]
+    return levels, order, lams, w, v, lhs
+
+
+def _report(mode: str, scheme: SchemeSpec, tol: float, t, levels, order, lams, w, v, lhs) -> ConditionReport:
+    """The report of an `_evaluation` for the shift `t`: every right-hand side is zero except
+    m v^(M tau - tau) q_gamma(M tau - tau) at the all-ones point, evaluated only for a shift."""
+    M = scheme.M
     rhs = np.zeros_like(lhs)
     if t is not None:
         x, v_x = displacement(M, t, w)
-        q = {gamma: q_eval(gamma, x) for gamma in gammas}
         ones = [(r, i, gamma) for r, (i, gamma, j) in enumerate(order) if not j]
+        q = {gamma: q_eval(gamma, x) for _, _, gamma in ones}
         at = [r for r, _, _ in ones]
         for row, vl in zip(rhs, v_x.tolist()):
             row[at] = [M.m * vl[i] * q[gamma] for _, i, gamma in ones]
@@ -301,7 +301,8 @@ def _conditions(mode: str, scheme: SchemeSpec, space: ExpPolySpace, tau, k_range
 
 def check_generation(scheme: SchemeSpec, space: ExpPolySpace, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Zero conditions: D^gamma a^[k] vanishes on V'_k for every pair in the space."""
-    return _conditions("generation", scheme, space, None, k_range, tol)
+    _check_inputs(scheme, space, tol)
+    return _report("generation", scheme, tol, None, *_evaluation(scheme, space, k_range, False))
 
 
 def check_reproduction(scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -310,11 +311,13 @@ def check_reproduction(scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, to
     At the all-ones point the required value is m v^(M tau - tau)
     q_gamma(M tau - tau); elsewhere it is zero.
     """
-    return _conditions("reproduction", scheme, space, tau, k_range, tol)
+    _check_inputs(scheme, space, tol)
+    t = None if tau is None else as_tau(tau, scheme.M.s)
+    return _report("reproduction", scheme, tol, t, *_evaluation(scheme, space, k_range, t is not None))
 
 
-def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: float) -> np.ndarray:
-    """Estimate x = M tau - tau from the level-k symbol.
+def _displacement_probe(M, order, lams, w, lhs, k: int, tol: float) -> np.ndarray:
+    """Estimate x = M tau - tau from level k's rows `w` and `lhs` of an all-ones `_evaluation`.
 
     Polynomial route: with lambda = 0 and all first-order gammas available,
     x_l = D^(e_l) a(1) / m (requires a(1) = m).  Exponential route: from the
@@ -322,24 +325,21 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
     space holds first-order gammas for a nonzero lambda, otherwise from
     principal logarithms of a(v)/m stacked over the available frequencies.
     """
-    M = scheme.M
     s = M.s
-    a = scheme.symbol(k)
+    zero = (0,) * s  # the zero frequency, and gamma = 0
     units = [tuple(int(i == j) for i in range(s)) for j in range(s)]
-    zero_lam = (0j,) * s
-    poly = all(u in space.gammas_for(zero_lam) for u in units)
-    lams = [zero_lam] if poly else [lam for lam in space.lambdas() if all(z != 0 for z in lam)]
-    if not lams:
+    # v^gamma D^gamma a(v) at the all-ones point v of V_k, by (frequency, gamma)
+    at_one = {(lams[i], gamma): value for (i, gamma, j), value in zip(order, lhs.tolist()) if not j}
+    poly = all((zero, u) in at_one for u in units)
+    probe = [zero] if poly else [lam for lam in lams if all(z != 0 for z in lam)]
+    if not probe:
         raise CheckError(
             "solve_tau needs lambda = 0 with all first-order gammas, "
             "or a lambda with every component nonzero"
         )
-    # (w, v) of the all-ones point of V_k for each frequency
-    w, v = v_stack(M, lams, [k])
-    anchors = list(zip(w[0], v[0, :, 0]))
-    for lam, (_, v_one) in zip(lams, anchors):
-        if all(u in space.gammas_for(lam) for u in units):
-            av, *grad = a.weighted_derivatives([(0,) * s] + units, [v_one])[:, 0].tolist()
+    for lam in probe:
+        if all((lam, u) in at_one for u in units):
+            av, *grad = (at_one[lam, gamma] for gamma in [zero] + units)
             if poly and abs(av - M.m) > tol * M.m:
                 raise NoAdmissibleTauError(
                     f"a(1) = {av:.12g} differs from m = {M.m}; polynomial route needs a(1) = m"
@@ -348,20 +348,16 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
                 raise NoAdmissibleTauError(f"a(v) vanishes at the probe point, level {k}")
             return np.array([d / (M.m if poly else av) for d in grad], dtype=complex)
 
-    rows = []
-    rhs = []
-    for w_one, v_one in anchors:
+    rows = w[[lams.index(lam) for lam in probe]]
+    for lam, w_one in zip(probe, rows):
         if np.max(np.abs(w_one)) >= cmath.pi:
             raise BranchAmbiguityError(
                 f"|lambda^T M^-(k+1)| reaches pi at probe level {k}; increase k_probe"
             )
-        av = a.eval(v_one)
-        if abs(av) < 1e-14:
+        if abs(at_one[lam, zero]) < 1e-14:
             raise NoAdmissibleTauError(f"a(v) vanishes at the probe point, level {k}")
-        val = -cmath.log(av / M.m)
-        rows.append(w_one)
-        rhs.append(val)
-    A = np.vstack([np.real(rows), np.imag(rows)])
+    rhs = [-cmath.log(at_one[lam, zero] / M.m) for lam in probe]
+    A = np.vstack([rows.real, rows.imag])
     b = np.concatenate([np.real(rhs), np.imag(rhs)])
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     return x.astype(complex)
@@ -370,18 +366,17 @@ def _displacement_probe(scheme: SchemeSpec, space: ExpPolySpace, k: int, tol: fl
 def solve_tau(scheme: SchemeSpec, space: ExpPolySpace, k_probe: int = 0, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """Solve for the shift parameter tau, probing two consecutive levels.
 
-    The displacement x = M tau - tau is estimated at k_probe and k_probe + 1;
-    the two estimates must agree, tau = (M - I)^{-1} x must be real, and the
-    resulting reproduction conditions must hold at the probe levels.
+    The displacement x = M tau - tau is estimated at k_probe and k_probe + 1
+    from one evaluation of both levels; the two estimates must agree, tau =
+    (M - I)^{-1} x must be real, and its conditions must hold in that evaluation.
     """
-    _check_tol(tol)
+    _check_inputs(scheme, space, tol)
     k_probe = as_int(k_probe, "probe level")
     if k_probe < 0:
         raise CheckError("probe level must be nonnegative")
     M = scheme.M
-    xs = [
-        _displacement_probe(scheme, space, k, tol) for k in (k_probe, k_probe + 1)
-    ]
+    levels, order, lams, w, _, lhs = evaluation = _evaluation(scheme, space, (k_probe, k_probe + 1), True)
+    xs = [_displacement_probe(M, order, lams, w[l], lhs[l], k, tol) for l, k in enumerate(levels)]
     if np.max(np.abs(xs[0] - xs[1])) > max(tol, 1e-12):
         raise NoAdmissibleTauError(
             "no admissible tau: displacement estimates disagree across probe levels"
@@ -391,7 +386,7 @@ def solve_tau(scheme: SchemeSpec, space: ExpPolySpace, k_probe: int = 0, tol: fl
         raise NoAdmissibleTauError("no admissible tau: shift parameter is not real")
     A = np.array(M.mat, dtype=float) - np.eye(M.s)
     tau = tuple(float(v) for v in np.linalg.solve(A, np.real(x)))
-    report = check_reproduction(scheme, space, tau, (k_probe, k_probe + 1), tol)
+    report = _report("reproduction", scheme, tol, tau, *evaluation)
     if not report.verdict:
         raise NoAdmissibleTauError(
             f"no admissible tau: candidate {tau} leaves residual {report.max_residual:.3e}"
@@ -496,10 +491,8 @@ def stepwise_tests(scheme: SchemeSpec, space: ExpPolySpace, tau, levels, window,
     """`stepwise_test` at each level of `levels`, read as a check's level range, in increasing
     order, from one engine pass per taps layout and one evaluator call per sample set for each
     block of `_LEVEL_BLOCK` levels; a failing level raises after the reports of those before it."""
-    _check_tol(tol)
+    _check_inputs(scheme, space, tol)
     M = scheme.M
-    if space.s != M.s:
-        raise CheckError("space dimension does not match the scheme")
     t = as_tau(tau, M.s)
     levels = _levels(levels)
     for start in range(0, len(levels), _LEVEL_BLOCK):

@@ -48,10 +48,6 @@ def _parse_tau(text: str) -> tuple[float, ...]:
         raise FileFormatError(f"tau must be a list of reals: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_json(path: str, obj) -> None:
     text = json.dumps(obj, indent=2) + "\n"  # json.dump writes each small chunk on its own
     with open(Path(path), "w", encoding="utf-8") as fh:
@@ -116,7 +112,7 @@ def cmd_solve_tau(args) -> int:
     except (NoAdmissibleTauError, BranchAmbiguityError) as exc:
         print(f"no admissible tau: {exc}", file=sys.stderr)
         return 1
-    print(" ".join(_fmt(t) for t in tau))
+    print(" ".join(format(t, ".17g") for t in tau))
     return 0
 
 
@@ -141,7 +137,7 @@ def cmd_limit(args) -> int:
     scheme = load_scheme(args.scheme)
     t, vals = limit_sample_arrays(scheme, args.rounds, start_level=args.start_level)
     s = scheme.M.s
-    row = ",".join(["%.17g"] * (s + 2)) + "\n"  # each field as _fmt writes it
+    row = ",".join(["%.17g"] * (s + 2)) + "\n"  # each field as solve-tau prints tau
     with open(Path(args.out), "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([f"t{i}" for i in range(s)] + ["re", "im"]) + "\n")
         write_rows(fh, row, [*t.T, vals.real, vals.imag])

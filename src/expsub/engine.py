@@ -29,6 +29,7 @@ import numpy as np
 
 from .lattice import (
     DilationMatrix,
+    _span,
     as_complex_vector,
     as_dimension,
     as_int,
@@ -219,10 +220,9 @@ class GridData:
 def _window(window, s: int) -> np.ndarray:
     """`box_indices` as an (N, s) int64 array; a box is checked before it is built."""
     s = as_dimension(s)
-    if isinstance(window, int):
-        window = (-window, window)
-    if isinstance(window, tuple) and len(window) == 2 and all(isinstance(x, int) for x in window):
-        lo, hi = (as_int(x, "window bound") for x in window)
+    span = _span(window, "window bound", radius=True)
+    if span is not None:
+        lo, hi = span
         if lo > hi:
             raise EngineError("empty window range")
         _check_box((hi - lo + 1) ** s)
@@ -234,9 +234,9 @@ def _window(window, s: int) -> np.ndarray:
 def box_indices(window, s: int) -> list[tuple[int, ...]]:
     """Expand a window spec into a sorted list of lattice indices.
 
-    Accepts an int radius R (the box [-R, R]^s), a tuple (lo, hi) of two ints
-    applied to every axis, or any other iterable (a list or a set, say) of
-    indices, read as points; a bare int point is a 1-D index.
+    Accepts a radius R (the box [-R, R]^s), a tuple (lo, hi) applied to every
+    axis, each an integer as `as_int` reads it, or any other iterable (a list
+    or a set, say) of indices, read as points; a bare int point is a 1-D index.
     """
     return list(map(tuple, _window(window, s).tolist()))
 
@@ -256,6 +256,7 @@ def _fine_points(mat: np.ndarray, e, g0, loc) -> np.ndarray:
     return sum(np.multiply.outer(q, col) for q, col in zip(loc, mat.T)) + (mat @ np.asarray(g0) + e)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a caller rejects or scores a non-finite sum
 def _gather(taps, M: DilationMatrix, origin, flags: np.ndarray, data: np.ndarray, full: bool):
     """Per coset, the coarse convolution of `data` ((*lead, *flags.shape) from `origin`; a tap's
     coefficient row broadcasts against (*lead, *box)): the (N, s) points, cosets in tap order, and
@@ -416,7 +417,7 @@ def limit_sample_arrays(scheme: SchemeSpec, rounds: int, start_level: int = 0):
     and the N complex values, sorted by index alpha.  tau comes from the
     scheme (default 0).
     """
-    if rounds < 1:
+    if as_int(rounds, "rounds") < 1:
         raise EngineError("need at least one refinement round")
     tau = scheme.tau if scheme.tau is not None else (0.0,) * scheme.M.s
     f = GridData.delta(scheme.M.s, level=start_level, tau=tau)

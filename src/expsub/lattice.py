@@ -308,6 +308,16 @@ def as_point(x, s: int | None = None, what: str = "lattice point") -> tuple[int,
     return x
 
 
+def _span(x, what: str, radius: bool = False) -> tuple[int, int] | None:
+    """The one reading of a range (lo, hi): a 2-tuple of bare values or, with `radius`, a bare
+    value R for (-R, R), each read by `as_int`; None for any other x, which is read as points."""
+    if radius and _entries(x) is not x:  # `_entries` wraps a bare value
+        x = (-as_int(x, what), x)
+    if isinstance(x, tuple) and len(x) == 2 and all(_entries(v) is not v for v in x):
+        return as_int(x[0], what), as_int(x[1], what)
+    return None
+
+
 def as_point_array(points, s: int, what: str = "lattice point") -> np.ndarray:
     """`as_point` for the rows of an (N, s) array, as an int64 array: an integer array is
     taken as it is, and each entry of any other is read by `as_int`."""

@@ -6,6 +6,7 @@ import io
 import math
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from expsub import (
     DilationMatrix,
     EngineError,
+    ExpPolySpace,
     GridData,
     LaurentSymbol,
     apply_operator,
@@ -32,9 +34,12 @@ from expsub import (
     refine,
     sample_exp_poly,
     sheared_convolution,
+    scheme_file_for_catalog,
     sqrt3_schemes,
+    stepwise_test,
     valid_interior,
 )
+from expsub.cli import main
 from expsub.lattice import param_array
 
 MATRIX_POOL = [2, 3, -2, [[2, 0], [0, 2]], [[2, 1], [0, 2]], [[1, 2], [-2, -1]]]
@@ -513,3 +518,25 @@ def test_only_a_tuple_of_two_ints_is_a_range():
     assert box_indices({5, 3}, 1) == [(3,), (5,)]
     assert box_indices([3, 5, 7], 1) == [(3,), (5,), (7,)]
     assert box_indices((0, 1), 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_an_overflowing_step_is_reported_without_numpy_warnings(tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(scheme_file_for_catalog("exp_bspline", m=2, lam=1.0, n_fold=2)))
+    data = tmp_path / "data.json"
+    values = [{"idx": [i], "re": x, "im": 0.0} for i, x in enumerate([1.5e308, 1.7e308])]
+    data.write_text(json.dumps({"level": 0, "values": values}))
+    argv = ["refine", "--scheme", str(scheme), "--input", str(data), "--levels", "1", "--out", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end the call here
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: grid values must be finite\n"
+
+
+def test_an_overflowing_stepwise_sum_is_a_failing_record():
+    # The samples are finite (e^(78.77 * 9) < 1.8e308); one step of the mask overflows.
+    scheme, space = exp_bspline(2, 1.0, n_fold=2), ExpPolySpace([((0,), (78.77,))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = stepwise_test(scheme, space, (1.0,), 0, 8)
+    assert not rep.verdict and rep.max_err == math.inf

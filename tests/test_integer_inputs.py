@@ -27,8 +27,10 @@ from expsub import (
     refine,
     sample_exp_poly,
     sheared_convolution,
+    stepwise_tests,
 )
 from expsub import engine
+from expsub.engine import limit_sample_arrays
 from expsub.lattice import as_complex_vector, as_multi_index, as_tau, v_stack
 
 ONE = LaurentSymbol(1, {(0,): 1.0, (1,): 2.0})
@@ -79,6 +81,47 @@ def test_catalog_integral_floats_read_as_ints(build, want):
     assert got.M.mat == expected.M.mat
     for k in range(3):
         assert got.symbol(k).sorted_items() == expected.symbol(k).sorted_items()
+
+
+# -- level ranges, window ranges and radii ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pair", [(np.int64(0), np.int64(3)), (0.0, 3.0), (np.int32(0), 3), (0, 3)],
+    ids=["int64", "integral-floats", "int32-int", "ints"],
+)
+def test_a_pair_that_as_int_reads_is_a_range(pair):
+    scheme = dual4_binary(0.9)
+    assert check_reproduction(scheme, scheme.space, (-0.5,), pair).levels == (0, 1, 2, 3)
+    assert [rep.k for rep in stepwise_tests(scheme, scheme.space, (-0.5,), pair, 6)] == [0, 1, 2, 3]
+    assert box_indices(pair, 1) == [(0,), (1,), (2,), (3,)]
+    # a list is never a range: it lists levels or points
+    assert check_reproduction(scheme, scheme.space, (-0.5,), list(pair)).levels == (0, 3)
+    assert box_indices(list(pair), 1) == [(0,), (3,)]
+
+
+@pytest.mark.parametrize("radius", [np.int64(2), 2.0, np.uint8(2)], ids=["int64", "float", "uint8"])
+def test_a_radius_that_as_int_reads_is_a_box(radius):
+    assert box_indices(radius, 2) == box_indices(2, 2)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [(2.5, "window bound must be an integer, got 2.5"), ((0, 2.5), "window bound must be an integer, got 2.5"),
+     (np.bool_(True), "window bound must be an integer, got np.True_")],
+    ids=["radius-2.5", "pair-2.5", "radius-numpy-bool"],
+)
+def test_a_range_that_as_int_rejects_raises(window, message):
+    with pytest.raises(LatticeError, match=message):
+        box_indices(window, 1)
+
+
+def test_limit_rounds_are_read_before_they_are_compared():
+    with pytest.raises(LatticeError, match="rounds must be an integer, got '3'"):
+        limit_sample_arrays(exp_bspline(2, 1.0), "3")
+    t, vals = limit_sample_arrays(exp_bspline(2, 1.0), np.int64(3))
+    want_t, want_vals = limit_sample_arrays(exp_bspline(2, 1.0), 3)
+    assert t.tobytes() == want_t.tobytes() and vals.tobytes() == want_vals.tobytes()
 
 
 # -- grid, symbol and window indices -------------------------------------------------------
