@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable
 
 from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, as_tau, displacement, v_stack
-from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
+from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec, _convolve
 
 __all__ = [
     "CatalogParameterError",
@@ -47,15 +47,15 @@ def _read(read, *args):
         raise CatalogParameterError(str(exc)) from None
 
 
-def _axis_lambda(lam, s: int, name="lambda", allow_zero=True) -> tuple[complex, ...]:
+def _axis_lambda(lam, s: int, allow_zero=True) -> tuple[complex, ...]:
     """A frequency vector restricted to R^s or i R^s (one branch for the whole vector)."""
     v = _read(as_complex_vector, lam, s)
     real = all(z.imag == 0 for z in v)
     imag = all(z.real == 0 for z in v)
     if not (real or imag):
-        raise CatalogParameterError(f"{name} must lie in R^{s} or in i R^{s}")
+        raise CatalogParameterError(f"lambda must lie in R^{s} or in i R^{s}")
     if not allow_zero and all(z == 0 for z in v):
-        raise CatalogParameterError(f"{name} must be nonzero")
+        raise CatalogParameterError("lambda must be nonzero")
     return v
 
 
@@ -64,15 +64,38 @@ def _level_scale(M: DilationMatrix, k: int) -> float:
     return float(M.inv_power(k + 1)[0, 0])
 
 
-def _geometric_product(m: int, factors, h: float) -> LaurentSymbol:
-    """prod_i (1 + r_i z + ... + r_i^(m-1) z^(m-1))^(n_i), r_i = exp(lambda_i h),
-    over (lambda_i, n_i) in `factors`, from the first factor on."""
-    sym = None
-    for lamc, n in factors:
-        r = cmath.exp(lamc * h)
-        g = LaurentSymbol(1, {(e,): r**e for e in range(m)}) ** n
-        sym = g if sym is None else sym * g
-    return sym
+def _family(name: str, M: DilationMatrix, lams, taps, tau, space) -> SchemeSpec:
+    """A family on M = m I whose level-k mask is the map taps(x) {exponent: coefficient}, x the
+    level exponents lambda m^-(k+1) of each frequency in `lams`; a CatalogParameterError from
+    taps gains the level."""
+
+    def mask_at(k: int) -> LaurentSymbol:
+        h = _level_scale(M, k)
+        try:
+            terms = taps([[z * h for z in lam] for lam in lams])
+        except CatalogParameterError as exc:
+            raise CatalogParameterError(f"{exc} at level {k}") from None
+        return LaurentSymbol(M.s, terms)
+
+    return SchemeSpec(name, M, mask_at, tau=tau, space=space)
+
+
+def _geometric_product(m: int, factors, s: int) -> dict:
+    """prod_i (1 + r_i z_a + ... + r_i^(m-1) z_a^(m-1))^(n_i), a = a_i, over (a_i, r_i, n_i) in
+    `factors`, as {exponent: coefficient} in the arithmetic of the r_i: each power is built
+    from 1, then the powers are multiplied from the first factor on."""
+    out = None
+    for axis, r, n in factors:
+        g = {tuple(e * (j == axis) for j in range(s)): r**e for e in range(m)}
+        power = {(0,) * s: 1}
+        for _ in range(n):
+            power = _convolve(power, g)
+        out = power if out is None else _convolve(out, power)
+    return out
+
+
+def _scale(terms: dict, K) -> dict:
+    return {e: c * K for e, c in terms.items()}
 
 
 # -- exponential B-splines -----------------------------------------------------
@@ -94,28 +117,21 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
     if n_fold < 1:
         raise CatalogParameterError("n_fold must be at least 1")
     lamc = _read(as_complex_vector, lam, 1)[0]
-    M = DilationMatrix(m)
     t = None if tau is None else _read(as_tau, tau, 1)[0]
 
-    def rule(k: int) -> LaurentSymbol:
-        h = _level_scale(M, k)
-        sym = _geometric_product(m, [(lamc, n_fold)], h)
-        if t is not None:
-            K = float(m) ** (1 - n_fold) * cmath.exp(-lamc * h * (m - 1) * t)
-            sym = sym * K
-        return sym
+    def taps(x):
+        z = x[0][0]
+        mask = _geometric_product(m, [(0, cmath.exp(z), n_fold)], 1)
+        if t is None:
+            return mask
+        return _scale(mask, float(m) ** (1 - n_fold) * cmath.exp(-z * (m - 1) * t))
 
     doc_tau = (t,) if t is not None else (0.0,) if n_fold == 1 else None
     pairs = [((0,), (lamc,))]
     if n_fold >= 2 and t is not None and t == n_fold / 2:
         pairs.append(((1,), (lamc,)))
-    return SchemeSpec(
-        f"exp_bspline(m={m},n={n_fold})",
-        M,
-        rule,
-        tau=doc_tau,
-        space=ExpPolySpace(pairs),
-    )
+    name = f"exp_bspline(m={m},n={n_fold})"
+    return _family(name, DilationMatrix(m), [(lamc,)], taps, doc_tau, ExpPolySpace(pairs))
 
 
 def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
@@ -131,103 +147,79 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
     facs = [(_read(as_complex_vector, l, 1)[0], _read(as_int, n, "multiplicity")) for l, n in factors]
     if not facs or any(n < 1 for _, n in facs):
         raise CatalogParameterError("need at least one factor with positive multiplicity")
-    M = DilationMatrix(m)
-
-    K = doc_tau = space = None
+    doc_tau = space = None
     if normalization == "two_factor":
         if len(facs) != 2 or facs[0][1] != facs[1][1]:
             raise CatalogParameterError(
                 "two_factor normalization needs exactly two factors of equal multiplicity"
             )
         (la, n), (mu, _) = facs
-
-        def K(h: float) -> complex:
-            r = cmath.exp(la * h)
-            s = cmath.exp(mu * h)
-            return float(m) ** (1 - n) * sum(
-                r ** (m - 1 - e) * s**e for e in range(m)
-            ) ** (-n)
-
         doc_tau = (float(n),)
         space = ExpPolySpace([((0,), (la,)), ((0,), (mu,))])
     elif normalization is not None:
         raise CatalogParameterError(f"unknown normalization {normalization!r}")
 
-    def rule(k: int) -> LaurentSymbol:
-        h = _level_scale(M, k)
-        sym = _geometric_product(m, facs, h)
-        return sym if K is None else sym * K(h)
+    def taps(x):
+        rs = [cmath.exp(z) for (z,) in x]
+        mask = _geometric_product(m, [(0, r, n) for r, (_, n) in zip(rs, facs)], 1)
+        if normalization is None:
+            return mask
+        (r, s), n = rs, facs[0][1]
+        return _scale(mask, float(m) ** (1 - n) * sum(r ** (m - 1 - e) * s**e for e in range(m)) ** (-n))
 
     name = f"exp_product(m={m},factors={len(facs)})"
-    return SchemeSpec(name, M, rule, tau=doc_tau, space=space)
+    return _family(name, DilationMatrix(m), [(la,) for la, _ in facs], taps, doc_tau, space)
 
 
 def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
     """Tensor digit-set scheme for M = n I with mask sum_(e in E) r_k^e z^e.
 
     Its basic limit function is exp(lambda . x) on the unit box; the raw mask
-    reproduces the pure exponential with shift 0.
+    reproduces the pure exponential with shift 0.  The mask is one geometric
+    sum per axis, multiplied together.
     """
     n_dil = _read(as_int, n_dil, "dilation factor")
     if n_dil < 2:
         raise CatalogParameterError("dilation factor must be at least 2")
     lamv = _read(as_complex_vector, lam)
     s = len(lamv)
+
+    def taps(x):
+        return _geometric_product(n_dil, [(j, cmath.exp(z), 1) for j, z in enumerate(x[0])], s)
+
     M = DilationMatrix([[n_dil * int(i == j) for j in range(s)] for i in range(s)])
-
-    def rule(k: int) -> LaurentSymbol:
-        h = _level_scale(M, k)
-        r = [cmath.exp(z * h) for z in lamv]
-        terms = {}
-        for eps in product(range(n_dil), repeat=s):
-            c = complex(1)
-            for rj, ej in zip(r, eps):
-                c *= rj**ej
-            terms[eps] = c
-        return LaurentSymbol(s, terms)
-
-    return SchemeSpec(
-        f"exp_box_spline(n={n_dil},s={s})",
-        M,
-        rule,
-        tau=(0.0,) * s,
-        space=ExpPolySpace([((0,) * s, lamv)]),
-    )
+    name = f"exp_box_spline(n={n_dil},s={s})"
+    return _family(name, M, [lamv], taps, (0.0,) * s, ExpPolySpace([((0,) * s, lamv)]))
 
 
 # -- dual four-point schemes ---------------------------------------------------
 
 
 def _dual4(name: str, m: int, lam, tau: float, guards, taps) -> SchemeSpec:
-    """The m-ary dual four-point family: level k's mask is taps(w) from z^(-2m)
-    on, w = cosh(lambda m^-(k+1) / 2), once no factor in guards(w) vanishes."""
+    """The m-ary dual four-point family: level k's mask is taps(w),
+    w = cosh(lambda m^-(k+1) / 2), once no factor in guards(w) vanishes."""
     lamc = _axis_lambda(lam, 1, allow_zero=False)[0]
-    M = DilationMatrix(m)
 
-    def rule(k: int) -> LaurentSymbol:
-        h = _level_scale(M, k) * lamc / 2
+    def level_taps(x):
+        h = x[0][0] / 2
         w = (cmath.exp(h) + cmath.exp(-h)) / 2
         for factor, value in guards(w).items():
             if abs(value) < 1e-12:
-                raise CatalogParameterError(f"{name}: denominator factor {factor} vanishes at level {k}")
-        return _dual4_mask(m, taps(w))
+                raise CatalogParameterError(f"{name}: denominator factor {factor} vanishes")
+        return taps(w)
 
     space = ExpPolySpace([((0,), (0,)), ((1,), (0,)), ((0,), (lamc,)), ((0,), (-lamc,))])
-    return SchemeSpec(name, M, rule, tau=(tau,), space=space)
-
-
-def _dual4_mask(m: int, taps) -> LaurentSymbol:
-    return LaurentSymbol(1, {(e,): c for e, c in enumerate(taps, -2 * m)})
+    return _family(name, DilationMatrix(m), [(lamc,)], level_taps, (tau,), space)
 
 
 def _dual4_binary_taps(w):
-    """The eight binary taps in w, from z^-4 on."""
+    """The eight binary taps in w, as {exponent: coefficient} from z^-4 on."""
     den = 64 * w**3 * (2 * w**2 - 1) * (w + 1)
     c0 = -(6 * w**2 + 2 * w - 1) / den
     c1 = (10 * w**2 + 2 * w - 3) / den + 0.75
     c2 = (-2 * w**2 + 2 * w + 3) / den + 0.25
     c3 = -(2 * w**2 + 2 * w + 1) / den
-    return [c3, c0, c2, c1, c1, c2, c0, c3]
+    return {(e,): c for e, c in enumerate([c3, c0, c2, c1, c1, c2, c0, c3], -4)}
 
 
 def dual4_binary(lam) -> SchemeSpec:
@@ -247,11 +239,11 @@ def dual4_binary(lam) -> SchemeSpec:
 def dual4_binary_limit_mask() -> LaurentSymbol:
     """Stationary limit of the binary dual four-point masks: the taps at w = 1,
     the limit of w as k grows; each is a dyadic rational, exact in floats."""
-    return _dual4_mask(2, _dual4_binary_taps(1.0))
+    return LaurentSymbol(1, _dual4_binary_taps(1.0))
 
 
 def _dual4_ternary_taps(w):
-    """The twelve ternary taps in w, from z^-6 on."""
+    """The twelve ternary taps in w, as {exponent: coefficient} from z^-6 on."""
     d1 = 8 * w * (2 * w - 1) ** 2 * (4 * w**2 - 3) * (w + 1)
     c02 = -1 / d1
     c12 = 1 / d1 + 0.5
@@ -264,7 +256,7 @@ def _dual4_ternary_taps(w):
     c23 = (48 * w**4 + 16 * w**3 - 32 * w**2 - 8 * w + 1) / d3 + 5 / 6
     c33 = (80 * w**4 + 32 * w**3 - 48 * w**2 - 12 * w + 3) / d2
     c31, c21, c11, c01 = c03, c13, c23, c33
-    return [c03, c02, c01, c13, c12, c11, c23, c22, c21, c33, c32, c31]
+    return {(e,): c for e, c in enumerate([c03, c02, c01, c13, c12, c11, c23, c22, c21, c33, c32, c31], -6)}
 
 
 def dual4_ternary(lam) -> SchemeSpec:
@@ -279,7 +271,7 @@ def dual4_ternary(lam) -> SchemeSpec:
 
 def dual4_ternary_limit_mask() -> LaurentSymbol:
     """Stationary limit of the ternary dual four-point masks: the taps at w = 1."""
-    return _dual4_mask(3, _dual4_ternary_taps(1.0))
+    return LaurentSymbol(1, _dual4_ternary_taps(1.0))
 
 
 # -- butterfly -----------------------------------------------------------------
@@ -314,22 +306,15 @@ def butterfly(lam) -> SchemeSpec:
     shift parameter (0, 0).
     """
     lamv = _axis_lambda(lam, 2)
-    M = DilationMatrix([[2, 0], [0, 2]])
 
-    def rule(k: int) -> LaurentSymbol:
-        h = _level_scale(M, k)
-        r1 = cmath.exp(lamv[0] * h)
-        r2 = cmath.exp(lamv[1] * h)
-        terms = {
-            e: c.real * r1 ** e[0] * r2 ** e[1]
-            for e, c in _butterfly_coeffs().terms().items()
-        }
-        return LaurentSymbol(2, terms)
+    def taps(x):
+        r1, r2 = (cmath.exp(z) for z in x[0])
+        return {e: c.real * r1 ** e[0] * r2 ** e[1] for e, c in _butterfly_coeffs().terms().items()}
 
     space = ExpPolySpace(
         [(g, lamv) for g in product(range(4), repeat=2) if sum(g) < 4]
     )
-    return SchemeSpec("butterfly", M, rule, tau=(0.0, 0.0), space=space)
+    return _family("butterfly", DilationMatrix([[2, 0], [0, 2]]), [lamv], taps, (0.0, 0.0), space)
 
 
 # -- sheared convolution ---------------------------------------------------------
@@ -354,30 +339,18 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
 
     def rule(k: int) -> LaurentSymbol:
         w = v_stack(M, [lamv], [k])[0][0, 0]
-        b = LaurentSymbol(
-            2,
-            {
-                eps: cmath.exp(complex(w[0] * eps[0] + w[1] * eps[1]))
-                for eps in SHEAR_DIGITS
-            },
-        )
-        mask = b * b * 0.25
+        b = {eps: cmath.exp(complex(w[0] * eps[0] + w[1] * eps[1])) for eps in SHEAR_DIGITS}
+        mask = _scale(_convolve(b, b), 0.25)
         if normalized:
             # K = (1/4) v^(M tau - tau) at the all-ones point, tau = (1, 1)
-            mask = mask * displacement(M, (1, 1), w)[1]
-        return mask
+            mask = _scale(mask, displacement(M, (1, 1), w)[1])
+        return LaurentSymbol(2, mask)
 
     if normalized:
-        tau = (1.0, 1.0)
-        space = ExpPolySpace(
-            [((0, 0), lamv), ((1, 0), lamv), ((0, 1), lamv)]
-        )
-        name = "sheared_convolution:normalized"
+        name, tau, gammas = "sheared_convolution:normalized", (1.0, 1.0), [(0, 0), (1, 0), (0, 1)]
     else:
-        tau = (0.0, 0.0)
-        space = ExpPolySpace([((0, 0), lamv)])
-        name = "sheared_convolution"
-    return SchemeSpec(name, M, rule, tau=tau, space=space)
+        name, tau, gammas = "sheared_convolution", (0.0, 0.0), [(0, 0)]
+    return SchemeSpec(name, M, rule, tau=tau, space=ExpPolySpace([(g, lamv) for g in gammas]))
 
 
 # -- sqrt3 schemes ----------------------------------------------------------------

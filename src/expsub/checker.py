@@ -306,14 +306,15 @@ def check_generation(scheme: SchemeSpec, space: ExpPolySpace, k_range, tol: floa
 
 
 def check_reproduction(scheme: SchemeSpec, space: ExpPolySpace, tau, k_range, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Shifted reproduction conditions at every dual point.
+    """Shifted reproduction conditions at every dual point for the shift `tau`.
 
     At the all-ones point the required value is m v^(M tau - tau)
-    q_gamma(M tau - tau); elsewhere it is zero.
+    q_gamma(M tau - tau); elsewhere it is zero.  `tau` is read by `as_tau`,
+    so None raises LatticeError, as in `stepwise_tests`.
     """
     _check_inputs(scheme, space, tol)
-    t = None if tau is None else as_tau(tau, scheme.M.s)
-    return _report("reproduction", scheme, tol, t, *_evaluation(scheme, space, k_range, t is not None))
+    t = as_tau(tau, scheme.M.s)
+    return _report("reproduction", scheme, tol, t, *_evaluation(scheme, space, k_range, True))
 
 
 def _displacement_probe(M, order, lams, w, lhs, k: int, tol: float) -> np.ndarray:

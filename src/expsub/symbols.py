@@ -64,6 +64,17 @@ def _falling_weights(exps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _convolve(a: Mapping, b: Mapping) -> dict:
+    """The product of two {exponent: coefficient} maps in the coefficients' own arithmetic;
+    each coefficient sums its products from 0, in the order of a's terms, then b's."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
 class LaurentSymbol:
     """Finitely supported map from integer exponent vectors to complex coefficients.
 
@@ -156,12 +167,7 @@ class LaurentSymbol:
                 self.s, {e: c * other for e, c in self._terms.items()}
             )
         self._check_peer(other)
-        out: dict[tuple[int, ...], complex] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentSymbol(self.s, out)
+        return LaurentSymbol(self.s, _convolve(self._terms, other._terms))
 
     __rmul__ = __mul__
 

@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,7 @@ from expsub import (
     sheared_convolution,
     sqrt3_schemes,
 )
-from expsub.catalog import SHEAR_DIGITS, _butterfly_coeffs
+from expsub.catalog import SHEAR_DIGITS, _butterfly_coeffs, _geometric_product
 from symbol_diff import max_diff
 
 
@@ -69,6 +70,17 @@ def test_exp_box_spline_mask():
     r = [cmath.exp(z * 2.0**-2) for z in lam]
     assert abs(sym.coeff((1, 1)) - r[0] * r[1]) < 1e-15
     assert s.M == DilationMatrix([[2, 0], [0, 2]])
+
+
+def test_geometric_product_is_exact_over_fractions():
+    # the one geometric-sum formula runs in the arithmetic of its ratios
+    cube = _geometric_product(3, [(0, Fraction(1), 3)], 1)
+    assert cube == {(e,): c for e, c in enumerate([1, 3, 6, 7, 6, 3, 1])}
+    assert all(type(c) is Fraction for c in cube.values())
+    box = _geometric_product(2, [(j, Fraction(1), 1) for j in range(3)], 3)
+    assert box == dict.fromkeys(product(range(2), repeat=3), 1)
+    half = _geometric_product(2, [(0, Fraction(1, 2), 2), (1, Fraction(3), 1)], 2)
+    assert half == {(0, 0): 1, (1, 0): 1, (2, 0): Fraction(1, 4), (0, 1): 3, (1, 1): 3, (2, 1): Fraction(3, 4)}
 
 
 def test_dual4_binary_mask_properties():

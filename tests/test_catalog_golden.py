@@ -2,10 +2,11 @@
 
 For each family the masks at levels 0..5 of a few parameter sets, with a
 real and an imaginary frequency, are written as the hex of each coefficient's
-real and imaginary parts in `sorted_items` order and hashed.  The stationary
-limit masks and the butterfly's exact combination are hashed alone, and
-each limit tap is held to its exact rational, correctly rounded.  Any change
-to the float operations that build a mask fails here.
+real and imaginary parts in `sorted_items` order and hashed; a second digest
+covers levels 0..62.  The stationary limit masks and the butterfly's exact
+combination are hashed alone, and each limit tap is held to its exact
+rational, correctly rounded.  Any change to the float operations that build a
+mask fails here.
 """
 
 import hashlib
@@ -52,6 +53,18 @@ GOLDEN = {
     "_butterfly_coeffs": "bb2ed4646c102d2ab7b876c12780d8f45ad4246ead2b6f0f79bd38c0e10f13a3",
 }
 
+# The same CASES over levels 0..62, the levels the benchmark's checks reach.
+DEEP = {
+    "butterfly": "f5f670ba27a7a21f6cbf8d849a9b0f32aa62f8326c4ece278585f6b8bafe4b72",
+    "dual4_binary": "9ad17915719402f8eec19a1f9252bba0cf3290355e24b09df61545ca845a3313",
+    "dual4_ternary": "a1eb389103fd43fdc8652a20bbd0f34dd53194c095a717d68db0b22b75c78f4d",
+    "exp_box_spline": "f1358a5fa1ac551a160a336414aef037ebbd177b6333a8b0ce54bed96bfda14f",
+    "exp_bspline": "244ec7baef7bf1933be80670334cbb34d93bc42916c454f0ae4a69dbf8f689c2",
+    "exp_product": "4cb926f4ea37eca7f1de4d2512da09617164807cf716a63a81fe76e727eace2d",
+    "sheared_convolution": "3bc57b030b2205b8fb9fbe28cc0ecc279562ab4fe35967592100f4e3a0a860fd",
+    "sqrt3": "840b67361840f049f9556411e2c548248aa61b62dceedce1cf95679bd245150b",
+}
+
 FIXED = {
     "dual4_binary_limit_mask": dual4_binary_limit_mask,
     "dual4_ternary_limit_mask": dual4_ternary_limit_mask,
@@ -75,6 +88,16 @@ def test_family_masks_keep_their_bits(family):
         for k in range(6):
             h.update(_hex(spec.symbol(k)))
     assert h.hexdigest() == GOLDEN[family]
+
+
+@pytest.mark.parametrize("family", sorted(CASES))
+def test_family_masks_keep_their_bits_to_level_62(family):
+    h = hashlib.sha256()
+    for kw in CASES[family]:
+        spec = CATALOG[family].factory(**kw)
+        for k in range(63):
+            h.update(_hex(spec.symbol(k)))
+    assert h.hexdigest() == DEEP[family]
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))

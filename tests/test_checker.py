@@ -21,6 +21,7 @@ from expsub import (
     CheckError,
     DilationMatrix,
     ExpPolySpace,
+    LatticeError,
     LaurentSymbol,
     NoAdmissibleTauError,
     NormalizationError,
@@ -78,6 +79,19 @@ def test_generation_failure_names_the_right_record():
     fails = rep.failures()
     assert [r.gamma for r in fails] == [(1,)]
     assert abs(fails[0].lhs - (-1)) < 1e-14  # z d/dz (1+z) at z = -1
+
+
+def test_reproduction_needs_a_shift():
+    # no tau reproduces {e^x, x e^x} with this mask, so a check without one must not pass
+    scheme = exp_bspline(2, 1.0, n_fold=2)
+    space = ExpPolySpace([((0,), (1.0,)), ((1,), (1.0,))])
+    for tau in (0.0, 0.5, 1.0, 1.5):
+        assert not check_reproduction(scheme, space, tau, (0, 3)).verdict
+    with pytest.raises(LatticeError, match="shift parameter") as raised:
+        check_reproduction(scheme, space, None, (0, 3))
+    with pytest.raises(LatticeError) as stepwise:
+        list(stepwise_tests(scheme, space, None, [0], 3))
+    assert str(raised.value) == str(stepwise.value)
 
 
 def test_reproduction_dual4_binary_and_wrong_tau():

@@ -9,7 +9,9 @@ read from their files; nothing under `bench/` is imported as a module.
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +59,14 @@ def test_every_expsub_name_the_bench_scripts_use_resolves():
                     assert hasattr(mod, alias.name) or importlib.util.find_spec(f"{node.module}.{alias.name}"), (
                         path.name, node.module, alias.name,
                     )
+
+
+def test_import_loads_no_heavy_or_exact_arithmetic_module():
+    # `import expsub` stays light: every CLI run pays for it, and exact or
+    # symbolic arithmetic loads only where a caller asks for it
+    heavy = ("sympy", "scipy", "mpmath", "fractions", "decimal")
+    code = f"import sys, expsub; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    src = str(Path(expsub.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
