@@ -180,16 +180,26 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
     raise FileFormatError(f"unknown scheme kind {kind!r}")
 
 
-def _read_json(path):
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys all differ: a repeated key could be read either way."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise FileFormatError(f"duplicate JSON key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def read_json(path):
+    """The JSON value in the file `path`, rejecting invalid JSON and repeated keys."""
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_scheme(path) -> SchemeSpec:
-    return load_scheme_obj(_read_json(path))
+    return load_scheme_obj(read_json(path))
 
 
 def load_space_obj(obj: dict) -> ExpPolySpace:
@@ -204,4 +214,4 @@ def load_space_obj(obj: dict) -> ExpPolySpace:
 
 
 def load_space(path) -> ExpPolySpace:
-    return load_space_obj(_read_json(path))
+    return load_space_obj(read_json(path))

@@ -147,6 +147,35 @@ def test_cli_real_fields_take_only_ints_and_floats(tmp_path, capsys, scheme, spa
     assert err.startswith("error: ") and "must be a real number" in err if code == 2 else err == ""
 
 
+def _repeat_key(obj, key, first):
+    """The JSON text of `obj` with `key` written twice where it first occurs, `first` before the value of `obj`."""
+    text, at = json.dumps(obj), f'"{key}": '
+    assert at in text
+    return text.replace(at, f"{at}{json.dumps(first)}, {at}", 1)
+
+
+@pytest.mark.parametrize(
+    "target, key, first",
+    [("scheme", "tau", [0.5]), ("scheme", "lambda", 0.3), ("space", "gamma", [1]), ("grid", "re", 1.5)],
+    ids=["scheme-tau", "scheme-parameters-lambda", "space-pair-gamma", "grid-record-re"],
+)
+def test_cli_rejects_a_repeated_json_key(tmp_path, capsys, target, key, first):
+    if target == "grid":
+        files = {"scheme": HAT, "grid": _grid(re=2.5)}
+        argv = ["refine", "--input", str(tmp_path / "grid.json"), "--levels", "1", "--out", str(tmp_path / "out.json")]
+    else:
+        files = {"scheme": {**BSPLINE, "tau": [0.0]}, "space": EXP_SPACE}
+        argv = ["check", "--mode", "reproduction", "--kmax", "2", "--space", str(tmp_path / "space.json")]
+    argv += ["--scheme", str(tmp_path / "scheme.json")]
+    for name, obj in files.items():
+        write_json(tmp_path / f"{name}.json", obj)
+    assert main(argv) == 0
+    capsys.readouterr()
+    (tmp_path / f"{target}.json").write_text(_repeat_key(files[target], key, first))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: duplicate JSON key '{key}'\n"
+
+
 @pytest.fixture
 def d4_files(tmp_path):
     scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0}))
