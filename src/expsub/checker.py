@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import _sampled_steps, exp_poly_values
 from .lattice import _span, as_complex_vector, as_int, as_point, as_tau, displacement, param_array, q_eval, v_stack
-from .symbols import ExpPolySpace, SchemeSpec, stacked_weighted_derivatives
+from .symbols import ExpPolySpace, SchemeSpec, _lambda_key, stacked_weighted_derivatives
 
 __all__ = [
     "DEFAULT_TOL",
@@ -100,17 +100,17 @@ class ConditionRecord:
 
 class ConditionRecords(Sequence):
     """A report's records: `len()` builds none; the first index or iteration
-    builds them all, once, with `rows`, which maps flat indices to records."""
+    builds them all, once, with `build`."""
 
-    def __init__(self, size: int, rows):
-        self._size, self.rows, self._built = size, rows, None
+    def __init__(self, size: int, build):
+        self._size, self._build, self._built = size, build, None
 
     def __len__(self):
         return self._size
 
     def __getitem__(self, i):
         if self._built is None:
-            self._built = tuple(self.rows(np.arange(self._size)))
+            self._built = tuple(self._build())
         return self._built[i]
 
 
@@ -171,6 +171,8 @@ class ConditionReport:
         }
 
     def table(self, max_rows: int = 40) -> str:
+        if max_rows < 0:
+            raise CheckError(f"max_rows must be nonnegative, got {max_rows!r}")
         lines = [
             f"{self.mode} check for {self.scheme}"
             + (f", tau={tuple(self.tau)}" if self.tau is not None else ""),
@@ -183,17 +185,24 @@ class ConditionReport:
             # Rank by the printed residual, ties in record order (a stable
             # sort), so a last-bit change never swaps rows of equal printed
             # value; NaN residuals sort first, so a NaN record is never clipped.
-            printed = np.array(("%.3e " * residual.size % tuple(residual.tolist())).split(), dtype=float)
+            # Residuals are >= 0 or NaN and one printed as P lies within 5e-4 P of P, so only
+            # NaN rows and rows within 1e-3 of the max_rows-th largest residual's print can rank.
+            cut = float("%.3e" % (np.partition(residual, clipped)[clipped] if max_rows else np.inf))
+            idx = np.flatnonzero(np.isnan(residual) | (residual >= cut * (1 - 1e-3)))
+            printed = np.array(("%.3e " * idx.size % tuple(residual[idx].tolist())).split(), dtype=float)
             nan = np.isnan(printed)
-            idx = np.lexsort((np.where(nan, 0.0, -printed), ~nan))[:max_rows]
-        shown = self.records.rows(idx)
+            idx = idx[np.lexsort((np.where(nan, 0.0, -printed), ~nan))[:max_rows]]
+        level, col = np.divmod(idx, len(self.order))
+        shown = [
+            (self.levels[l], *self.order[c], x) for l, c, x in zip(level.tolist(), col.tolist(), residual[idx].tolist())
+        ]
         if clipped:
-            shown.sort(key=lambda r: (r.k, tuple((z.real, z.imag) for z in r.lam), r.gamma))
+            shown.sort(key=lambda r: (r[0], _lambda_key(self.lams[r[1]]), r[2]))
         fmt = cache(lambda zs: ",".join(_fmt_c(z) for z in zs))
-        for r in shown:
-            ok = "ok" if r.residual <= self.tol else "FAIL"
+        for k, i, gamma, j, x in shown:
+            ok = "ok" if x <= self.tol else "FAIL"
             lines.append(
-                f"{r.k:>3} {str(r.gamma):>10} {fmt(r.lam):>24} {fmt(r.eps):>20} {r.residual:>12.3e} {ok}"
+                f"{k:>3} {str(gamma):>10} {fmt(self.lams[i]):>24} {fmt(self.eps[j]):>20} {x:>12.3e} {ok}"
             )
         if clipped:
             lines.append(f"... {clipped} more record(s) not shown")
@@ -205,12 +214,12 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _records(mode, levels, order, lams, eps, v, lhs, rhs, residual, idx) -> list[ConditionRecord]:
-    """The records of a column report at flat indices `idx`."""
-    level, col = np.divmod(idx, len(order))
+def _records(mode, levels, order, lams, eps, v, lhs, rhs, residual) -> list[ConditionRecord]:
+    """Every record of a column report, in (level, condition) order."""
+    level, col = np.divmod(np.arange(residual.size), len(order))
     conds = [order[c] for c in col.tolist()]
     points = v[level, [i for i, _, _ in conds], [j for _, _, j in conds]].tolist()
-    values = (a.reshape(-1)[idx].tolist() for a in (lhs, rhs, residual))
+    values = (a.reshape(-1).tolist() for a in (lhs, rhs, residual))
     return [
         ConditionRecord(mode, levels[l], gamma, lams[i], eps[j], tuple(pt), *fields)
         for l, (i, gamma, j), pt, *fields in zip(level.tolist(), conds, points, *values)

@@ -38,7 +38,7 @@ from .checker import (
     stepwise_tests,
 )
 from .catalog import CATALOG
-from .files import FileFormatError, load_scheme, load_space, read_json, scheme_file_for_catalog
+from .files import FileFormatError, _unique_keys, load_scheme, load_space, read_json, scheme_file_for_catalog
 
 
 def _parse_tau(text: str) -> tuple[float, ...]:
@@ -160,7 +160,7 @@ def cmd_catalog(args) -> int:
     # emit
     if not args.id:
         raise FileFormatError("emit needs --id")
-    params = json.loads(args.params) if args.params else {}
+    params = json.loads(args.params, object_pairs_hook=_unique_keys) if args.params else {}
     if not isinstance(params, dict) or "name" in params:
         raise FileFormatError("--params must be a JSON object of catalog parameters")
     obj = scheme_file_for_catalog(args.id, **params)

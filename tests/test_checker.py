@@ -696,10 +696,11 @@ def oracle_table(rep, records, max_rows):
 
 
 # Residuals that stress the ranking: non-finite values, zero, and last-bit
-# neighbours of a printed value and of a rounding boundary (2.5005e-12 sits
-# between the printed 2.500e-12 and 2.501e-12).
+# neighbours of a printed value and of the rounding boundaries on either side
+# of it (2.5005e-12 sits between the printed 2.500e-12 and 2.501e-12,
+# 2.4995e-12 between 2.499e-12 and 2.500e-12).
 TIE_RESIDUALS = [math.nan, math.inf, 0.0, 1e-9, 1.0000000001e-9] + [
-    f(x) for x in (2.5e-12, 2.5005e-12, 9.9995e-13) for f in (
+    f(x) for x in (2.5e-12, 2.5005e-12, 2.4995e-12, 9.9995e-13) for f in (
         lambda x: x, lambda x: math.nextafter(x, 0.0), lambda x: math.nextafter(x, math.inf)
     )
 ]
@@ -761,9 +762,36 @@ def test_len_of_records_builds_no_record(monkeypatch):
     assert len(rep.records) == rep.residual.size > 40 and not built
     assert not rep.verdict and rep.max_residual > 0 and not built
     rows = rep.table().splitlines()[2:-2]
-    assert len(rows) == 40 and len(built) == 40  # only the rows printed
+    assert len(rows) == 40 and not built  # the table reads the columns
     records = list(rep.records)
-    assert len(built) == 40 + len(records) and list(rep.records) == records
+    assert len(built) == len(records) and list(rep.records) == records
+
+
+@pytest.mark.parametrize(
+    "residuals, max_rows",
+    [
+        # 2.4996e-12 and 2.5004e-12 both print as 2.500e-12, so the 2.4996e-12 rows,
+        # first in record order, are shown ahead of larger residuals
+        ([2.4996e-12] * 5 + [1e-13] * 3 + [2.5004e-12] * 40, 40),
+        ([2.4996e-12, 1e-13, 2.5004e-12, 2.5004e-12, 2.5004e-12, 2.4996e-12], 3),
+        ([0.0] * 48, 40),
+        ([0.0] * 48, 0),
+        ([math.nan] * 48, 40),
+        ([math.nan] * 3 + [1e-9, math.inf] + [2.5e-12] * 43, 2),
+    ],
+    ids=["neighbours-of-the-cut-40", "neighbours-of-the-cut-3", "zeros", "zeros-no-rows", "all-nan", "nan-then-inf"],
+)
+def test_rows_printing_as_the_cut_row_rank_in_record_order(residuals, max_rows):
+    col = column_report(residuals, (len(residuals) // 6, 6), None)
+    records = eager_records(col)
+    assert col.table(max_rows) == oracle_table(col, records, max_rows)
+
+
+@pytest.mark.parametrize("max_rows", [-1, -5])
+def test_a_negative_max_rows_is_rejected(max_rows):
+    col = column_report([1e-3] * 32, (4, 8), None)
+    with pytest.raises(CheckError, match=f"max_rows must be nonnegative, got {max_rows}"):
+        col.table(max_rows)
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))

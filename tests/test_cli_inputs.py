@@ -176,6 +176,15 @@ def test_cli_rejects_a_repeated_json_key(tmp_path, capsys, target, key, first):
     assert capsys.readouterr().err == f"error: duplicate JSON key '{key}'\n"
 
 
+def test_catalog_emit_rejects_a_repeated_params_key(capsys):
+    params = {"m": 2, "lambda": 0.9}
+    argv = ["catalog", "emit", "--id", "exp_bspline", "--params"]
+    assert main([*argv, json.dumps(params)]) == 0
+    assert capsys.readouterr().out == json.dumps(scheme_file_for_catalog("exp_bspline", **params), indent=2) + "\n"
+    assert main([*argv, _repeat_key(params, "lambda", 0.5)]) == 2
+    assert capsys.readouterr().err == "error: duplicate JSON key 'lambda'\n"
+
+
 @pytest.fixture
 def d4_files(tmp_path):
     scheme = write_json(tmp_path / "d4.json", scheme_file_for_catalog("dual4_binary", **{"lambda": 1.0}))
