@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 from typing import Callable
 
-from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, as_tau, displacement, v_stack
+from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, as_tau, displacement, level_exponents
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec, _convolve
 
 __all__ = [
@@ -59,20 +59,13 @@ def _axis_lambda(lam, s: int, allow_zero=True) -> tuple[complex, ...]:
     return v
 
 
-def _level_scale(M: DilationMatrix, k: int) -> float:
-    """m^-(k+1), correctly rounded, for a dilation M = m I."""
-    return float(M.inv_power(k + 1)[0, 0])
-
-
 def _family(name: str, M: DilationMatrix, lams, taps, tau, space) -> SchemeSpec:
-    """A family on M = m I whose level-k mask is the map taps(x) {exponent: coefficient}, x the
-    level exponents lambda m^-(k+1) of each frequency in `lams`; a CatalogParameterError from
-    taps gains the level."""
+    """A family whose level-k mask is taps(x) {exponent: coefficient}, x the level exponents
+    lambda^T M^-(k+1) of each of `lams`; a CatalogParameterError from taps gains the level."""
 
     def mask_at(k: int) -> LaurentSymbol:
-        h = _level_scale(M, k)
         try:
-            terms = taps([[z * h for z in lam] for lam in lams])
+            terms = taps(level_exponents(M, lams, [k])[0].tolist())
         except CatalogParameterError as exc:
             raise CatalogParameterError(f"{exc} at level {k}") from None
         return LaurentSymbol(M.s, terms)
@@ -144,9 +137,14 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
     m = _read(as_int, m, "arity m")
     if m < 2:
         raise CatalogParameterError("arity m must be at least 2")
-    facs = [(_read(as_complex_vector, l, 1)[0], _read(as_int, n, "multiplicity")) for l, n in factors]
-    if not facs or any(n < 1 for _, n in facs):
-        raise CatalogParameterError("need at least one factor with positive multiplicity")
+    if not isinstance(factors, (list, tuple)) or not factors:
+        raise CatalogParameterError(f"need at least one factor in a list of (lambda, n) pairs, got {factors!r}")
+    facs = []
+    for i, f in enumerate(factors):
+        n = _read(as_int, f[1], "multiplicity") if isinstance(f, (list, tuple)) and len(f) == 2 else 0
+        if n < 1:
+            raise CatalogParameterError(f"factors[{i}] must be a (lambda, n) pair with n >= 1, got {f!r}")
+        facs.append((_read(as_complex_vector, f[0], 1)[0], n))
     doc_tau = space = None
     if normalization == "two_factor":
         if len(facs) != 2 or facs[0][1] != facs[1][1]:
@@ -182,6 +180,8 @@ def exp_box_spline(n_dil: int, lam) -> SchemeSpec:
     if n_dil < 2:
         raise CatalogParameterError("dilation factor must be at least 2")
     lamv = _read(as_complex_vector, lam)
+    if not lamv:
+        raise CatalogParameterError("lambda must have at least one entry")
     s = len(lamv)
 
     def taps(x):
@@ -337,20 +337,18 @@ def sheared_convolution(lam, normalized: bool = False) -> SchemeSpec:
     M = DilationMatrix([[2, 1], [0, 2]])
     lamv = _axis_lambda(lam, 2)
 
-    def rule(k: int) -> LaurentSymbol:
-        w = v_stack(M, [lamv], [k])[0][0, 0]
-        b = {eps: cmath.exp(complex(w[0] * eps[0] + w[1] * eps[1])) for eps in SHEAR_DIGITS}
+    def taps(x):
+        (w,) = x
+        b = {eps: cmath.exp(w[0] * eps[0] + w[1] * eps[1]) for eps in SHEAR_DIGITS}
         mask = _scale(_convolve(b, b), 0.25)
-        if normalized:
-            # K = (1/4) v^(M tau - tau) at the all-ones point, tau = (1, 1)
-            mask = _scale(mask, displacement(M, (1, 1), w)[1])
-        return LaurentSymbol(2, mask)
+        # normalized: K = (1/4) v^(M tau - tau) at the all-ones point, tau = (1, 1)
+        return _scale(mask, displacement(M, (1, 1), w)[1]) if normalized else mask
 
     if normalized:
         name, tau, gammas = "sheared_convolution:normalized", (1.0, 1.0), [(0, 0), (1, 0), (0, 1)]
     else:
         name, tau, gammas = "sheared_convolution", (0.0, 0.0), [(0, 0)]
-    return SchemeSpec(name, M, rule, tau=tau, space=ExpPolySpace([(g, lamv) for g in gammas]))
+    return _family(name, M, [lamv], taps, tau, ExpPolySpace([(g, lamv) for g in gammas]))
 
 
 # -- sqrt3 schemes ----------------------------------------------------------------

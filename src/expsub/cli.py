@@ -131,7 +131,7 @@ def cmd_refine(args) -> int:
     else:
         with open(Path(args.out), "w", encoding="utf-8") as fh:
             grid_to_json(out, fh)
-    print(f"wrote {len(out.values)} values at level {out.level} to {args.out}")
+    print(f"wrote {len(out)} values at level {out.level} to {args.out}")
     return 0
 
 

@@ -148,7 +148,7 @@ class GridData:
     lowest corner, `data` a C-ordered complex128 array and `in_support` a
     boolean mask; exact zeros inside the support stay in it.  Both arrays
     are read-only and the grid cannot be changed after construction.
-    `values` is a read-only index -> value mapping for I/O and tests.
+    `values` is a read-only index -> value mapping for tests.
 
     The level tag exists so masks from one refinement level are not silently
     applied to data living on another.

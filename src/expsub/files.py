@@ -71,12 +71,16 @@ def _file_form(value, key: str = ""):
     return value
 
 
+def _decode_factors(fs):
+    """Each [frequency, ...] entry with its frequency decoded; exp_product checks the shape."""
+    if not isinstance(fs, list):
+        return fs
+    return [[_decode_lambda(f[0]), *f[1:]] if isinstance(f, list) and f else f for f in fs]
+
+
 # The file keys whose file form differs from the factory's argument; every
 # other value is passed as the file gives it.
-_DECODE = {
-    "lambda": _decode_lambda,
-    "factors": lambda fs: [(_decode_lambda(l), n) for l, n in fs],
-}
+_DECODE = {"lambda": _decode_lambda, "factors": _decode_factors}
 
 
 def _catalog_entry(entry_id: str):

@@ -35,6 +35,7 @@ __all__ = [
     "LatticeError",
     "DilationMatrix",
     "q_eval",
+    "level_exponents",
     "v_stack",
     "cexp",
     "displacement",
@@ -392,20 +393,25 @@ def cexp(z: np.ndarray, quiet: bool = False) -> np.ndarray:
     return out
 
 
-def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents w = lambda^T M^{-(k+1)} and points v = eps * exp(-w) of several levels.
-
-    Returns w as an (L, n, s) and v as an (L, n, m, s) complex array, for the
-    L levels, the n frequencies in input order and the m dual points eps in
-    `M.dual_points()` order.  Each w row is the one-row product lambda @
-    M^{-(k+1)}, and eps * exp(-w) is formed from parts as CPython multiplies.
-    """
+def level_exponents(M: DilationMatrix, lambdas, levels) -> np.ndarray:
+    """The level exponents w = lambda^T M^{-(k+1)}, each the one-row product lambda @
+    M^{-(k+1)}, as an (L, n, s) complex array over `levels` and `lambdas` in input order."""
     levels = [as_int(k, "level") for k in levels]
     if any(k < 0 for k in levels):
         raise LatticeError("level k must be nonnegative")
     lam = np.array([as_complex_vector(l, M.s) for l in lambdas], dtype=complex).reshape(-1, 1, M.s)
     W = np.array([M.inv_power(k + 1) for k in levels]).reshape(-1, 1, M.s, M.s)
-    w = (lam @ W)[:, :, 0]
+    return (lam @ W)[:, :, 0]
+
+
+def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents w = `level_exponents` and points v = eps * exp(-w) of several levels.
+
+    Returns w as an (L, n, s) and v as an (L, n, m, s) complex array, for the
+    L levels, the n frequencies in input order and the m dual points eps in
+    `M.dual_points()` order; eps * exp(-w) is formed from parts as CPython multiplies.
+    """
+    w = level_exponents(M, lambdas, levels)
     b = cexp(-w)[:, :, None]
     e = np.array(M.dual_points())
     v = np.empty(b.shape[:2] + e.shape, dtype=complex)
@@ -417,7 +423,7 @@ def v_stack(M: DilationMatrix, lambdas, levels) -> tuple[np.ndarray, np.ndarray]
 def displacement(M: DilationMatrix, tau, w):
     """x = M tau - tau and v^x = exp(-w . x) for points with exponents w.
 
-    `w` is one point's exponent row of `v_stack`, which gives v^x as a
+    `w` is one exponent row of `level_exponents`, which gives v^x as a
     complex, or an (..., s) array of them, which gives an array.  v^x is
     formed from the defining exponents, so no logarithm branch is involved.
     """

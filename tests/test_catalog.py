@@ -427,17 +427,19 @@ def test_dual4_large_masks_build_and_reproduce():
 
 
 def test_level_factors_are_correctly_rounded():
-    from expsub.catalog import _level_scale
+    from expsub.lattice import level_exponents
 
     # 3^-477 is the one level of 0..999 where float(3) ** -477 is off by an ulp
     assert float(3) ** -477 != 1 / 3**477
-    assert _level_scale(DilationMatrix(3), 476) == 1 / 3**477
+    assert level_exponents(DilationMatrix(3), [1], [476])[0, 0, 0] == 1 / 3**477
     # sin(x) == x for so small an x: the mask carries the factor itself
     r = exp_bspline(3, 1j).symbol(476).coeff((1,))
     assert r.imag == 1 / 3**477
-    for k in range(0, 201):
-        # the old factor was already correctly rounded for m = 2, 3, 4 at
-        # these levels (the benchmark checks levels up to 62), so no mask moves
-        for m in (2, 3, 4):
-            assert _level_scale(DilationMatrix(m), k) == float(m) ** -(k + 1) == 1 / m ** (k + 1)
-    assert _level_scale(DilationMatrix([[2, 0], [0, 2]]), 1099) == 2.0**-1100 == 0.0
+    for m in (2, 3, 4):
+        # the old factor float(m) ** -(k+1) was already correctly rounded for
+        # m = 2, 3, 4 at these levels (the benchmark checks levels up to 62)
+        got = level_exponents(DilationMatrix(m), [1], range(201))[:, 0, 0]
+        for k in range(0, 201):
+            assert got[k] == float(m) ** -(k + 1) == 1 / m ** (k + 1)
+    w = level_exponents(DilationMatrix([[2, 0], [0, 2]]), [(1, 1)], [1099])[0, 0]
+    assert list(w) == [2.0**-1100] * 2 == [0.0] * 2

@@ -3,7 +3,8 @@
 For each family the masks at levels 0..5 of a few parameter sets, with a
 real and an imaginary frequency, are written as the hex of each coefficient's
 real and imaginary parts in `sorted_items` order and hashed; a second digest
-covers levels 0..62.  The stationary limit masks and the butterfly's exact
+covers levels 0..62, and edge frequencies of every non-stationary family
+have a pair of their own.  The stationary limit masks and the butterfly's exact
 combination are hashed alone, and each limit tap is held to its exact
 rational, correctly rounded.  Any change to the float operations that build a
 mask fails here.
@@ -65,6 +66,85 @@ DEEP = {
     "sqrt3": "840b67361840f049f9556411e2c548248aa61b62dceedce1cf95679bd245150b",
 }
 
+# Frequencies at the edges of the exponent arithmetic: -0.0 parts, +-1e-310
+# (subnormal) parts, a zero component and negative components.  Each family's
+# pair of digests covers levels 0..5 and 0..62; a change in the sign of a
+# zero or in the rounding of a level exponent that reaches a mask fails here.
+EDGE_CASES = {
+    "exp_bspline": [
+        dict(m=2, lam=complex(-0.0, 0.9)),
+        dict(m=3, lam=complex(1e-310, -0.0)),
+        dict(m=2, lam=complex(-1e-310, -0.7), n_fold=2, tau=1.0),
+        dict(m=3, lam=-0.0, n_fold=2),
+        dict(m=4, lam=complex(-0.5, -1e-310), n_fold=3, tau=0.5),
+    ],
+    "exp_product": [
+        dict(m=2, factors=[(complex(-0.0, 0.5), 1), (complex(-0.3, 1e-310), 2)]),
+        dict(m=3, factors=[(0.0, 1), (complex(-0.0, -0.4), 1)], normalization="two_factor"),
+        dict(m=2, factors=[(complex(-1e-310, -0.0), 2), (-0.6, 2)], normalization="two_factor"),
+    ],
+    "exp_box_spline": [
+        dict(n_dil=2, lam=(complex(-0.0, 0.4), complex(1e-310, -0.2))),
+        dict(n_dil=3, lam=(0.0, complex(-0.5, -0.0))),
+        dict(n_dil=2, lam=(complex(-1e-310, -0.0), -0.3, complex(-0.0, -0.0))),
+    ],
+    "dual4_binary": [
+        dict(lam=complex(-0.9, -0.0)),
+        dict(lam=complex(-0.0, -1.3)),
+        dict(lam=complex(1e-310, 0.0)),
+        dict(lam=complex(-0.0, -1e-310)),
+    ],
+    "dual4_ternary": [
+        dict(lam=complex(-0.9, -0.0)),
+        dict(lam=complex(-0.0, -1.3)),
+        dict(lam=complex(1e-310, 0.0)),
+        dict(lam=complex(-0.0, -1e-310)),
+    ],
+    "butterfly": [
+        dict(lam=(complex(-0.5, -0.0), 0.0)),
+        dict(lam=(complex(-0.0, 0.5), complex(0.0, -1e-310))),
+        dict(lam=(complex(1e-310, 0.0), complex(-0.3, -0.0))),
+    ],
+    "sheared_convolution": [
+        dict(lam=(complex(-0.5, -0.0), 0.0)),
+        dict(lam=(complex(-0.0, 0.5), complex(0.0, -1e-310))),
+        dict(lam=(complex(1e-310, 0.0), complex(-0.3, -0.0)), normalized=True),
+        dict(lam=(complex(-0.0, -0.6), complex(-0.0, 0.0)), normalized=True),
+        dict(lam=(complex(-0.2, -0.0), complex(-1e-310, 0.0)), normalized=True),
+    ],
+}
+
+EDGE = {
+    "exp_bspline": (
+        "af3ef699a9a44b92c55203826b47812cb95eaff649885324de81ea7ad0925715",
+        "42db59d4befb7840c7c0424e486e8809b4ce146edcfa0f8f3d6c4670a2569a54",
+    ),
+    "exp_product": (
+        "e92402b58c126da1ed021e101373ec8971e7632d014df5834f283c86252cb369",
+        "e9d671d60b21a62a549bc5694f9e8d0ec5e4860cc3eebacbf5857b8a483c75c5",
+    ),
+    "exp_box_spline": (
+        "0726f3ec94ef977d72d275407537b4a22c8216f8b1d72decb7578f26de55d032",
+        "ef9acd15e311c2f8fb0b39eb3d7d53100d205c9817bdcf99ce94d3b03255bf4a",
+    ),
+    "dual4_binary": (
+        "da47c9c027bd6f211b9317615e001ba3242741c632514de651ccd81e9a7359de",
+        "f2cc8efdefef97f41c08530808c8a7be6ac95527eb642cce6bee4260d9048410",
+    ),
+    "dual4_ternary": (
+        "bb46c94ba81900239fd5a43a4ad43d5182289f311c2eef1f2b46397f25cd0d0d",
+        "587c9eba4f33f20f4da0d24f24e5ba5bda05647c11080416e88214941a61e35c",
+    ),
+    "butterfly": (
+        "ba5fc770964f27fa0f8a346dc2c18699f77d69d10e98b87e4cfcfc7f4cd4ddf1",
+        "1b1c1ce030353c246f3cb65d2f6958349f52a01cd46adfd468e07ca4c75274c1",
+    ),
+    "sheared_convolution": (
+        "0696b72825c27952bde10d2482715bca9ce2a591acdab0cfe280797493a541ef",
+        "987a9657f36cdd1adc5d4f9df767c68536190954a638286f526485e690b7c267",
+    ),
+}
+
 FIXED = {
     "dual4_binary_limit_mask": dual4_binary_limit_mask,
     "dual4_ternary_limit_mask": dual4_ternary_limit_mask,
@@ -80,24 +160,33 @@ def test_every_family_is_pinned():
     assert set(CASES) == set(CATALOG)
 
 
+def _digest(family, cases, levels) -> str:
+    h = hashlib.sha256()
+    for kw in cases:
+        spec = CATALOG[family].factory(**kw)
+        for k in range(levels):
+            h.update(_hex(spec.symbol(k)))
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_family_masks_keep_their_bits(family):
-    h = hashlib.sha256()
-    for kw in CASES[family]:
-        spec = CATALOG[family].factory(**kw)
-        for k in range(6):
-            h.update(_hex(spec.symbol(k)))
-    assert h.hexdigest() == GOLDEN[family]
+    assert _digest(family, CASES[family], 6) == GOLDEN[family]
 
 
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_family_masks_keep_their_bits_to_level_62(family):
-    h = hashlib.sha256()
-    for kw in CASES[family]:
-        spec = CATALOG[family].factory(**kw)
-        for k in range(63):
-            h.update(_hex(spec.symbol(k)))
-    assert h.hexdigest() == DEEP[family]
+    assert _digest(family, CASES[family], 63) == DEEP[family]
+
+
+def test_every_non_stationary_family_has_edge_cases():
+    assert set(EDGE_CASES) == set(CATALOG) - {"sqrt3"}
+
+
+@pytest.mark.parametrize("family", sorted(EDGE_CASES))
+def test_edge_frequencies_keep_their_bits(family):
+    cases = EDGE_CASES[family]
+    assert (_digest(family, cases, 6), _digest(family, cases, 63)) == EDGE[family]
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))

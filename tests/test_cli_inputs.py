@@ -239,13 +239,29 @@ def test_solve_tau_rejects_a_negative_probe_level():
     [
         (lambda: exp_product(1, [(0.5, 1)]), "arity m must be at least 2"),
         (lambda: exp_product(2, []), "need at least one factor"),
+        (lambda: exp_product(2, None), r"need at least one factor .*got None"),
+        (lambda: exp_product(2, [0.5]), r"factors\[0\] must be a \(lambda, n\) pair with n >= 1, got 0\.5"),
+        (lambda: exp_product(2, [(0.5, 1, 3)]), r"factors\[0\] must be a \(lambda, n\) pair"),
+        (lambda: exp_product(2, [(0.5, 1), (0.5, 0)]), r"factors\[1\] must be a \(lambda, n\) pair with n >= 1, got \(0\.5, 0\)"),
         (lambda: exp_box_spline(1, (0.5, 0.5)), "dilation factor must be at least 2"),
+        (lambda: exp_box_spline(2, []), "lambda must have at least one entry"),
     ],
-    ids=["exp_product-m-1", "exp_product-no-factors", "exp_box_spline-n-1"],
+    ids=[
+        "exp_product-m-1", "exp_product-no-factors", "exp_product-none", "exp_product-bare-entry",
+        "exp_product-triple", "exp_product-zero-multiplicity", "exp_box_spline-n-1", "exp_box_spline-empty",
+    ],
 )
 def test_constructors_reject_degenerate_dilations_and_products(build, message):
     with pytest.raises(CatalogParameterError, match=message):
         build()
+
+
+def test_catalog_emit_reports_a_malformed_factor_with_the_factory_message(capsys):
+    params = '{"m": 2, "factors": [[0.5, 1, 3]]}'
+    assert main(["catalog", "emit", "--id", "exp_product", "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert "factors[0] must be a (lambda, n) pair with n >= 1" in err
+    assert "too many values" not in err
 
 
 def test_an_empty_csv_grid_is_rejected():
