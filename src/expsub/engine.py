@@ -37,6 +37,7 @@ from .lattice import (
     as_point,
     as_point_array,
     as_real,
+    as_record,
     as_tau,
     cexp,
     param_array,
@@ -576,9 +577,10 @@ def grid_to_json(g: GridData, fh) -> None:
 
 def grid_from_json_obj(obj: dict) -> GridData:
     try:
+        recs = as_record(obj, ("level", "tau", "values"), "grid file")["values"]
         values = [
             (tuple(rec["idx"]), complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im")))
-            for rec in obj["values"]
+            for rec in (as_record(r, ("idx", "re", "im"), "grid record") for r in recs)
         ]
         level = obj["level"]
     except (KeyError, TypeError) as exc:
@@ -600,14 +602,14 @@ def grid_from_csv(fh, level: int = 0, tau=None) -> GridData:
         raise EngineError("empty CSV")
     header = rows[0]
     s = sum(1 for h in header if h.startswith("idx"))
-    if s == 0 or header[s:s + 1] != ["re"]:
-        raise EngineError("CSV header must be idx0..idx{s-1},re,im")
+    if s == 0 or header != [f"idx{i}" for i in range(s)] + ["re", "im"]:
+        raise EngineError(f"CSV header {','.join(header)!r} is not idx0..idx{{s-1}},re,im")
     values = []
     for row in rows[1:]:
         if not row:
             continue
-        if len(row) < s + 2:
-            raise EngineError(f"CSV row {row!r} has fewer fields than idx0..idx{s - 1},re,im")
+        if len(row) != s + 2:
+            raise EngineError(f"CSV row {row!r} has {len(row)} fields, not the {s + 2} of its header")
         idx = tuple(int(x) for x in row[:s])
         values.append((idx, complex(float(row[s]), float(row[s + 1]))))
     return GridData(s, level, values, tau=tau)

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .lattice import DilationMatrix, as_complex_vector, as_dimension, as_int, as_real
+from .lattice import DilationMatrix, as_complex_vector, as_dimension, as_int, as_real, as_record
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -95,12 +95,7 @@ def _catalog_spec(entry, parameters) -> SchemeSpec:
     A null value is passed as None; the file key "lambda" is the factory's
     `lam`, because `lambda` is reserved in Python.  The factory checks each value.
     """
-    params = parameters or {}
-    if not isinstance(params, dict):
-        raise FileFormatError(f"parameters for {entry.id} must be an object")
-    unused = sorted(set(params) - set(entry.parameters))
-    if unused:
-        raise FileFormatError(f"unused parameters for {entry.id}: {unused}")
+    params = as_record({} if parameters is None else parameters, entry.parameters, f"parameters for {entry.id}")
     kwargs = {}
     try:
         for key, value in params.items():
@@ -142,46 +137,48 @@ def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params)
     return obj
 
 
+# The keys every scheme file reads, whatever its kind.
+_HEADER = ("kind", "dimension", "dilation", "name", "tau")
+
+
 def load_scheme_obj(obj: dict) -> SchemeSpec:
+    """A scheme file, read once: the header, then its kind's keys, which give the mask rule, the
+    dilation, a default name, the documented tau and space; the file's `name` and `tau` override."""
     try:
         kind = obj["kind"]
         s = as_dimension(obj["dimension"])
         flat = [as_int(x, "dilation entry") for x in obj["dilation"]]
+        name, tau = obj.get("name"), obj.get("tau")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad scheme file: {exc}") from exc
     if len(flat) != s * s:
         raise FileFormatError("dilation list length must be dimension squared")
+    if name is not None and not isinstance(name, str):
+        raise FileFormatError(f"scheme file key 'name' must be a string, got {name!r}")
 
     if isinstance(kind, str) and kind.startswith("catalog:"):
-        spec = _catalog_spec(_catalog_entry(kind.split(":", 1)[1]), obj.get("parameters", {}))
+        as_record(obj, (*_HEADER, "parameters"), "catalog scheme file")
+        spec = _catalog_spec(_catalog_entry(kind.split(":", 1)[1]), obj.get("parameters"))
         if flat != [x for row in spec.M.mat for x in row]:
             raise FileFormatError("dilation in file disagrees with the catalog entry")
-        tau = obj.get("tau", None)
-        return SchemeSpec(
-            str(obj.get("name", spec.name)),
-            spec.M,
-            spec.symbol,
-            tau=spec.tau if tau is None else tau,
-            space=spec.space,
-        )
-
-    M = DilationMatrix([flat[i * s : (i + 1) * s] for i in range(s)])
-    if kind == "explicit":
+        M, rule, default_name, default_tau, space = spec.M, spec._rule, spec.name, spec.tau, spec.space
+    elif kind == "explicit":
+        as_record(obj, (*_HEADER, "levels", "tail"), "explicit scheme file")
         if "tail" not in obj:
             raise FileFormatError("explicit scheme needs a stationary tail symbol")
         try:
-            levels = [LaurentSymbol.from_json_obj(lv, s) for lv in obj.get("levels", [])]
-            tail = LaurentSymbol.from_json_obj(obj["tail"], s)
+            syms = [LaurentSymbol.from_json_obj(lv, s) for lv in [*obj.get("levels", []), obj["tail"]]]
         except (KeyError, TypeError) as exc:
             raise FileFormatError(f"bad explicit scheme symbol: {exc!r}") from exc
-        for sym in levels + [tail]:
-            if not all(cmath.isfinite(c) for c in sym.terms().values()):
-                raise FileFormatError("explicit scheme coefficients must be finite")
-        return SchemeSpec.from_levels(
-            str(obj.get("name", "explicit")), M, levels, tail, tau=obj.get("tau")
-        )
-
-    raise FileFormatError(f"unknown scheme kind {kind!r}")
+        if not all(cmath.isfinite(c) for sym in syms for c in sym.terms().values()):
+            raise FileFormatError("explicit scheme coefficients must be finite")
+        M = DilationMatrix([flat[i * s : (i + 1) * s] for i in range(s)])
+        rule = lambda k: syms[min(k, len(syms) - 1)]  # the tail beyond the listed levels
+        default_name, default_tau, space = "explicit", None, None
+    else:
+        raise FileFormatError(f"unknown scheme kind {kind!r}")
+    name = default_name if name is None else name
+    return SchemeSpec(name, M, rule, tau=default_tau if tau is None else tau, space=space)
 
 
 def _unique_keys(pairs) -> dict:
@@ -210,7 +207,9 @@ def load_space_obj(obj: dict) -> ExpPolySpace:
     """A space file: each pair's `lambda` is a frequency read as scheme files
     read one, and `ExpPolySpace` reads the rest."""
     try:
-        return ExpPolySpace([(rec["gamma"], _decode_lambda(rec["lambda"])) for rec in obj["pairs"]])
+        recs = as_record(obj, ("pairs",), "space file")["pairs"]
+        pairs = [as_record(rec, ("gamma", "lambda"), "space pair") for rec in recs]
+        return ExpPolySpace([(rec["gamma"], _decode_lambda(rec["lambda"])) for rec in pairs])
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -48,6 +48,7 @@ __all__ = [
     "as_point_array",
     "as_multi_index",
     "as_complex_vector",
+    "as_record",
 ]
 
 _EIG_TOL = 1e-9
@@ -357,6 +358,17 @@ def as_tau(tau, s: int) -> tuple[float, ...]:
     if any(not np.isfinite(x) for x in t):
         raise LatticeError("shift parameter must be finite")
     return t
+
+
+def as_record(obj, keys, what: str) -> dict:
+    """A JSON object whose keys are all among `keys`, the keys its reader reads:
+    a key no reader reads (a misspelled `tua`) is rejected, not ignored."""
+    if not isinstance(obj, dict):
+        raise LatticeError(f"{what} must be a JSON object, got {obj!r}")
+    unread = [k for k in obj if k not in keys]
+    if unread:
+        raise LatticeError(f"{what} has the key {unread[0]!r}, which is not one of {', '.join(keys)}")
+    return obj
 
 
 def q_eval(gamma, z) -> complex:

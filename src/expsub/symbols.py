@@ -26,6 +26,7 @@ from .lattice import (
     as_multi_index,
     as_point,
     as_real,
+    as_record,
     as_tau,
 )
 
@@ -246,7 +247,7 @@ class LaurentSymbol:
     def from_json_obj(cls, obj, s: int | None = None) -> "LaurentSymbol":
         terms = {}
         for rec in obj:
-            e = tuple(as_int(x, "exponent") for x in rec["exp"])
+            e = tuple(as_int(x, "exponent") for x in as_record(rec, ("exp", "re", "im"), "symbol term")["exp"])
             if e in terms:
                 raise SymbolError(f"exponent {e} is given more than once")
             terms[e] = complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im"))

@@ -126,12 +126,14 @@ def _grid(**rec):
         (_hat_center(re=1, im=-0.0), LINEAR_SPACE, None, 0),
         (HAT, None, _grid(re=2, im=-0.0), 0),
         (HAT, None, _grid(re=2.5), 0),
+        (_hat_center(re=1.0, im=None), LINEAR_SPACE, None, 2),
+        (HAT, None, _grid(re=2.0, im=None), 2),
     ],
     ids=[
         "tau-true", "tau-string", "real-param-true", "real-param-string", "symbol-re-string", "symbol-re-true",
         "symbol-im-false", "grid-re-string-im-false", "grid-im-false", "grid-re-true",
         "tau-2-loads", "tau-minus-zero-loads", "real-param-1-loads", "scalar-tau-minus-zero-loads",
-        "symbol-re-1-loads", "grid-re-2-loads", "grid-re-2.5-loads",
+        "symbol-re-1-loads", "grid-re-2-loads", "grid-re-2.5-loads", "symbol-im-null", "grid-im-null",
     ],
 )
 def test_cli_real_fields_take_only_ints_and_floats(tmp_path, capsys, scheme, space, grid, code):
@@ -174,6 +176,56 @@ def test_cli_rejects_a_repeated_json_key(tmp_path, capsys, target, key, first):
     (tmp_path / f"{target}.json").write_text(_repeat_key(files[target], key, first))
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: duplicate JSON key '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "target, obj, key",
+    [
+        ("scheme", {**BSPLINE, "levels": []}, "levels"),
+        ("scheme", {**BSPLINE, "tail": HAT["tail"]}, "tail"),
+        ("scheme", {**HAT, "parameters": {}}, "parameters"),
+        ("scheme", {**BSPLINE, "tua": [0.5]}, "tua"),
+        ("scheme", {**HAT, "tua": [0.5]}, "tua"),
+        ("scheme", {**BSPLINE, "parameters": {**BSPLINE["parameters"], "lamda": 1.0}}, "lamda"),
+        ("scheme", _hat_center(re=1.0, img=2.0), "img"),
+        ("scheme", {**BSPLINE, "name": ["a"]}, "name"),
+        ("space", {"pairs": [{"gamma": [0], "lambda": [[1, 0]], "lamda": [[2, 0]]}]}, "lamda"),
+        ("space", {**EXP_SPACE, "pair": []}, "pair"),
+        ("grid", {**_grid(re=1.0), "tua": [0.5]}, "tua"),
+        ("grid", _grid(re=1.0, imag=2.0), "imag"),
+    ],
+    ids=[
+        "catalog-levels", "catalog-tail", "explicit-parameters", "catalog-tua", "explicit-tua", "parameters-lamda",
+        "symbol-img", "name-list", "space-pair-lamda", "space-pair", "grid-tua", "grid-record-imag",
+    ],
+)
+def test_cli_rejects_a_key_no_reader_reads(tmp_path, capsys, target, obj, key):
+    files = {"scheme": {**BSPLINE, "tau": [0.0]}, "space": EXP_SPACE, "grid": _grid(re=2.5)}
+    if target == "grid":
+        files["scheme"] = HAT
+        argv = ["refine", "--input", str(tmp_path / "grid.json"), "--levels", "1", "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["check", "--mode", "reproduction", "--kmax", "2", "--space", str(tmp_path / "space.json")]
+    argv += ["--scheme", str(tmp_path / "scheme.json")]
+    for name, good in files.items():
+        write_json(tmp_path / f"{name}.json", good)
+    assert main(argv) == 0
+    capsys.readouterr()
+    write_json(tmp_path / f"{target}.json", obj)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("idx0,re,im\n0,1.0,2.0,99\n", "'99'"), ("idx0,re,im,junk\n0,1.0,2.0\n", "junk"),
+     ("idx1,idx0,re,im\n0,0,1.0,2.0\n", "idx1,idx0")],
+    ids=["row-extra-field", "header-extra-column", "header-index-order"],
+)
+def test_csv_grid_rejects_a_column_it_does_not_read(text, named):
+    with pytest.raises(EngineError, match=named):
+        grid_from_csv(io.StringIO(text))
 
 
 def test_catalog_emit_rejects_a_repeated_params_key(capsys):

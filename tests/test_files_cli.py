@@ -7,7 +7,9 @@ import pytest
 from expsub import (
     DilationMatrix,
     FileFormatError,
+    SchemeSpec,
     butterfly,
+    check_generation,
     check_reproduction,
     dual4_binary,
     exp_product,
@@ -110,6 +112,44 @@ def test_catalog_file_builds_one_dilation_matrix(monkeypatch):
     load_scheme_obj({"name": "x", "dimension": 1, "dilation": [2], "kind": "explicit", "levels": [],
                      "tail": [{"exp": [0], "re": 1.0, "im": 0.0}]})
     assert built == [[[2]]]
+
+
+def test_a_file_loaded_scheme_builds_each_level_once_through_one_spec(monkeypatch):
+    """A catalog file's spec runs the factory's rule itself, so each level asked is one
+    `symbol` call and one build; the file's `name` and `tau` override the factory's."""
+    init, symbol = SchemeSpec.__init__, SchemeSpec.symbol
+    specs, built, asked = [], [], []
+
+    def counted_init(self, name, M, rule, tau=None, space=None):
+        if not specs:  # the factory's spec is built first; count its rule's runs
+
+            def rule(k, rule=rule):
+                built.append(k)
+                return rule(k)
+
+        specs.append(name)
+        init(self, name, M, rule, tau=tau, space=space)
+
+    def counted_symbol(self, k):
+        asked.append(k)
+        return symbol(self, k)
+
+    obj = {**scheme_file_for_catalog("dual4_binary", name="d4", **{"lambda": 1.0}), "tau": [0.25]}
+    monkeypatch.setattr(SchemeSpec, "__init__", counted_init)
+    monkeypatch.setattr(SchemeSpec, "symbol", counted_symbol)
+    spec = load_scheme_obj(obj)
+    assert specs == ["dual4_binary", "d4"]
+    assert (spec.name, spec.tau) == ("d4", (0.25,))
+    for _ in range(2):
+        assert check_generation(spec, spec.space, (0, 4)).verdict
+    assert asked == [0, 1, 2, 3, 4] * 2
+    assert built == [0, 1, 2, 3, 4]
+    monkeypatch.undo()
+
+    bare = load_scheme_obj({k: v for k, v in obj.items() if k not in ("name", "tau")})
+    assert (bare.name, bare.tau) == ("dual4_binary", (-0.5,))
+    hat = load_scheme_obj({"dimension": 1, "dilation": [2], "kind": "explicit", "tail": [{"exp": [0], "re": 1.0}]})
+    assert (hat.name, hat.tau, hat.space) == ("explicit", None, None)
 
 
 @pytest.mark.parametrize("dilation", [[1, 0, 0, 1], [2, 1, 0, 2], [2, 0], [3, 0, 0, 3]])

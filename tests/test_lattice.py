@@ -1,6 +1,7 @@
 """Coset transversals, dual points, falling factorials, evaluation sets."""
 
 import cmath
+import itertools
 import random
 import sys
 import threading
@@ -328,6 +329,45 @@ def test_stacked_points_keep_cmath_errors_and_values_past_the_numpy_range():
     assert hx(displacement(M, (400.0,), np.array([w]))[1][0]) == hx(v_x_oracle(M, (400.0,), w))
     with pytest.raises(OverflowError):
         displacement(M, (500.0,), w)
+
+
+# Parts where a fused or reordered multiply-add would first give other bits
+# than CPython's complex arithmetic: signed zeros, subnormals, and reals
+# whose products round.
+EDGE_PARTS = [0.0, -0.0, 1e-310, -1e-310, 0.7, -2.5, 13.1]
+EDGE_NUMBERS = [complex(re, im) for re in EDGE_PARTS for im in EDGE_PARTS]
+
+
+@pytest.mark.parametrize("entries", [[[2, 0], [0, 2]], SHEAR, SQRT3, [[1, 1], [-1, 1]], [[3, 1], [1, -2]]])
+def test_level_exponents_have_cpythons_bits(entries):
+    # w_j = 0 + lam_0 * W[0][j] + lam_1 * W[1][j], W = M^-(k+1), summed in
+    # Python: the bits the GOLDEN, DEEP and EDGE digests were made with.
+    from expsub.lattice import level_exponents
+
+    M = DilationMatrix(entries)
+    rng = random.Random(26)
+    lams = [tuple(rng.choice(EDGE_NUMBERS) for _ in range(M.s)) for _ in range(60)]
+    got = level_exponents(M, lams, range(40)).tolist()
+    for k in range(40):
+        W = M.inv_power(k + 1).tolist()
+        want = [[sum((lam[i] * W[i][j] for i in range(M.s)), 0) for j in range(M.s)] for lam in lams]
+        assert [[hx(z) for z in w] for w in got[k]] == [[hx(z) for z in w] for w in want]
+
+
+@pytest.mark.parametrize("entries", [2, 3, [[2, 0], [0, 2]], SHEAR, SQRT3, [[1, 1], [-1, 1]]])
+def test_displacement_v_x_has_cpythons_bits(entries):
+    # v^x = cmath.exp(-(0 + w_0 * x_0 + w_1 * x_1)) with x = M tau - tau, for
+    # every row of an array of exponents and for one row alone.
+    M = DilationMatrix(entries)
+    w = np.array(list(itertools.product(EDGE_NUMBERS, repeat=M.s)))
+    for t in (0.0, -0.0, 0.5, -0.5, 0.25, 1 / 3, -1.75):
+        tau = (t,) * M.s if M.s == 1 else (t, 0.375 - t)
+        x, v_x = displacement(M, tau, w)
+        assert list(x) == [sum(M.mat[i][j] * tau[j] for j in range(M.s)) - tau[i] for i in range(M.s)]
+        want = [cmath.exp(-sum((row[j] * x[j] for j in range(M.s)), 0)) for row in w.tolist()]
+        assert [hx(z) for z in v_x.tolist()] == [hx(z) for z in want]
+        for row, z in list(zip(w.tolist(), want))[::97]:
+            assert hx(displacement(M, tau, row)[1]) == hx(z)
 
 
 def test_cexp_quiet_leaves_a_non_finite_value_where_cmath_raises():
