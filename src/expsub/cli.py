@@ -38,17 +38,20 @@ from .checker import (
     stepwise_tests,
 )
 from .catalog import CATALOG
+from .lattice import as_tau
 from .files import FileFormatError, _unique_keys, load_scheme, load_space, read_json, scheme_file_for_catalog
 
 
-def _parse_tau(text: str) -> tuple[float, ...]:
+def _parse_tau(text: str, s: int) -> tuple[float, ...]:
+    """Each comma- or space-separated token read as a JSON number, as a CSV field is, then `as_tau`."""
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise FileFormatError("empty tau")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise FileFormatError(f"tau must be a list of reals: {exc}") from exc
+        tokens = [json.loads(p) for p in parts]
+    except ValueError:
+        raise FileFormatError(f"tau must be a list of reals, got {text!r}") from None
+    return as_tau(tokens, s)
 
 
 def _write_json(path: str, obj) -> None:
@@ -68,7 +71,7 @@ def cmd_check(args) -> int:
     tau = None
     if "reproduction" in modes or "stepwise" in modes:
         if args.tau is not None:
-            tau = _parse_tau(args.tau)
+            tau = _parse_tau(args.tau, scheme.M.s)
         elif scheme.tau is not None:
             tau = scheme.tau
         else:

@@ -36,7 +36,7 @@ from .lattice import (
     as_multi_index,
     as_point,
     as_point_array,
-    as_real,
+    as_point_values,
     as_record,
     as_tau,
     cexp,
@@ -83,19 +83,25 @@ def _check_box(points: int) -> None:
 
 
 def _pack(points: np.ndarray, values: np.ndarray):
-    """Dense (origin, support mask, values) over the bounding box of the distinct `points`.
+    """Dense (origin, support mask, values) over the bounding box of the distinct `points`,
+    the rows of an (N, s) array read by `as_point_array`, each entry within +-MAX_INDEX.
 
     `values` may be a (B, N) stack, giving data of shape (B, *box).
     """
     s = points.shape[1]
+    try:
+        points = as_point_array(points, s, "grid index")
+        far = len(points) and (points.min() < -MAX_INDEX or points.max() > MAX_INDEX)
+    except OverflowError:
+        far = True
+    if far:
+        raise EngineError(f"lattice indices must lie within +-{MAX_INDEX}")
     lead = np.shape(values)[:-1]
     if not np.isfinite(values).all():
         raise EngineError("grid values must be finite")
     if not len(points):
         shape = (0,) * s
         return np.zeros(s, dtype=np.int64), np.zeros(shape, bool), np.zeros(lead + shape, complex)
-    if np.abs(points).max() > MAX_INDEX:
-        raise EngineError(f"lattice indices must lie within +-{MAX_INDEX}")
     lo = points.min(axis=0)
     shape = tuple((points.max(axis=0) - lo + 1).tolist())
     _check_box(int(np.prod(shape)))
@@ -163,18 +169,14 @@ class GridData:
         for idx, v in values.items() if isinstance(values, Mapping) else values:
             keys.append(as_point(idx, s, "grid index"))
             vals.append(complex(v))
-        try:
-            points = np.array(keys, dtype=np.int64).reshape(-1, s)
-        except OverflowError as exc:
-            raise EngineError(f"lattice indices must lie within +-{MAX_INDEX}") from exc
-        self._init(s, level, tau, *_pack(points, np.array(vals, dtype=complex)))
+        self._init(s, level, tau, *_pack(np.asarray(keys).reshape(-1, s), np.array(vals, dtype=complex)))
 
     @classmethod
     def from_points(cls, s: int, level: int, points, values, tau=None) -> "GridData":
         """Grid with values[i] at the distinct indices points[i] of an (N, s) array."""
         s = as_dimension(s)
         obj = cls.__new__(cls)
-        obj._init(s, level, tau, *_pack(as_point_array(points, s, "grid index"), values))
+        obj._init(s, level, tau, *_pack(np.asarray(points).reshape(-1, s), values))
         return obj
 
     def _init(self, s, level, tau, origin, in_support, data):
@@ -576,18 +578,11 @@ def grid_to_json(g: GridData, fh) -> None:
 
 
 def grid_from_json_obj(obj: dict) -> GridData:
-    try:
-        recs = as_record(obj, ("level", "tau", "values"), "grid file")["values"]
-        values = [
-            (tuple(rec["idx"]), complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im")))
-            for rec in (as_record(r, ("idx", "re", "im"), "grid record") for r in recs)
-        ]
-        level = obj["level"]
-    except (KeyError, TypeError) as exc:
-        raise EngineError(f"bad grid data: {exc!r}") from exc
+    obj = as_record(obj, ("level", "tau", "values"), "grid file")
+    values = as_point_values(obj.get("values"), "idx", "grid record")
     if not values:
         raise EngineError("cannot infer dimension of empty grid data")
-    return GridData(len(values[0][0]), level, values, tau=obj.get("tau"))
+    return GridData(len(values[0][0]), obj.get("level"), values, tau=obj.get("tau"))
 
 
 def grid_to_csv(g: GridData, fh) -> None:
@@ -610,6 +605,9 @@ def grid_from_csv(fh, level: int = 0, tau=None) -> GridData:
             continue
         if len(row) != s + 2:
             raise EngineError(f"CSV row {row!r} has {len(row)} fields, not the {s + 2} of its header")
-        idx = tuple(int(x) for x in row[:s])
-        values.append((idx, complex(float(row[s]), float(row[s + 1]))))
-    return GridData(s, level, values, tau=tau)
+        try:
+            fields = [json.loads(x) for x in row]
+        except ValueError:
+            raise EngineError(f"CSV row {row!r} has a field that is not a JSON number") from None
+        values.append({"idx": fields[:s], "re": fields[s], "im": fields[s + 1]})
+    return GridData(s, level, as_point_values(values, "idx", "CSV row"), tau=tau)

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .lattice import DilationMatrix, as_complex_vector, as_dimension, as_int, as_real, as_record
+from .lattice import DilationMatrix, as_complex_vector, as_dimension, as_point, as_real, as_record
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec
 
 __all__ = [
@@ -144,13 +144,11 @@ _HEADER = ("kind", "dimension", "dilation", "name", "tau")
 def load_scheme_obj(obj: dict) -> SchemeSpec:
     """A scheme file, read once: the header, then its kind's keys, which give the mask rule, the
     dilation, a default name, the documented tau and space; the file's `name` and `tau` override."""
-    try:
-        kind = obj["kind"]
-        s = as_dimension(obj["dimension"])
-        flat = [as_int(x, "dilation entry") for x in obj["dilation"]]
-        name, tau = obj.get("name"), obj.get("tau")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"bad scheme file: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"a scheme file must be a JSON object, got {obj!r}")
+    kind, name, tau = obj.get("kind"), obj.get("name"), obj.get("tau")
+    s = as_dimension(obj.get("dimension"))
+    flat = list(as_point(obj.get("dilation"), what="dilation entry"))
     if len(flat) != s * s:
         raise FileFormatError("dilation list length must be dimension squared")
     if name is not None and not isinstance(name, str):
@@ -164,12 +162,10 @@ def load_scheme_obj(obj: dict) -> SchemeSpec:
         M, rule, default_name, default_tau, space = spec.M, spec._rule, spec.name, spec.tau, spec.space
     elif kind == "explicit":
         as_record(obj, (*_HEADER, "levels", "tail"), "explicit scheme file")
-        if "tail" not in obj:
-            raise FileFormatError("explicit scheme needs a stationary tail symbol")
-        try:
-            syms = [LaurentSymbol.from_json_obj(lv, s) for lv in [*obj.get("levels", []), obj["tail"]]]
-        except (KeyError, TypeError) as exc:
-            raise FileFormatError(f"bad explicit scheme symbol: {exc!r}") from exc
+        levels = obj.get("levels", [])
+        if not isinstance(levels, list) or "tail" not in obj:
+            raise FileFormatError("explicit scheme needs a list of level symbols and a stationary tail symbol")
+        syms = [LaurentSymbol.from_json_obj(lv, s) for lv in [*levels, obj["tail"]]]
         if not all(cmath.isfinite(c) for sym in syms for c in sym.terms().values()):
             raise FileFormatError("explicit scheme coefficients must be finite")
         M = DilationMatrix([flat[i * s : (i + 1) * s] for i in range(s)])

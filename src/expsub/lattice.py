@@ -49,6 +49,7 @@ __all__ = [
     "as_multi_index",
     "as_complex_vector",
     "as_record",
+    "as_point_values",
 ]
 
 _EIG_TOL = 1e-9
@@ -304,7 +305,9 @@ def as_point(x, s: int | None = None, what: str = "lattice point") -> tuple[int,
     """The one reading of a lattice point in Z^s: a bare number is a 1-D point, each
     entry is read by `as_int`, and the length must be `s` when it is given."""
     if type(x) is not tuple or not set(map(type, x)) <= {int}:  # else x is taken as it is
-        x = tuple(v if type(v) is int else as_int(v, what) for v in _entries(x))
+        x = tuple(_entries(x))
+        if not set(map(type, x)) <= {int}:
+            x = tuple([as_int(v, what) for v in x])
     if s is not None and len(x) != s:
         raise LatticeError(f"{what} {x} has length {len(x)}, expected {s}")
     return x
@@ -321,10 +324,10 @@ def _span(x, what: str, radius: bool = False) -> tuple[int, int] | None:
 
 
 def as_point_array(points, s: int, what: str = "lattice point") -> np.ndarray:
-    """`as_point` for the rows of an (N, s) array, as an int64 array: an integer array is
-    taken as it is, and each entry of any other is read by `as_int`."""
+    """`as_point` for the rows of an (N, s) array, as an int64 array: a signed integer array is taken
+    as it is, and each entry of any other (unsigned too) is read by `as_int`, so none wraps past int64."""
     a = np.asarray(points)
-    if a.dtype.kind not in "iu":
+    if a.dtype.kind != "i":
         a = np.array([as_int(x, what) for x in a.ravel().tolist()], dtype=np.int64)
     return a.astype(np.int64, copy=False).reshape(-1, s)
 
@@ -369,6 +372,18 @@ def as_record(obj, keys, what: str) -> dict:
     if unread:
         raise LatticeError(f"{what} has the key {unread[0]!r}, which is not one of {', '.join(keys)}")
     return obj
+
+
+def as_point_values(records, key: str, what: str) -> list[tuple[tuple[int, ...], complex]]:
+    """The one reading of a list of {key: point, "re": real, "im": real} records as (point, value) pairs:
+    each record passes `as_record`, then `as_point` and `as_real` read it; a missing "im" reads as 0."""
+    if not isinstance(records, list):
+        raise LatticeError(f"expected a list of {what}s, got {records!r}")
+    what_point = f"{what} {key}"
+    return [
+        (as_point(r.get(key), what=what_point), complex(as_real(r.get("re"), "re"), as_real(r.get("im", 0.0), "im")))
+        for r in (as_record(rec, (key, "re", "im"), what) for rec in records)
+    ]
 
 
 def q_eval(gamma, z) -> complex:

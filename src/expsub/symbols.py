@@ -25,8 +25,7 @@ from .lattice import (
     as_int,
     as_multi_index,
     as_point,
-    as_real,
-    as_record,
+    as_point_values,
     as_tau,
 )
 
@@ -85,14 +84,19 @@ class LaurentSymbol:
 
     __slots__ = ("s", "_terms")
 
-    def __init__(self, s: int, terms: Mapping | None = None):
+    def __init__(self, s: int, terms: Mapping | Iterable | None = None):
+        """`terms`: an {exponent: coefficient} mapping or (exponent, coefficient) pairs; two that
+        name one exponent (`0` and `(0,)`) are rejected."""
         s = as_dimension(s)
         object.__setattr__(self, "s", s)
-        clean: dict[tuple[int, ...], complex] = {}
-        for exp, c in (terms or {}).items():
-            e, c = as_point(exp, s, "exponent"), complex(c)
-            if c != 0:
-                clean[e] = c
+        pairs = terms.items() if isinstance(terms, Mapping) else list(terms or ())
+        clean = {as_point(exp, s, "exponent"): complex(c) for exp, c in pairs}
+        if len(clean) < len(pairs):
+            exps = [as_point(x, s) for x, _ in pairs]
+            e = next(e for i, e in enumerate(exps) if e in exps[:i])
+            raise SymbolError(f"exponent {e} is given more than once")
+        if not all(clean.values()):
+            clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -245,17 +249,10 @@ class LaurentSymbol:
 
     @classmethod
     def from_json_obj(cls, obj, s: int | None = None) -> "LaurentSymbol":
-        terms = {}
-        for rec in obj:
-            e = tuple(as_int(x, "exponent") for x in as_record(rec, ("exp", "re", "im"), "symbol term")["exp"])
-            if e in terms:
-                raise SymbolError(f"exponent {e} is given more than once")
-            terms[e] = complex(as_real(rec["re"], "re"), as_real(rec.get("im", 0.0), "im"))
-            if s is None:
-                s = len(e)
-        if s is None:
+        terms = as_point_values(obj, "exp", "symbol term")
+        if s is None and not terms:
             raise SymbolError("cannot infer dimension of an empty symbol")
-        return cls(s, terms)
+        return cls(len(terms[0][0]) if s is None else s, terms)
 
 
 def stacked_weighted_derivatives(symbols, gammas, points) -> np.ndarray:

@@ -6,6 +6,7 @@ bool or a string, and every other bad input must exit 2 instead.
 
 import io
 import json
+import random
 
 import pytest
 
@@ -25,8 +26,9 @@ from expsub import (
     solve_tau,
     stepwise_tests,
 )
-from expsub.engine import grid_from_csv
+from expsub.engine import grid_from_csv, grid_from_json_obj
 from expsub.cli import main
+from expsub.files import read_json
 
 
 def write_json(path, obj):
@@ -228,6 +230,40 @@ def test_csv_grid_rejects_a_column_it_does_not_read(text, named):
         grid_from_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "field, bare, point",
+    [
+        ("1_0", False, None),
+        ("0x1", False, None),
+        ("true", False, None),
+        ("1.5", False, None),
+        ("1.0", False, (1,)),
+        ("-0", False, (0,)),
+        ("0", True, (0,)),
+        ("-3", True, (-3,)),
+    ],
+    ids=["digit-group", "hex", "bool", "fraction", "integral-float", "minus-zero", "bare-0", "bare-minus-3"],
+)
+def test_a_point_field_reads_alike_in_a_grid_file_a_csv_row_and_a_symbol_term(tmp_path, field, bare, point):
+    # each file holds the field as written; a CSV field has no brackets
+    at = field if bare else f"[{field}]"
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'{{"level": 0, "values": [{{"idx": {at}, "re": 1.0}}]}}')
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(f'{{"kind": "explicit", "dimension": 1, "dilation": [2], "tail": [{{"exp": {at}, "re": 1.0}}]}}')
+    readers = {
+        "grid file": lambda: grid_from_json_obj(read_json(grid)).support(),
+        "CSV row": lambda: grid_from_csv(io.StringIO(f"idx0,re,im\r\n{field},1.0,0\r\n")).support(),
+        "symbol term": lambda: load_scheme(scheme).symbol(0).support(),
+    }
+    for what, read in readers.items():
+        if point is None:
+            with pytest.raises(ValueError):
+                read()
+        else:
+            assert read() == [point], what
+
+
 def test_catalog_emit_rejects_a_repeated_params_key(capsys):
     params = {"m": 2, "lambda": 0.9}
     argv = ["catalog", "emit", "--id", "exp_bspline", "--params"]
@@ -251,9 +287,15 @@ def d4_files(tmp_path):
         (["check", "--tau", ""], "empty tau"),
         (["check", "--tau", " , "], "empty tau"),
         (["check", "--tau", "half"], "tau must be a list of reals"),
+        (["check", "--tau=1_0"], "tau must be a list of reals"),
+        (["check", "--tau", "nan"], "tau must be a list of reals"),
+        (["check", "--tau", "true"], "shift parameter entry must be a real number, got True"),
         (["limit", "--rounds", "0"], "need at least one refinement round"),
     ],
-    ids=["kmin-above-kmax", "tau-empty", "tau-only-separators", "tau-not-numeric", "limit-zero-rounds"],
+    ids=[
+        "kmin-above-kmax", "tau-empty", "tau-only-separators", "tau-not-numeric", "tau-digit-group",
+        "tau-nan", "tau-bool", "limit-zero-rounds",
+    ],
 )
 def test_cli_rejects_bad_ranges_and_options(tmp_path, capsys, d4_files, extra, message):
     scheme, space = d4_files
@@ -319,3 +361,66 @@ def test_catalog_emit_reports_a_malformed_factor_with_the_factory_message(capsys
 def test_an_empty_csv_grid_is_rejected():
     with pytest.raises(EngineError, match="empty CSV"):
         grid_from_csv(io.StringIO(""))
+
+
+# What a mutation puts in place of a value: each JSON type, numbers a reader
+# could misread, and containers of the wrong shape.  No large number: a
+# dilation or a catalog `m` of 2**70 (or 1e308, an integral float) is read,
+# and the run then asks for that many cosets or taps, which no run finishes.
+MUTANTS = [None, True, False, 0, -1, 2, 0.5, -0.0, float("nan"), "", "1", [], [0], [[0]], [1.5, 2], {}, {"re": 1.0}]
+DELETE = object()
+
+
+def _paths(obj, path=()):
+    """The path of every value inside `obj`: each key of an object and each item of a list."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@pytest.mark.filterwarnings("ignore:space was not downward closed:UserWarning")  # a deleted pair
+def test_seeded_mutations_of_each_file_exit_0_1_or_2_without_a_traceback(tmp_path, capsys):
+    # the loaders wrap no KeyError or TypeError: each reader must reject a malformed value itself
+    rng = random.Random(2027)
+    files = {
+        "explicit": {**HAT, "levels": [HAT["tail"][1:]]},
+        "catalog": {**BSPLINE, "tau": [0.0]},
+        "grid": {"level": 0, "tau": [0.0], "values": [{"idx": [i], "re": 1.0, "im": -0.5} for i in range(3)]},
+        "space": LINEAR_SPACE,
+    }
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    check = ["check", "--mode", "reproduction", "--kmax", "1", "--space", paths["space"]]
+    refine = ["refine", "--scheme", paths["explicit"], "--input", paths["grid"], "--levels", "1"]
+    runs = {
+        "explicit": [*check, "--scheme", paths["explicit"]],
+        "catalog": [*check, "--scheme", paths["catalog"]],
+        "grid": [*refine, "--out", str(tmp_path / "out.json")],
+        "space": [*check, "--scheme", paths["explicit"]],
+    }
+    count = 0
+    for target, good in files.items():
+        for path in _paths(good):
+            for value in [DELETE, *rng.sample(MUTANTS, 6)]:
+                for name, obj in files.items():
+                    write_json(tmp_path / f"{name}.json", _mutated(obj, path, value) if name == target else obj)
+                try:
+                    code = main(runs[target])
+                except Exception as exc:  # name the mutation that let it out
+                    pytest.fail(f"{target} {path} = {value!r}: {exc!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and "Traceback" not in err, (target, path, value, err)
+                count += 1
+    assert count > 150

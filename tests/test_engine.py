@@ -40,6 +40,7 @@ from expsub import (
     valid_interior,
 )
 from expsub.cli import main
+from expsub.engine import grid_to_json
 from expsub.lattice import param_array
 
 MATRIX_POOL = [2, 3, -2, [[2, 0], [0, 2]], [[2, 1], [0, 2]], [[1, 2], [-2, -1]]]
@@ -278,6 +279,50 @@ def test_grid_serialization_roundtrips():
     buf.seek(0)
     csv_back = grid_from_csv(buf, level=3, tau=(0.5, -0.25))
     assert csv_back.values == g.values
+
+
+# Parts whose bits a reader could lose: signed zeros, subnormals, the extremes
+# and a fraction that `repr` rounds.
+PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308, 1 / 3]
+
+
+def _bits(pairs):
+    return sorted((tuple(p), v.real.hex(), v.imag.hex()) for p, v in pairs)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_grid_csv_grid_json_and_symbol_terms_round_trip_bit_for_bit(s):
+    rng = random.Random(s)
+    points = set()
+    while len(points) < 3 * len(PARTS):
+        points.add(tuple(rng.randint(-20, 20) for _ in range(s)))
+    values = [complex(PARTS[i % 7], PARTS[(3 * i + 1) % 7]) for i in range(len(points))]
+    g = GridData(s, 2, dict(zip(sorted(points), values)), tau=[-0.0, 5e-324, -0.25][:s])
+    for write, read in (
+        (grid_to_csv, lambda text: grid_from_csv(io.StringIO(text), level=2, tau=g.tau)),
+        (grid_to_json, lambda text: grid_from_json_obj(json.loads(text))),
+    ):
+        buf = io.StringIO(newline="")
+        write(g, buf)
+        back = read(buf.getvalue())
+        assert _bits(zip(*back.points())) == _bits(zip(*g.points()))
+        assert (back.level, [x.hex() for x in back.tau]) == (2, [x.hex() for x in g.tau])
+    a = LaurentSymbol(s, dict(zip(sorted(points), values)))
+    b = LaurentSymbol.from_json_obj(json.loads(json.dumps(a.to_json_obj())))
+    assert len(a) > len(PARTS) and _bits(b.sorted_items()) == _bits(a.sorted_items())
+
+
+@pytest.mark.parametrize("far", [2**70, -(2**70), 2**64 - 1, 2**63, -(2**63)])
+def test_grid_indices_past_int64_are_an_engine_error(far):
+    # 2**64 - 1 read as uint64 wrapped to -1, and -2**63 passed an abs() check
+    arrays = [[[far]], np.array([[far]], dtype=object)]
+    if -(2**63) <= far < 2**64:
+        arrays.append(np.array([[far]], dtype=np.int64 if far < 0 else np.uint64))
+    for points in arrays:
+        with pytest.raises(EngineError, match=r"lattice indices must lie within \+-2147483648"):
+            GridData.from_points(1, 0, points, np.array([1.0]))
+    with pytest.raises(EngineError, match=r"lattice indices must lie within \+-2147483648"):
+        GridData(1, 0, {far: 1.0})
 
 
 def test_repeated_index_in_grid_json_is_rejected():

@@ -490,14 +490,14 @@ HAT = {
     "scheme_edit, space, grid",
     [
         ({"tail": [{"re": 1.0}]}, CONIC_SPACE, None),
-        ({"tail": [{"exp": 0, "re": 1.0}]}, CONIC_SPACE, None),
+        ({"tail": [{"exp": [0.5], "re": 1.0}]}, CONIC_SPACE, None),
         ({"levels": 5}, CONIC_SPACE, None),
         ({}, {"pairs": 5}, None),
         ({}, None, {"level": 0, "values": [{"re": 1.0}]}),
         ({}, None, [{"idx": [0], "re": 1.0}]),
     ],
     ids=[
-        "tail-record-without-exp", "exp-not-a-list", "levels-not-a-list", "space-pairs-not-a-list",
+        "tail-record-without-exp", "exp-fractional", "levels-not-a-list", "space-pairs-not-a-list",
         "grid-record-without-idx", "grid-a-list",
     ],
 )

@@ -205,6 +205,14 @@ def test_repeated_exponent_in_symbol_json_is_rejected():
         LaurentSymbol.from_json_obj(obj)
 
 
+def test_two_keys_naming_one_exponent_are_rejected():
+    with pytest.raises(SymbolError, match=r"exponent \(0,\) is given more than once"):
+        LaurentSymbol(1, {0: 1.0, (0,): 2.0})
+    # a zero coefficient still names its exponent
+    with pytest.raises(SymbolError, match=r"exponent \(1, 0\) is given more than once"):
+        LaurentSymbol(2, [((1, 0), 0.0), ((1.0, 0), 2.0)])
+
+
 def test_scheme_spec_levels_and_tail():
     M = DilationMatrix(2)
     lv = [LaurentSymbol(1, {(0,): k + 1}) for k in range(3)]
