@@ -14,7 +14,9 @@ from functools import cache
 from itertools import product
 from typing import Callable
 
-from .lattice import DilationMatrix, LatticeError, as_complex_vector, as_int, as_tau, displacement, level_exponents
+from .lattice import (
+    MAX_BOX_POINTS, DilationMatrix, LatticeError, as_complex_vector, as_int, as_tau, displacement, level_exponents,
+)
 from .symbols import ExpPolySpace, LaurentSymbol, SchemeSpec, _convolve
 
 __all__ = [
@@ -73,6 +75,12 @@ def _family(name: str, M: DilationMatrix, lams, taps, tau, space) -> SchemeSpec:
     return SchemeSpec(name, M, mask_at, tau=tau, space=space)
 
 
+def _check_length(taps: int, what: str) -> None:
+    """Reject a 1-D mask of more than MAX_BOX_POINTS taps, naming what asks for it."""
+    if taps > MAX_BOX_POINTS:
+        raise CatalogParameterError(f"{what} would make a mask of more than {MAX_BOX_POINTS} taps")
+
+
 def _geometric_product(m: int, factors, s: int) -> dict:
     """prod_i (1 + r_i z_a + ... + r_i^(m-1) z_a^(m-1))^(n_i), a = a_i, over (a_i, r_i, n_i) in
     `factors`, as {exponent: coefficient} in the arithmetic of the r_i: each power is built
@@ -109,6 +117,8 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
         raise CatalogParameterError("arity m must be at least 2")
     if n_fold < 1:
         raise CatalogParameterError("n_fold must be at least 1")
+    M = _read(DilationMatrix, m)
+    _check_length((m - 1) * n_fold + 1, "n_fold")
     lamc = _read(as_complex_vector, lam, 1)[0]
     t = None if tau is None else _read(as_tau, tau, 1)[0]
 
@@ -124,7 +134,7 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
     if n_fold >= 2 and t is not None and t == n_fold / 2:
         pairs.append(((1,), (lamc,)))
     name = f"exp_bspline(m={m},n={n_fold})"
-    return _family(name, DilationMatrix(m), [(lamc,)], taps, doc_tau, ExpPolySpace(pairs))
+    return _family(name, M, [(lamc,)], taps, doc_tau, ExpPolySpace(pairs))
 
 
 def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
@@ -145,6 +155,8 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
         if n < 1:
             raise CatalogParameterError(f"factors[{i}] must be a (lambda, n) pair with n >= 1, got {f!r}")
         facs.append((_read(as_complex_vector, f[0], 1)[0], n))
+    M = _read(DilationMatrix, m)
+    _check_length((m - 1) * sum(n for _, n in facs) + 1, "the multiplicities")
     doc_tau = space = None
     if normalization == "two_factor":
         if len(facs) != 2 or facs[0][1] != facs[1][1]:
@@ -166,7 +178,7 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
         return _scale(mask, float(m) ** (1 - n) * sum(r ** (m - 1 - e) * s**e for e in range(m)) ** (-n))
 
     name = f"exp_product(m={m},factors={len(facs)})"
-    return _family(name, DilationMatrix(m), [(la,) for la, _ in facs], taps, doc_tau, space)
+    return _family(name, M, [(la,) for la, _ in facs], taps, doc_tau, space)
 
 
 def exp_box_spline(n_dil: int, lam) -> SchemeSpec:

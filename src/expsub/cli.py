@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # CPython's complex power past the double range
         print(f"error: overflow past the double range: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .lattice import (
+    MAX_BOX_POINTS,
     DilationMatrix,
     _span,
     as_complex_vector,
@@ -63,9 +64,6 @@ __all__ = [
     "grid_from_csv",
 ]
 
-# Largest bounding box, in lattice points, that a grid or one operator step
-# may allocate (about 0.3 GB of complex values).
-MAX_BOX_POINTS = 1 << 24
 # Largest |index| of a grid point; M g then stays far inside int64.
 MAX_INDEX = 1 << 31
 

@@ -8,7 +8,9 @@ always stored as [re, im] pairs; floats round-trip losslessly.
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
+from functools import cache, partial
 from pathlib import Path
 
 from .catalog import CATALOG
@@ -33,7 +35,7 @@ def _complex(obj) -> complex:
     """A bare real or an [re, im] pair, each part read by `as_real`."""
     if isinstance(obj, list) and len(obj) == 2:
         return complex(as_real(obj[0], "real part"), as_real(obj[1], "imaginary part"))
-    return complex(as_real(obj, "frequency entry"))
+    return complex(as_real(obj, "lambda"))
 
 
 def _decode_lambda(obj):
@@ -49,38 +51,34 @@ def _decode_lambda(obj):
     return _complex(obj)
 
 
-def _file_form(value, key: str = ""):
-    """A parameter value as scheme files store it under the file key `key`.
-
-    Complex numbers, alone or inside lists and tuples, become [re, im]
-    pairs, and so does each number of a `lambda` tuple (a vector).  The
-    frequency of each (frequency, multiplicity) entry of `factors` is
-    written as the `lambda` key writes it.  File-form values, bare reals and
-    lists among them, come back unchanged.
-    """
-    if key == "lambda" and isinstance(value, tuple):
+def _encode_lambda(value):
+    """A frequency in file form: a complex as [re, im] and a tuple (a vector) as [re, im] pairs;
+    a file-form value, a bare real or a list, as it is."""
+    if isinstance(value, tuple):
         return [[z.real, z.imag] for z in as_complex_vector(value)]
-    if key == "factors" and isinstance(value, (list, tuple)):
-        return [_file_form(f, "factor") for f in value]
-    if key == "factor" and isinstance(value, (list, tuple)) and value:
-        return [_file_form(value[0], "lambda"), *_file_form(value[1:])]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_file_form(v) for v in value]
-    return value
+    return [value.real, value.imag] if isinstance(value, complex) else value
 
 
-def _decode_factors(fs):
-    """Each [frequency, ...] entry with its frequency decoded; exp_product checks the shape."""
-    if not isinstance(fs, list):
+def _each_factor(form, fs):
+    """`form` applied to the frequency of each [frequency, ...] entry of `factors`; exp_product checks the shape."""
+    if not isinstance(fs, (list, tuple)):
         return fs
-    return [[_decode_lambda(f[0]), *f[1:]] if isinstance(f, list) and f else f for f in fs]
+    return [[form(f[0]), *f[1:]] if isinstance(f, (list, tuple)) and f else f for f in fs]
 
 
-# The file keys whose file form differs from the factory's argument; every
-# other value is passed as the file gives it.
-_DECODE = {"lambda": _decode_lambda, "factors": _decode_factors}
+# The file keys whose file form differs from the factory's argument, each with its (encode,
+# decode) pair, and the one file key that is not the argument's name: `lambda` is reserved in Python.
+_FORMS = {
+    "lambda": (_encode_lambda, _decode_lambda),
+    "factors": (partial(_each_factor, _encode_lambda), partial(_each_factor, _decode_lambda)),
+}
+_FILE_KEY = {"lam": "lambda"}
+
+
+@cache
+def _arguments(factory) -> dict:
+    """The factory's parameters by file key, read once per factory."""
+    return {_FILE_KEY.get(p.name, p.name): p for p in inspect.signature(factory).parameters.values()}
 
 
 def _catalog_entry(entry_id: str):
@@ -92,19 +90,18 @@ def _catalog_entry(entry_id: str):
 def _catalog_spec(entry, parameters) -> SchemeSpec:
     """Decode scheme-file parameters by their file keys and build the scheme.
 
-    A null value is passed as None; the file key "lambda" is the factory's
-    `lam`, because `lambda` is reserved in Python.  The factory checks each value.
+    A null value is passed as None, and a parameter without a default must be
+    given.  The factory checks each value.
     """
     params = as_record({} if parameters is None else parameters, entry.parameters, f"parameters for {entry.id}")
-    kwargs = {}
+    args = _arguments(entry.factory)
+    missing = [key for key, p in args.items() if p.default is p.empty and key not in params]
+    if missing:
+        raise FileFormatError(f"bad parameters for {entry.id}: missing {', '.join(map(repr, missing))}")
     try:
-        for key, value in params.items():
-            decode = _DECODE.get(key)
-            kwargs["lam" if key == "lambda" else key] = decode(value) if decode and value is not None else value
+        kwargs = {args[k].name: v if v is None or k not in _FORMS else _FORMS[k][1](v) for k, v in params.items()}
         return entry.factory(**kwargs)
-    except FileFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"bad parameters for {entry.id}: {exc}") from exc
 
 
@@ -121,8 +118,8 @@ def scheme_file_for_catalog(entry_id: str, /, name: str | None = None, **params)
     entry = _catalog_entry(entry_id)
     parameters = {}
     for key, value in params.items():
-        key = "lambda" if key == "lam" else key
-        parameters[key] = _file_form(value, key)
+        key = _FILE_KEY.get(key, key)
+        parameters[key] = _FORMS[key][0](value) if key in _FORMS else value
     spec = _catalog_spec(entry, parameters)
     obj = {
         "name": name or spec.name,
@@ -203,12 +200,12 @@ def load_space_obj(obj: dict) -> ExpPolySpace:
     """A space file: each pair's `lambda` is a frequency read as scheme files
     read one, and `ExpPolySpace` reads the rest."""
     try:
-        recs = as_record(obj, ("pairs",), "space file")["pairs"]
+        recs = as_record(obj, ("pairs",), "space file").get("pairs")
+        if not isinstance(recs, list):
+            raise FileFormatError(f"'pairs' must be a list, got {recs!r}")
         pairs = [as_record(rec, ("gamma", "lambda"), "space pair") for rec in recs]
-        return ExpPolySpace([(rec["gamma"], _decode_lambda(rec["lambda"])) for rec in pairs])
-    except FileFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        return ExpPolySpace([(rec.get("gamma"), _decode_lambda(rec.get("lambda"))) for rec in pairs])
+    except ValueError as exc:
         raise FileFormatError(f"bad space file: {exc}") from exc
 
 

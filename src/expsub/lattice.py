@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 _EIG_TOL = 1e-9
+# Largest count of lattice points an input may ask for: |det M| cosets, a mask's taps, a
+# space pair's downward closure, a grid's bounding box (about 0.3 GB of complex values).
+MAX_BOX_POINTS = 1 << 24
 
 
 class LatticeError(ValueError):
@@ -145,6 +148,8 @@ class DilationMatrix:
         det = det_u * math.prod(H[i][i] for i in range(s))
         if abs(det) < 2:
             raise LatticeError("|det M| must be at least 2")
+        if abs(det) > MAX_BOX_POINTS:
+            raise LatticeError(f"|det M| must be at most {MAX_BOX_POINTS}")
         eigs = np.linalg.eigvals(np.array(mat, dtype=float))
         if np.min(np.abs(eigs)) <= 1.0 + _EIG_TOL:
             raise LatticeError(
@@ -458,6 +463,8 @@ def displacement(M: DilationMatrix, tau, w):
     x = tuple(
         float(sum(M.mat[i][j] * t[j] for j in range(M.s)) - t[i]) for i in range(M.s)
     )
+    if not all(map(math.isfinite, x)):
+        raise LatticeError(f"M tau - tau is not finite for tau {t}")
     w = np.asarray(w, dtype=complex)
     wx = 0  # `sum` adds the first term to 0; slices keep arrays, never scalars
     for j in range(M.s):

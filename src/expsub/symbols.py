@@ -11,6 +11,7 @@ All values are immutable once built; operations are pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from itertools import product
 from numbers import Number
@@ -19,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .lattice import (
+    MAX_BOX_POINTS,
     DilationMatrix,
     as_complex_vector,
     as_dimension,
@@ -409,6 +411,8 @@ class ExpPolySpace:
         s = None
         for gamma, lam in pairs:
             g = as_multi_index(gamma)
+            if math.prod(x + 1 for x in g) > MAX_BOX_POINTS:
+                raise SymbolError(f"gamma {g} closes downward to more than {MAX_BOX_POINTS} pairs")
             lv = as_complex_vector(lam)
             if s is None:
                 s = len(g)

@@ -6,7 +6,7 @@ bool or a string, and every other bad input must exit 2 instead.
 
 import io
 import json
-import random
+import time
 
 import pytest
 
@@ -97,6 +97,29 @@ EXP_SPACE = {"pairs": [{"gamma": [0], "lambda": [[1, 0]]}]}
 HAT = {"name": "hat", "dimension": 1, "dilation": [2], "kind": "explicit", "tau": [0.0],
        "tail": [{"exp": [-1], "re": 0.5}, {"exp": [0], "re": 1.0}, {"exp": [1], "re": 0.5}]}
 LINEAR_SPACE = {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}, {"gamma": [1], "lambda": [[0, 0]]}]}
+
+
+@pytest.mark.parametrize(
+    "scheme, space, message",
+    [
+        ({**HAT, "dilation": [2**70]}, None, "error: |det M| must be at most 16777216"),
+        ({**BSPLINE, "parameters": {**BSPLINE["parameters"], "n_fold": 1e308}}, None,
+         "error: bad parameters for exp_bspline: n_fold would make a mask of more than 16777216 taps"),
+        (None, {"pairs": [{"gamma": [2**70], "lambda": [[0, 0]]}]}, "error: bad space file: gamma"),
+        ({**HAT, "tail": [{"exp": [1e308], "re": 0.5}, {"exp": [0], "re": 1.0}]}, None,
+         "error: overflow past the double range"),
+        ({**HAT, "tau": [1e308]}, None, "error: M tau - tau is not finite for tau (1e+308,)"),
+    ],
+    ids=["dilation", "n_fold", "gamma", "exponent", "tau"],
+)
+def test_sizes_and_values_past_the_limits_exit_2_at_once(tmp_path, capsys, recwarn, scheme, space, message):
+    scheme = write_json(tmp_path / "scheme.json", scheme or HAT)
+    space = write_json(tmp_path / "space.json", space or LINEAR_SPACE)
+    start = time.perf_counter()
+    assert main(["check", "--scheme", scheme, "--space", space, "--mode", "reproduction", "--kmax", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not recwarn.list
 
 
 def _hat_center(**rec):
@@ -364,10 +387,13 @@ def test_an_empty_csv_grid_is_rejected():
 
 
 # What a mutation puts in place of a value: each JSON type, numbers a reader
-# could misread, and containers of the wrong shape.  No large number: a
-# dilation or a catalog `m` of 2**70 (or 1e308, an integral float) is read,
-# and the run then asks for that many cosets or taps, which no run finishes.
-MUTANTS = [None, True, False, 0, -1, 2, 0.5, -0.0, float("nan"), "", "1", [], [0], [[0]], [1.5, 2], {}, {"re": 1.0}]
+# could misread, containers of the wrong shape, and sizes past every limit: a
+# dilation, a catalog `m` or a gamma of 2**70 (or 1e308, an integral float)
+# must be rejected before the run asks for that many cosets, taps or pairs.
+MUTANTS = [
+    None, True, False, 0, -1, 2, 0.5, -0.0, float("nan"), 2**70, 1e308, "", "1",
+    [], [0], [[0]], [2**70], [1.5, 2], {}, {"re": 1.0},
+]
 DELETE = object()
 
 
@@ -394,7 +420,6 @@ def _mutated(obj, path, value):
 @pytest.mark.filterwarnings("ignore:space was not downward closed:UserWarning")  # a deleted pair
 def test_seeded_mutations_of_each_file_exit_0_1_or_2_without_a_traceback(tmp_path, capsys):
     # the loaders wrap no KeyError or TypeError: each reader must reject a malformed value itself
-    rng = random.Random(2027)
     files = {
         "explicit": {**HAT, "levels": [HAT["tail"][1:]]},
         "catalog": {**BSPLINE, "tau": [0.0]},
@@ -413,7 +438,7 @@ def test_seeded_mutations_of_each_file_exit_0_1_or_2_without_a_traceback(tmp_pat
     count = 0
     for target, good in files.items():
         for path in _paths(good):
-            for value in [DELETE, *rng.sample(MUTANTS, 6)]:
+            for value in [DELETE, *MUTANTS]:
                 for name, obj in files.items():
                     write_json(tmp_path / f"{name}.json", _mutated(obj, path, value) if name == target else obj)
                 try:

@@ -1,10 +1,13 @@
 """Scheme/space file formats and the command-line front end."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from expsub import (
+    CATALOG,
     DilationMatrix,
     FileFormatError,
     SchemeSpec,
@@ -760,3 +763,90 @@ def test_cli_check_without_tau_exits_2_when_solving_fails(tmp_path, capsys):
     space = write_json(tmp_path / "space.json", {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}]})
     assert main(["check", "--scheme", scheme, "--space", space, "--kmax", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: no tau given and solving failed")
+
+
+# Each catalog entry's parameters without a default, by file key; sqrt3's one parameter has one.
+REQUIRED = {
+    "exp_bspline": {"m": 2, "lambda": 1.0},
+    "exp_product": {"m": 2, "factors": [[0.5, 1], [-0.5, 1]]},
+    "exp_box_spline": {"n_dil": 2, "lambda": [[0.5, 0], [0.25, 0]]},
+    "dual4_binary": {"lambda": 1.0},
+    "dual4_ternary": {"lambda": 1.0},
+    "butterfly": {"lambda": [[0.5, 0], [0.25, 0]]},
+    "sheared_convolution": {"lambda": [[0.5, 0], [0.25, 0]]},
+}
+
+
+@pytest.mark.parametrize("entry_id, key", [(e, k) for e, params in REQUIRED.items() for k in params])
+def test_a_missing_catalog_parameter_exits_2_naming_its_file_key(tmp_path, capsys, entry_id, key):
+    assert set(REQUIRED) | {"sqrt3"} == set(CATALOG)
+    obj = scheme_file_for_catalog(entry_id, **REQUIRED[entry_id])
+    del obj["parameters"][key]
+    scheme = write_json(tmp_path / "scheme.json", obj)
+    assert main(["limit", "--scheme", scheme, "--rounds", "1", "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad parameters for {entry_id}: missing {key!r}\n"
+    params = json.dumps({k: v for k, v in REQUIRED[entry_id].items() if k != key})
+    assert main(["catalog", "emit", "--id", entry_id, "--params", params]) == 2
+    assert capsys.readouterr().err == err
+
+
+# Python values and file-form values of `lambda` and `factors`, signed zeros among them, with
+# the parameters and dimension scheme files store for them.
+FILE_FORMS = [
+    ("dual4_binary", {"lam": 0.9}, '{"lambda": 0.9}', 1),
+    ("dual4_binary", {"lam": 1 + 0j}, '{"lambda": [1.0, 0.0]}', 1),
+    ("dual4_binary", {"lam": complex(-0.0, 0.5)}, '{"lambda": [-0.0, 0.5]}', 1),
+    ("dual4_binary", {"lambda": [-0.0, 1.0]}, '{"lambda": [-0.0, 1.0]}', 1),
+    ("dual4_ternary", {"lam": complex(0.0, -0.5)}, '{"lambda": [0.0, -0.5]}', 1),
+    ("exp_bspline", {"m": 3, "lam": complex(-0.7, -0.0)}, '{"m": 3, "lambda": [-0.7, -0.0]}', 1),
+    ("exp_bspline", {"m": 2, "lam": -0.0, "n_fold": 2, "tau": 1.0},
+     '{"m": 2, "lambda": -0.0, "n_fold": 2, "tau": 1.0}', 1),
+    ("exp_box_spline", {"n_dil": 2, "lam": (0.5, -0.0)}, '{"n_dil": 2, "lambda": [[0.5, 0.0], [-0.0, 0.0]]}', 2),
+    ("exp_box_spline", {"n_dil": 2, "lam": [0.5, 0.25]}, '{"n_dil": 2, "lambda": [0.5, 0.25]}', 1),
+    ("exp_box_spline", {"n_dil": 2, "lambda": [[0.5, 0], [0.25, -0.0]]},
+     '{"n_dil": 2, "lambda": [[0.5, 0], [0.25, -0.0]]}', 2),
+    ("butterfly", {"lam": (1 + 0j, 1 + 0j)}, '{"lambda": [[1.0, 0.0], [1.0, 0.0]]}', 2),
+    ("butterfly", {"lam": (0.5j, complex(-0.0, -0.25))}, '{"lambda": [[0.0, 0.5], [-0.0, -0.25]]}', 2),
+    ("sheared_convolution", {"lam": (0.5, 0.25), "normalized": True},
+     '{"lambda": [[0.5, 0.0], [0.25, 0.0]], "normalized": true}', 2),
+    ("exp_product", {"m": 2, "factors": [((0.5,), 1), ((-0.5,), 1)]},
+     '{"m": 2, "factors": [[[[0.5, 0.0]], 1], [[[-0.5, 0.0]], 1]]}', 1),
+    ("exp_product", {"m": 2, "factors": ((0.5, 1), (complex(-0.5, -0.0), 1))},
+     '{"m": 2, "factors": [[0.5, 1], [[-0.5, -0.0], 1]]}', 1),
+    ("exp_product", {"m": 3, "factors": [[[1, 0], 2], [[-1, -0.0], 2]], "normalization": "two_factor"},
+     '{"m": 3, "factors": [[[1, 0], 2], [[-1, -0.0], 2]], "normalization": "two_factor"}', 1),
+    ("exp_product", {"m": 2, "factors": [[complex(-0.0, 0.5), 1], [[[0.25, 0]], 1]]},
+     '{"m": 2, "factors": [[[-0.0, 0.5], 1], [[[0.25, 0]], 1]]}', 1),
+    ("sqrt3", {"variant": "interpolatory"}, '{"variant": "interpolatory"}', 2),
+]
+
+
+@pytest.mark.parametrize("entry_id, params, text, s", FILE_FORMS)
+def test_catalog_parameters_are_written_in_their_file_form(entry_id, params, text, s):
+    obj = scheme_file_for_catalog(entry_id, **params)
+    assert (json.dumps(obj["parameters"]), obj["dimension"]) == (text, s)
+    # the file form written back reads as the same scheme
+    again = scheme_file_for_catalog(entry_id, **json.loads(text))
+    assert json.dumps(again) == json.dumps(obj)
+
+
+def test_space_file_messages_name_the_key():
+    with pytest.raises(FileFormatError) as exc:
+        load_space_obj({"pairs": None})
+    assert str(exc.value) == "bad space file: 'pairs' must be a list, got None"
+    with pytest.raises(FileFormatError) as exc:
+        load_space_obj({"pairs": [{"gamma": [0]}]})
+    assert str(exc.value) == "bad space file: lambda must be a real number, got None"
+
+
+def test_no_handler_in_the_package_catches_key_or_type_errors():
+    # a KeyError or TypeError in the package is an internal error, never reported as bad input
+    src = Path(__file__).resolve().parents[1] / "src" / "expsub"
+    caught = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught += [(path.name, node.lineno, name) for name in names & {"KeyError", "TypeError"}]
+    assert caught == []

@@ -4,6 +4,7 @@ truncated or read as 0 and 1.  Lattice points, levels and dimensions go through
 `lattice.as_point` and `as_int`, catalog parameters through their factory.
 Also the box guard of one operator step."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from expsub import (
     GridData,
     LatticeError,
     LaurentSymbol,
+    SymbolError,
     apply_operator,
     box_indices,
     check_reproduction,
@@ -255,3 +257,25 @@ def test_a_step_past_the_box_limit_is_rejected_before_any_work_array(monkeypatch
 
     monkeypatch.setattr(engine, "MAX_BOX_POINTS", total)
     assert len(apply_operator(mask, M, f)) == len(refine(scheme, f, 1))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DilationMatrix(2**24 + 1), LatticeError, r"\|det M\| must be at most 16777216"),
+        (lambda: exp_bspline(2, 1.0, n_fold=2**70), CatalogParameterError, "n_fold would make a mask"),
+        (lambda: exp_product(2, [(0.5, 2**70)]), CatalogParameterError, "the multiplicities would make a mask"),
+        (lambda: ExpPolySpace([((2**70,), (0.5,))]), SymbolError, "gamma .* closes downward to more than"),
+    ],
+    ids=["det", "n_fold", "multiplicity", "gamma"],
+)
+def test_a_size_past_the_limit_is_rejected_at_once(build, error, message):
+    start = time.perf_counter()
+    with pytest.raises(error, match=message):
+        build()
+    assert time.perf_counter() - start < 1
+
+
+def test_sizes_within_the_limit_are_accepted():
+    assert DilationMatrix(2**24).m == 2**24 == engine.MAX_BOX_POINTS
+    assert exp_bspline(10**6, 1.0).M.m == 10**6  # its mask of 10**6 taps is built on first use
