@@ -75,10 +75,18 @@ def _family(name: str, M: DilationMatrix, lams, taps, tau, space) -> SchemeSpec:
     return SchemeSpec(name, M, mask_at, tau=tau, space=space)
 
 
-def _check_length(taps: int, what: str) -> None:
-    """Reject a 1-D mask of more than MAX_BOX_POINTS taps, naming what asks for it."""
-    if taps > MAX_BOX_POINTS:
+def _check_size(m: int, ns, what: str) -> None:
+    """Reject a 1-D `_geometric_product` of m-term sums to the powers `ns` that has more
+    than MAX_BOX_POINTS taps or forms more than MAX_BOX_POINTS coefficient products,
+    naming what asks for it."""
+    if (m - 1) * sum(ns) + 1 > MAX_BOX_POINTS:
         raise CatalogParameterError(f"{what} would make a mask of more than {MAX_BOX_POINTS} taps")
+    products, taps = 0, 1  # the powers' products, then each power's with the product so far
+    for i, n in enumerate(ns):
+        products += m * (n + (m - 1) * n * (n - 1) // 2) + (taps * ((m - 1) * n + 1) if i else 0)
+        taps += (m - 1) * n
+    if products > MAX_BOX_POINTS:
+        raise CatalogParameterError(f"{what} would form more than {MAX_BOX_POINTS} coefficient products")
 
 
 def _geometric_product(m: int, factors, s: int) -> dict:
@@ -118,7 +126,7 @@ def exp_bspline(m: int, lam, n_fold: int = 1, tau=None) -> SchemeSpec:
     if n_fold < 1:
         raise CatalogParameterError("n_fold must be at least 1")
     M = _read(DilationMatrix, m)
-    _check_length((m - 1) * n_fold + 1, "n_fold")
+    _check_size(m, [n_fold], "n_fold")
     lamc = _read(as_complex_vector, lam, 1)[0]
     t = None if tau is None else _read(as_tau, tau, 1)[0]
 
@@ -156,7 +164,7 @@ def exp_product(m: int, factors, normalization=None) -> SchemeSpec:
             raise CatalogParameterError(f"factors[{i}] must be a (lambda, n) pair with n >= 1, got {f!r}")
         facs.append((_read(as_complex_vector, f[0], 1)[0], n))
     M = _read(DilationMatrix, m)
-    _check_length((m - 1) * sum(n for _, n in facs) + 1, "the multiplicities")
+    _check_size(m, [n for _, n in facs], "the multiplicities")
     doc_tau = space = None
     if normalization == "two_factor":
         if len(facs) != 2 or facs[0][1] != facs[1][1]:

@@ -20,6 +20,7 @@ non-finite values are rejected, as the taps also multiply the padding.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
@@ -462,21 +463,17 @@ def _interior(taps, M: DilationMatrix, win_idx: np.ndarray, stack: np.ndarray):
 
 # -- serialization ---------------------------------------------------------------
 
-# Rows formatted by one `%` per block: large enough that the per-call cost
-# vanishes, small enough that a block's text and arguments stay a few
-# hundred kB.
-BLOCK_ROWS = 1024
+# Rows written per block: the block's byte matrix and the kernel's scratch
+# arrays stay about a megabyte.
+BLOCK_ROWS = 4096
 
 # Each float column is looked at before it is formatted: SAMPLE_RUNS evenly
 # spaced runs of SAMPLE_RUN rows are counted (refined values repeat within a
 # few dozen rows, grid coordinates along or across the grid's rows).  A
 # column whose sample is one value is checked in full and, if constant,
-# becomes text in the row template.  If at most REPEAT_SHARE of the sample is
+# becomes literal text of the row.  If at most REPEAT_SHARE of the sample is
 # distinct values, each block of the column formats each of its distinct
-# values once and gathers the text by index.  Counting and gathering a row
-# cost about a fifth of formatting a float, and about as much as formatting
-# an integer, so integer columns are formatted as they are.  Counting a block
-# at a time keeps the scratch arrays small.
+# values once and gathers their text by row.
 SAMPLE_RUNS, SAMPLE_RUN = 4, 64
 REPEAT_SHARE = 0.75
 
@@ -493,55 +490,246 @@ def _sampled(key: np.ndarray) -> tuple[int, int]:
     return int(np.count_nonzero(key[1:] != key[:-1])) + 1, key.size
 
 
-def _gathered(fmt: str, key: np.ndarray, dtype) -> list[str]:
-    """`fmt % v` for each value of a block, formatted once per distinct value."""
-    distinct, index = np.unique(key, return_inverse=True)
-    texts = [fmt % v for v in distinct.view(dtype).tolist()]
-    return list(map(texts.__getitem__, index.tolist()))
+# The decimal kernel.  A float x with 1e-280 <= |x| <= 1e280 is scaled to
+# |x| 10^(16 - X) = I + frac, X its decimal exponent and I in [1e16, 1e17), by
+# Dekker's exact product with a double-double 10^(16 - X); frac is then within
+# 1e-14 of the truth.  A rounding that falls within CERTAIN of a tie, and an
+# interval test within CERTAIN of the interval's end, are not trusted: such a
+# value, any float out of that range but zero, any integer of 17 or more
+# digits, and every value of another conversion or of another dtype than
+# float64 and int64 are written by Python's `%`.
+CERTAIN = 1e-9
+_E16, _E17 = 10**16, 10**17
+
+
+@functools.cache
+def _tables() -> dict:
+    """The kernel's tables, built on the first write: 10^k for -270 <= k < 300 as
+    double-doubles hi + lo with hi's Veltkamp halves; 10^j for j < 17; the text of
+    0..9999 as four digits and its trailing zeros; the masks of a body; the lead "0."
+    and zeros for X = -4..-1; and the exponent suffix for X = -330..329."""
+    hi, lo = [], []
+    for k in range(-270, 300):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den  # correctly rounded, as is the remainder below
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    quads = [b"%04d" % i for i in range(10000)]
+    # Masks of the 20 columns of a body over its digit matrix: for the point's
+    # column p and the shown digits d, key 18 p + d.  Column c holds digit c - 2
+    # before the point and digit c - 3 after it; columns 0 and 1 are left empty.
+    c, p, d = np.arange(20), np.arange(18)[:, None, None], np.arange(18)[:, None]
+    return {
+        "pow10": (hi, np.array(lo), *_halves(hi)),
+        "p10": 10 ** np.arange(17),
+        "quads": _padded(quads, 4).view(np.uint32)[:, 0],
+        "zeros": np.array([4 - len(q.rstrip(b"0")) for q in quads], np.int8),
+        "before": ((c - 2 < p) & (c - 2 < d) & (c >= 2)).reshape(-1, 20).astype(np.uint8),
+        "after": ((c - 2 > p) & (c - 3 < d)).reshape(-1, 20).astype(np.uint8),
+        "point": ((c - 2 == p) & (p < d)).reshape(-1, 20) * np.uint8(46),
+        "last": (c >= 20 - d[1:]).astype(np.uint8),  # the last d digits, for d = 1..17
+        "lead": _padded([b"", b"0.000", b"0.00", b"0.0", b"0.", b""], 5),  # X <= -5, -4, .., -1, X >= 0
+        "expo": _padded([b"e%+03d" % x for x in range(-330, 330)], 5),
+    }
+
+
+def _ascii(text) -> np.ndarray:
+    return np.frombuffer(text.encode() if isinstance(text, str) else text, np.uint8)
+
+
+def _padded(texts, width: int) -> np.ndarray:
+    """The texts as the rows of a NUL-padded uint8 matrix."""
+    return _ascii(b"".join(t.ljust(width, b"\0") for t in texts)).reshape(-1, width)
+
+
+def _halves(v: np.ndarray):
+    """Veltkamp's split of v into two 26-bit halves, v = h + (v - h) exactly."""
+    c = v * 134217729.0
+    h = c - (c - v)
+    return h, v - h
+
+
+def _scaled(a: np.ndarray, X: np.ndarray):
+    """(I, frac), I + frac = a 10^(16 - X) within 1e-14: Dekker's exact product of a and
+    the power's hi, plus a times its lo."""
+    hi, lo, h1, h2 = (t.take(286 - X) for t in _tables()["pow10"])
+    p = a * hi
+    a1, a2 = _halves(a)
+    low = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo
+    whole = np.floor(low)
+    return p.astype(np.int64) + whole.astype(np.int64), low - whole
+
+
+def _decimal(a: np.ndarray, shortest: bool):
+    """(J, X, certain) for a in [1e-280, 1e280]: J in [1e16, 1e17) holds the 17 digits of
+    `%.17g`'s rounding of a, or for `shortest` `repr`'s digits padded with zeros, and X is
+    the decimal exponent of that rounding."""
+    X = np.floor(np.log10(a)).astype(np.int64)
+    I, frac = _scaled(a, X)
+    off = (I >= _E17).astype(np.int64) - (I < _E16)  # log10 one off, next to a power of ten
+    if off.any():
+        X += off
+        redo = np.flatnonzero(off)
+        I[redo], frac[redo] = _scaled(a[redo], X[redo])
+    J = I + (frac > 0.5)
+    doubt = np.abs(frac - 0.5) < CERTAIN  # a tie, or too close to one to tell
+    if shortest:
+        # The shortest of the 15-, 16- and 17-digit roundings inside the rounding
+        # interval wins, the nearer if two are; the 17-digit one is always inside.
+        # The interval reaches half an ulp each way, but only a quarter ulp below a
+        # power of two.
+        m = np.frexp(a)[0]
+        above = (I + frac) / m * 2.0**-54
+        below = np.where(m == 0.5, above / 2, above)
+        for q in (10, 100):
+            r = I % q
+            dn = r + frac
+            in_dn, in_up = dn <= below, q - dn <= above
+            inside = in_dn | in_up
+            J = np.where(inside, I - r + q * (in_up & ~(in_dn & (dn < q - dn))), J)
+            tie = in_dn & in_up & (np.abs(q - 2 * dn) < CERTAIN)
+            near = (np.abs(dn - below) < CERTAIN) | (np.abs(q - dn - above) < CERTAIN)
+            doubt = np.where(inside, tie, doubt) | near
+    carry = J == _E17
+    return np.where(carry, _E16, J), X + carry, ~doubt
+
+
+def _digits(J: np.ndarray):
+    """(the 17 decimal digits of each J in [0, 1e17) as the last columns of an ASCII matrix
+    of 20, the number of them up to the last nonzero one, at least 1)."""
+    t = _tables()
+    hi, lo = (half.astype(np.int32) for half in np.divmod(J, 10**8))
+    top, hi = np.divmod(hi, 10**8)
+    groups = (top, *np.divmod(hi, 10**4), *np.divmod(lo, 10**4))
+    out = np.empty((len(J), 5), np.uint32)
+    zeros = np.int8(0)
+    for c, g in enumerate(groups):
+        out[:, c] = t["quads"].take(g)
+        zeros = t["zeros"].take(g) + (g == 0) * zeros
+    return out.view(np.uint8), np.maximum(17 - zeros, 1)
+
+
+def _text(J: np.ndarray, X: np.ndarray, fixed_below: int, shortest: bool) -> list[np.ndarray]:
+    """The text after the sign of each J 10^(X - 16), as `%g` writes it with fixed notation
+    for -4 <= X < fixed_below: a lead "0.000", the digits and point, ".0" for `shortest`
+    where no fraction is written, the exponent suffix."""
+    t = _tables()
+    expo = (X < -4) | (X >= fixed_below)
+    D, nd = _digits(J)
+    point = np.where(expo, 1, np.where(X >= 0, X + 1, 17))  # the point's place among the digits
+    shown = np.where(expo | (X < 0), nd, np.maximum(nd, X + 1))  # digits, with zeros to the point
+    key = 18 * point + shown
+    ahead = np.empty_like(D).reshape(-1)  # D one column to the left
+    ahead[:-1] = D.reshape(-1)[1:]
+    cells = [ahead.reshape(D.shape) * t["before"].take(key, axis=0) + D * t["after"].take(key, axis=0)
+             + t["point"].take(key, axis=0)]
+    lead = ~expo & (X < 0)
+    if lead.any():
+        cells.insert(0, t["lead"].take(np.clip(X + 5, 0, 5), axis=0))
+    if shortest:
+        dot0 = ~expo & (nd <= X + 1)
+        if dot0.any():
+            cells.append(dot0[:, None] * _ascii(".0"))
+    if expo.any():
+        cells.append(expo[:, None] * t["expo"].take(np.clip(X + 330, 0, 659), axis=0))
+    return cells
+
+
+def _field(fmt: str, col: np.ndarray) -> np.ndarray:
+    """`fmt % v` for each v of `col` as the rows of a NUL-padded uint8 matrix."""
+    n = len(col)
+    if fmt == "%d" and col.dtype == np.int64:
+        ok = (col > -_E16) & (col < _E16)
+        a = np.abs(np.where(ok, col, 0))
+        size = np.searchsorted(_tables()["p10"], a, side="right")  # digits, none for 0
+        cells = [_digits(a)[0] * _tables()["last"].take(np.maximum(size, 1) - 1, axis=0)]
+        neg = col < 0
+    elif fmt in ("%.17g", "%r") and col.dtype == np.float64:
+        a = np.abs(col)
+        ok = (a >= 1e-280) & (a <= 1e280)
+        if ok.all():
+            J, X, ok = _decimal(a, fmt == "%r")
+        else:
+            J, X = np.zeros(n, np.int64), np.zeros(n, np.int64)
+            J[ok], X[ok], ok[ok] = _decimal(a[ok], fmt == "%r")
+            ok |= a == 0
+        cells = _text(J, X, 17 if fmt == "%.17g" else 16, fmt == "%r")
+        neg = np.signbit(col)
+    else:
+        ok, cells, neg = np.zeros(n, bool), [], np.zeros(n, bool)
+    out = np.hstack([neg[:, None] * np.uint8(45), *cells])
+    bad = np.flatnonzero(~ok)
+    if bad.size:  # Python's own text, in the rows the kernel left uncertain
+        texts = _python(fmt, col[bad].tolist())
+        width = max(map(len, texts))
+        if width > out.shape[1]:
+            out = np.hstack([out, np.zeros((n, width - out.shape[1]), np.uint8)])
+        out[bad] = 0
+        out[bad, :width] = _padded(texts, width)
+    return out
+
+
+def _python(fmt: str, values: list) -> list[bytes]:
+    """`fmt % v` for each v, the text of every value the kernel does not write."""
+    return [(fmt % v).encode() for v in values]
 
 
 def write_rows(fh, row: str, columns, sep: str = "") -> None:
     """Write `row % (c[i] for c in columns)` for every i, joined by `sep`.
 
-    `columns` are equal-length 1-D arrays, one per conversion in `row`.  A
-    constant float column is formatted once into the row template, a float
-    column that repeats once per distinct value in each block (keyed by its
-    bits, so 0.0 and -0.0 stay apart), and any other column a block of rows
-    at a time from `.tolist()`.  One `%` per block on the repeated template
-    then gives exactly the text of formatting row by row.
+    `columns` are equal-length 1-D arrays, one per conversion in `row`.  Each
+    block of BLOCK_ROWS rows is one uint8 matrix: the row's literal text in
+    fixed columns and, between them, each field's text padded with NULs;
+    deleting the NULs gives the block's text.  The decimal kernel writes
+    `%.17g` and `%r` of floats and `%d` of integers; Python's `%` writes every
+    value the kernel cannot certify and every other conversion, so the bytes
+    are those of formatting row by row.  A constant float column is formatted
+    once into the literal text, and a float column that repeats once per
+    distinct value in each block (keyed by its bits, so 0.0 and -0.0 stay
+    apart).
     """
     n = len(columns[0])
     if not n:
         return
+    if "\0" in row + sep:
+        raise ValueError("row and sep cannot contain NUL")
     parts = re.split(_FIELD, row)  # literal text, then a conversion and literal text in turn
     fields = [i for i in range(1, len(parts), 2) if parts[i] != "%%"]
-    cols = []  # (values, or bit keys with the values' format and dtype)
     for i, col in zip(fields, columns, strict=True):
-        if col.dtype.kind != "f":
-            cols.append((col, None, None))
-            continue
-        key = col.view(f"i{col.itemsize}")
-        distinct, size = _sampled(key)
-        if distinct == 1 and (key == key[0]).all():
-            parts[i] = (parts[i] % col[:1].tolist()[0]).replace("%", "%%")
-        elif distinct <= REPEAT_SHARE * size:
-            cols.append((key, parts[i], col.dtype))
-            parts[i] = "%s"
+        repeats = False
+        if col.dtype.kind == "f":
+            key = col.view(f"i{col.itemsize}")
+            distinct, size = _sampled(key)
+            if distinct == 1 and (key == key[0]).all():
+                parts[i] = parts[i] % col[:1].tolist()[0]
+                continue
+            repeats = distinct <= REPEAT_SHARE * size
+        parts[i] = (parts[i], col, repeats)
+    cells, text = [], ""  # literal text as bytes, and (conversion, column, repeats) between
+    for p in parts:
+        if isinstance(p, tuple):
+            cells += [_ascii(text), p]
+            text = ""
         else:
-            cols.append((col, None, None))
-    row, width = "".join(parts), len(cols)
-    block = tmpl = None
+            text += "%" if p == "%%" else p
+    cells.append(_ascii(text + sep))
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        if hi - lo != block:
-            block = hi - lo
-            tmpl = sep.join([row] * block)
-            args = [None] * (block * width)
-        for j, (vals, fmt, dtype) in enumerate(cols):
-            args[j::width] = vals[lo:hi].tolist() if fmt is None else _gathered(fmt, vals[lo:hi], dtype)
-        if lo:
-            fh.write(sep)
-        fh.write(tmpl % tuple(args))
+        block = []
+        for c in cells:
+            if not isinstance(c, tuple):
+                block.append(np.broadcast_to(c, (hi - lo, len(c))))
+                continue
+            fmt, col, repeats = c
+            if repeats:
+                distinct, index = np.unique(col[lo:hi].view(f"i{col.itemsize}"), return_inverse=True)
+                block.append(_field(fmt, distinct.view(col.dtype))[index])
+            else:
+                block.append(_field(fmt, col[lo:hi]))
+        text = np.hstack(block).tobytes().translate(None, b"\0").decode()
+        fh.write(text[: len(text) - len(sep)] if hi == n else text)
 
 
 def _grid_columns(g: GridData) -> list[np.ndarray]:

@@ -105,12 +105,14 @@ LINEAR_SPACE = {"pairs": [{"gamma": [0], "lambda": [[0, 0]]}, {"gamma": [1], "la
         ({**HAT, "dilation": [2**70]}, None, "error: |det M| must be at most 16777216"),
         ({**BSPLINE, "parameters": {**BSPLINE["parameters"], "n_fold": 1e308}}, None,
          "error: bad parameters for exp_bspline: n_fold would make a mask of more than 16777216 taps"),
+        ({**BSPLINE, "parameters": {**BSPLINE["parameters"], "n_fold": 1000000}}, None,
+         "error: bad parameters for exp_bspline: n_fold would form more than 16777216 coefficient products"),
         (None, {"pairs": [{"gamma": [2**70], "lambda": [[0, 0]]}]}, "error: bad space file: gamma"),
         ({**HAT, "tail": [{"exp": [1e308], "re": 0.5}, {"exp": [0], "re": 1.0}]}, None,
          "error: overflow past the double range"),
         ({**HAT, "tau": [1e308]}, None, "error: M tau - tau is not finite for tau (1e+308,)"),
     ],
-    ids=["dilation", "n_fold", "gamma", "exponent", "tau"],
+    ids=["dilation", "n_fold", "n_fold products", "gamma", "exponent", "tau"],
 )
 def test_sizes_and_values_past_the_limits_exit_2_at_once(tmp_path, capsys, recwarn, scheme, space, message):
     scheme = write_json(tmp_path / "scheme.json", scheme or HAT)

@@ -265,9 +265,14 @@ def test_a_step_past_the_box_limit_is_rejected_before_any_work_array(monkeypatch
         (lambda: DilationMatrix(2**24 + 1), LatticeError, r"\|det M\| must be at most 16777216"),
         (lambda: exp_bspline(2, 1.0, n_fold=2**70), CatalogParameterError, "n_fold would make a mask"),
         (lambda: exp_product(2, [(0.5, 2**70)]), CatalogParameterError, "the multiplicities would make a mask"),
+        # Masks short enough whose products would take hours to form.
+        (lambda: exp_bspline(2, 1.0, n_fold=10**6), CatalogParameterError,
+         "n_fold would form more than 16777216 coefficient products"),
+        (lambda: exp_product(3, [(0.5, 2000), (-0.5, 2000)]), CatalogParameterError,
+         "the multiplicities would form more than 16777216 coefficient products"),
         (lambda: ExpPolySpace([((2**70,), (0.5,))]), SymbolError, "gamma .* closes downward to more than"),
     ],
-    ids=["det", "n_fold", "multiplicity", "gamma"],
+    ids=["det", "n_fold", "multiplicity", "n_fold products", "multiplicity products", "gamma"],
 )
 def test_a_size_past_the_limit_is_rejected_at_once(build, error, message):
     start = time.perf_counter()
@@ -279,3 +284,7 @@ def test_a_size_past_the_limit_is_rejected_at_once(build, error, message):
 def test_sizes_within_the_limit_are_accepted():
     assert DilationMatrix(2**24).m == 2**24 == engine.MAX_BOX_POINTS
     assert exp_bspline(10**6, 1.0).M.m == 10**6  # its mask of 10**6 taps is built on first use
+    # (4095 + 4095 * 4094 / 2) * 2 products form the mask, at most 2**24; one more factor is past it.
+    assert exp_bspline(2, 1.0, n_fold=4095).name == "exp_bspline(m=2,n=4095)"
+    with pytest.raises(CatalogParameterError, match="n_fold would form more than"):
+        exp_bspline(2, 1.0, n_fold=4096)

@@ -5,14 +5,22 @@ The oracles below are the row-by-row writers that the block writers replaced:
 for the JSON grid, and one `%.17g` per field for `expsub limit`.  `write_rows`
 formats a constant column once and a repeating float column once per distinct
 value; the tests from `pooled_columns` on draw columns long enough to reach
-those paths.
+those paths.  Its decimal kernel writes `%.17g`, `%r` and `%d` with numpy and
+leaves each value it cannot certify to Python's `%`: the tests from
+`each_value` on compare it with `%` value by value where the digits are
+hardest to get right (ties, interval ends, powers of two and ten, notation
+switches), and check that real outputs need no fallback at all.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +257,8 @@ def test_repeating_float_columns_are_gathered_and_distinct_ones_are_not():
     assert share(rng.normal(size=n)) == 1
     assert engine._sampled(np.full(n, -0.0).view(np.int64)) == (1, engine.SAMPLE_RUNS * engine.SAMPLE_RUN)
     col = np.array([0.0, -0.0] * 8)
-    assert engine._gathered("%r", col.view(np.int64), col.dtype) == ["0.0", "-0.0"] * 8
+    assert engine._sampled(col.view(np.int64)) == (2, 16)
+    assert written_rows("%r\n", [col]) == "0.0\n-0.0\n" * 8
 
 
 @st.composite
@@ -302,3 +311,107 @@ def test_refine_file_with_repeating_values_matches_the_row_writers(tmp_path):
         assert main(["refine", "--scheme", str(tmp_path / "scheme.json"), "--input", str(tmp_path / "grid.json"),
                      "--levels", "4", "--out", str(out)]) == 0
         assert out.read_bytes() == oracle(expected).encode()
+
+
+# -- the decimal kernel against Python's `%`, value by value ------------------------
+
+
+def each_value(fmt: str, values) -> None:
+    """Write the values as one column, distinct and repeated, and compare each line."""
+    col = np.asarray(values)
+    for rows in (col, np.repeat(col, 2)):
+        assert written_rows(fmt + "\n", [rows]).splitlines() == [fmt % v for v in rows.tolist()]
+
+
+def neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "%r"])
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_kernel_matches_percent_on_any_float(fmt, values):
+    each_value(fmt, values)
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "%r"])
+def test_kernel_matches_percent_on_random_bit_patterns(fmt):
+    """2e5 doubles of every exponent and sign, NaN payloads and infinities among them."""
+    bits = np.random.default_rng(29).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    each_value(fmt, bits.view(np.float64))
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "%r"])
+@pytest.mark.parametrize(
+    "values",
+    [
+        # 17-digit ties, rounded half to even, and values whose 16-digit candidate
+        # lies at the very end of the rounding interval.
+        [1055742800533251.25, 770324218225027.875, 5.432088488548378e16, 7.13998967135547e16],
+        [2.0**e for e in range(-997, 998)],
+        [float(f"1e{e}") for e in range(-300, 301)],
+        # Notation switches: fixed from 1e-4 for both, exponents from 1e16 for
+        # `%r` and from 1e17 for `%.17g`; and three-digit exponents.  Each value
+        # is also written with its two neighbouring doubles.
+        [v for x in (1e-5, 1e-4, 1e15, 1e16, 1e17, 1e-100, 1.5e200, 1e280, 1e-280) for v in neighbours(x)],
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+        [math.inf, -math.inf, math.nan, -math.nan, NAN_PAYLOAD, -NAN_PAYLOAD],
+    ],
+    ids=["ties and interval ends", "powers of two", "powers of ten", "notation switches", "edges", "non-finite"],
+)
+def test_kernel_matches_percent_where_digits_are_hardest(fmt, values):
+    each_value(fmt, [v for x in values for v in neighbours(x)])
+
+
+def test_integer_columns_near_the_kernels_limit_and_int64s():
+    edges = [0, 1, -1, 9, -10, 10**16 - 1, 10**16, 10**17 - 1, 10**17, 2**63 - 1, -(2**63), -(2**63) + 1]
+    each_value("%d", np.array([v for x in edges for v in (x, -x) if -(2**63) <= v < 2**63], dtype=np.int64))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values that Python's `%` wrote while the fixture is active."""
+    seen = []
+    python = engine._python
+
+    def counted(fmt, values):
+        seen.extend(values)
+        return python(fmt, values)
+
+    monkeypatch.setattr(engine, "_python", counted)
+    return seen
+
+
+def test_a_limit_file_needs_no_fallback(tmp_path, fallbacks):
+    """The kernel writes every field of a 1-D limit; a kernel that always fell back
+    would still write the right bytes, so this is what shows it runs."""
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(scheme_file_for_catalog("dual4_ternary", lam=0.8)))
+    out = tmp_path / "limit.csv"
+    assert main(["limit", "--scheme", str(path), "--rounds", "8", "--out", str(out)]) == 0
+    samples = basic_limit_samples(load_scheme(str(path)), 8)
+    assert len(samples) > 10_000
+    assert out.read_bytes() == limit_oracle(1, samples).encode()
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("suffix, oracle", [(".csv", csv_oracle), (".json", json_oracle)])
+def test_a_refine_file_needs_no_fallback(tmp_path, fallbacks, suffix, oracle):
+    rng = np.random.default_rng(13)
+    grid = {"level": 0, "tau": [0.0],
+            "values": [{"idx": [i], "re": rng.normal(), "im": rng.normal()} for i in range(-60, 60)]}
+    (tmp_path / "scheme.json").write_text(json.dumps(scheme_file_for_catalog("dual4_binary", lam=0.7j)))
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    expected = refine(load_scheme(str(tmp_path / "scheme.json")), grid_from_json_obj(grid), 6)
+    out = tmp_path / ("refined" + suffix)
+    assert main(["refine", "--scheme", str(tmp_path / "scheme.json"), "--input", str(tmp_path / "grid.json"),
+                 "--levels", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle(expected).encode()
+    assert fallbacks == []
+
+
+def test_importing_the_cli_builds_no_kernel_table():
+    code = ("import expsub.cli, expsub.engine as e; assert e._tables.cache_info().currsize == 0;"
+            " import io, numpy; e.write_rows(io.StringIO(), '%r', [numpy.arange(2.0)]);"
+            " assert e._tables.cache_info().currsize == 1")
+    env = {"PYTHONPATH": str(Path(engine.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
